@@ -53,7 +53,12 @@ try:  # POSIX; the O_EXCL spin below covers platforms without it
 except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None  # type: ignore[assignment]
 
-from repro.exec.journal import JournalRecord, read_journal
+from repro.exec.journal import (
+    JournalRecord,
+    JournalWriter,
+    atomic_write,
+    canonical,
+)
 
 #: Bump on any incompatible change to the coordinator document or the
 #: queue event payloads.
@@ -259,10 +264,6 @@ class QueueSnapshot:
         return lines
 
 
-def _canonical(value: Any) -> str:
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
-
-
 class WorkQueue:
     """The durable queue over one coordinator directory.
 
@@ -345,11 +346,7 @@ class WorkQueue:
             "batch_size": config.batch_size,
             "latency": config.latency,
         }
-        from repro.store.store import _write_durable
-
-        _write_durable(
-            queue.coordinator_path, _canonical(doc).encode("utf-8")
-        )
+        atomic_write(queue.coordinator_path, canonical(doc).encode("utf-8"))
         queue._doc = doc
         return queue
 
@@ -466,39 +463,26 @@ class WorkQueue:
                 pass
 
     # ------------------------------------------------------------- journal
-    def _read(self) -> List[JournalRecord]:
-        """Longest valid journal prefix, truncating any damaged suffix.
+    def _read(self) -> Tuple[JournalWriter, List[JournalRecord]]:
+        """Longest valid journal prefix, and a writer positioned after it.
 
-        Must run under the lock. Truncation before append keeps the
-        sequence numbering contiguous; whatever a damaged suffix
-        recorded is simply re-executed (idempotent by construction).
+        Must run under the lock. Resuming truncates any damaged suffix,
+        which keeps the sequence numbering contiguous; whatever that
+        suffix recorded is simply re-executed (idempotent by
+        construction).
         """
-        records, report = read_journal(self.queue_path)
-        keep = sum(len(record.encode()) for record in records)
-        if (
-            report.records_discarded
-            and self.queue_path.exists()
-            and keep < self.queue_path.stat().st_size
-        ):
-            with open(self.queue_path, "r+b") as handle:
-                handle.truncate(keep)
-                handle.flush()
-                os.fsync(handle.fileno())
-        return records
+        writer, records, _report = JournalWriter.resume(self.queue_path)
+        return writer, records
 
+    @staticmethod
     def _append(
-        self, records: List[JournalRecord], events: List[Tuple[str, Dict[str, Any]]]
+        writer: JournalWriter, events: List[Tuple[str, Dict[str, Any]]]
     ) -> None:
-        if not events:
-            return
-        next_seq = records[-1].seq + 1 if records else 0
-        with open(self.queue_path, "ab") as handle:
-            for offset, (kind, payload) in enumerate(events):
-                handle.write(
-                    JournalRecord(next_seq + offset, kind, payload).encode()
-                )
-            handle.flush()
-            os.fsync(handle.fileno())
+        """Append ``events`` with one fsync: only the last append is
+        durable, and its fsync persists the earlier ones too."""
+        with writer:
+            for count, (kind, payload) in enumerate(events, start=1):
+                writer.append(kind, payload, durable=count == len(events))
 
     # ---------------------------------------------------------------- fold
     def _fold(self, records: List[JournalRecord]) -> Dict[int, ShardState]:
@@ -608,10 +592,10 @@ class WorkQueue:
         events appended.
         """
         with self._locked():
-            records = self._read()
+            writer, records = self._read()
             shards = self._fold(records)
             events = self._reap_events(shards, self.clock())
-            self._append(records, events)
+            self._append(writer, events)
             return len(events)
 
     # ------------------------------------------------------------ protocol
@@ -628,7 +612,7 @@ class WorkQueue:
         now = self.clock()
         config = self.config
         with self._locked():
-            records = self._read()
+            writer, records = self._read()
             shards = self._fold(records)
             events = self._reap_events(shards, now)
             grant: Optional[ShardGrant] = None
@@ -683,7 +667,7 @@ class WorkQueue:
                     deadline=deadline,
                     speculative=speculative,
                 )
-            self._append(records, events)
+            self._append(writer, events)
             return grant
 
     def heartbeat(self, worker: str, shard: int) -> float:
@@ -696,7 +680,7 @@ class WorkQueue:
         """
         now = self.clock()
         with self._locked():
-            records = self._read()
+            writer, records = self._read()
             shards = self._fold(records)
             state = shards.get(shard)
             lease = state.leases.get(worker) if state is not None else None
@@ -711,7 +695,7 @@ class WorkQueue:
                 )
             deadline = now + self.config.lease_ttl
             self._append(
-                records,
+                writer,
                 [
                     (
                         "heartbeat",
@@ -746,12 +730,12 @@ class WorkQueue:
         reconcile time.
         """
         with self._locked():
-            records = self._read()
+            writer, records = self._read()
             shards = self._fold(records)
             state = shards[shard]
             won = not state.done
             self._append(
-                records,
+                writer,
                 [
                     (
                         "commit",
@@ -773,20 +757,20 @@ class WorkQueue:
     def release(self, worker: str, shard: int, reason: str) -> None:
         """Give a shard back (task raised); may dead-letter it."""
         with self._locked():
-            records = self._read()
+            writer, records = self._read()
             shards = self._fold(records)
             events: List[Tuple[str, Dict[str, Any]]] = [
                 ("release", {"shard": shard, "worker": worker, "reason": reason})
             ]
             self._apply(shards, *events[0])
             events.extend(self._reap_events(shards, self.clock()))
-            self._append(records, events)
+            self._append(writer, events)
 
     # -------------------------------------------------------------- status
     def commits(self) -> List[ShardCommit]:
         """Every commit record, journal order (winners and duplicates)."""
         with self._locked():
-            records = self._read()
+            _writer, records = self._read()
         shards = self._fold(records)
         out: List[ShardCommit] = []
         for shard in sorted(shards):
@@ -798,7 +782,7 @@ class WorkQueue:
         now = self.clock()
         config = self.config
         with self._locked():
-            records = self._read()
+            _writer, records = self._read()
         shards = self._fold(records)
         pending: List[int] = []
         leases: List[LeaseView] = []

@@ -19,10 +19,12 @@ while keeping its defining property — every run is a pure function of
 - :mod:`repro.exec.metrics` — counters, timers and per-stage summaries
   surfaced through the CLI and :mod:`repro.analysis.report`.
 - :mod:`repro.exec.journal` / :mod:`repro.exec.checkpoint` — the
-  durability layer: a CRC-protected write-ahead journal plus atomic
-  state snapshots at study-unit boundaries, so multi-day campaigns
-  survive process death and resume byte-identically (CLI ``--journal``
-  / ``--resume``).
+  durability layer: every crash-safe write in the repository (the
+  CRC-protected write-ahead journal and the other framed logs, atomic
+  file replacement, staged-directory publication) plus atomic state
+  snapshots at study-unit boundaries, so multi-day campaigns survive
+  process death and resume byte-identically (CLI ``--journal`` /
+  ``--resume``).
 """
 
 from repro.exec.cache import CacheStats, CachedFunction, MemoCache, StudyCaches

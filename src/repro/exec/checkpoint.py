@@ -9,19 +9,13 @@ delta, middlebox counters, the world's campaign-domain delta and
 address-pool cursors, lookup-cache contents, and the resilience layer's
 breaker/quarantine/coverage state.
 
-Write protocol (crash-safe by construction):
-
-1. serialize to ``<name>.tmp`` in the snapshot directory,
-2. flush + fsync the temp file,
-3. ``os.replace`` onto the final name (atomic on POSIX),
-4. fsync the directory so the rename itself is durable.
-
-A reader therefore never observes a half-written snapshot: either the
-old file, the new file, or a ``.tmp`` it ignores. Each snapshot embeds
-a schema version, a fingerprint of the study's identity (seed,
-products, scenario knobs, fault plan), and a SHA-256 over the state
-blob; :func:`load_latest_snapshot` walks candidates newest-first and
-degrades to the next older one — with an explicit note in the
+Snapshots are written with :func:`repro.exec.journal.atomic_write`, so
+a reader never observes a half-written snapshot: either the old file,
+the new file, or a ``.tmp`` it ignores. Each snapshot embeds a schema
+version, a fingerprint of the study's identity (seed, products,
+scenario knobs, fault plan), and a SHA-256 over the state blob;
+:func:`load_latest_snapshot` walks candidates newest-first and degrades
+to the next older one — with an explicit note in the
 :class:`~repro.exec.journal.RecoveryReport` — when any check fails.
 
 The state blob itself is a pickled plain-data tree (no world object —
@@ -36,14 +30,13 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
-import os
 import pickle
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from repro.exec.journal import RecoveryReport
+from repro.exec.journal import RecoveryReport, atomic_write, canonical
 
 #: Bump on any incompatible change to the snapshot layout.
 SNAPSHOT_SCHEMA_VERSION = 1
@@ -63,8 +56,7 @@ def fingerprint(identity: Dict[str, Any]) -> str:
     by a different seed, product selection, scenario configuration, or
     fault plan fingerprints differently and is rejected with a note.
     """
-    canonical = json.dumps(identity, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return hashlib.sha256(canonical(identity).encode("utf-8")).hexdigest()
 
 
 # --------------------------------------------------------------------- codec
@@ -123,29 +115,12 @@ def write_snapshot(
         "fingerprint": identity_fingerprint,
     }
     document.update(encode_state(state))
-    temp = final.with_suffix(final.suffix + ".tmp")
+    data = (json.dumps(document, sort_keys=True) + "\n").encode("utf-8")
     try:
-        with open(temp, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, sort_keys=True)
-            handle.write("\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(temp, final)
-        _fsync_directory(directory)
+        atomic_write(final, data)
     except OSError as exc:
         raise CheckpointError(f"cannot write snapshot {final}: {exc}") from exc
-    finally:
-        if temp.exists():
-            temp.unlink()
     return final
-
-
-def _fsync_directory(directory: Path) -> None:
-    fd = os.open(directory, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
 
 
 def list_snapshots(directory: Path) -> List[Path]:

@@ -1,9 +1,9 @@
 """Partial-epoch reconciliation: per-shard result sets → one epoch.
 
 Distributed scan workers each commit a durable *shard segment* — the
-rows their leased shard produced, CRC-framed like a journal record —
-rather than a full epoch. This module reconciles those per-shard files,
-in shard order with duplicate and conflict detection, into the exact
+rows their leased shard produced, in a CRC envelope — rather than a
+full epoch. This module reconciles those per-shard files, in shard
+order with duplicate and conflict detection, into the exact
 content-addressed epoch a single-machine :class:`StreamingScan.run`
 would commit: byte-identical segments, byte-identical manifest, hence
 the identical epoch id.
@@ -33,7 +33,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.store.store import StoreError, _canonical, _write_durable
+from repro.exec.journal import atomic_write, canonical
+from repro.store.store import StoreError
 
 #: Version stamp for the shard-segment file format below.
 SHARD_SCHEMA_VERSION = 1
@@ -66,7 +67,7 @@ def rows_digest(rows: Sequence[Dict[str, Any]]) -> str:
     to tell idempotent duplicates (same digest → discard) from
     conflicts (different digest → :class:`DuplicateShard`).
     """
-    return hashlib.sha256(_canonical(list(rows)).encode("utf-8")).hexdigest()
+    return hashlib.sha256(canonical(list(rows)).encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -106,10 +107,11 @@ def write_shard_segment(
 ) -> ShardSegment:
     """Durably write one worker's shard result set.
 
-    Same CRC-envelope framing as the journal (``{"crc": N, "rec": ...}``
-    over the canonical body) so torn or bit-flipped files are detected
-    at reconcile time, and written via temp + fsync + atomic replace so
-    a worker SIGKILLed mid-write leaves either nothing or a valid file.
+    The file is one compact canonical document ``{"crc":N,"rec":{...}}``
+    with a CRC32 over the canonical body, so torn or bit-flipped files
+    are detected at reconcile time. It is written with
+    :func:`repro.exec.journal.atomic_write`, so a worker SIGKILLed
+    mid-write leaves either nothing or a valid file.
     """
     row_list = [dict(row) for row in rows]
     digest = rows_digest(row_list)
@@ -124,11 +126,10 @@ def write_shard_segment(
         "rows_sha256": digest,
         "rows": row_list,
     }
-    canonical = _canonical(body)
-    envelope = _canonical(
-        {"crc": zlib.crc32(canonical.encode("utf-8")), "rec": body}
+    envelope = canonical(
+        {"crc": zlib.crc32(canonical(body).encode("utf-8")), "rec": body}
     )
-    _write_durable(path, envelope.encode("utf-8"))
+    atomic_write(path, envelope.encode("utf-8"))
     return ShardSegment(
         shard=shard,
         worker=worker,
@@ -177,7 +178,7 @@ def load_shard_segment(
             shard, f"shard segment {path.name} has a malformed envelope"
         )
     body = envelope["rec"]
-    if zlib.crc32(_canonical(body).encode("utf-8")) != envelope["crc"]:
+    if zlib.crc32(canonical(body).encode("utf-8")) != envelope["crc"]:
         raise ShardSegmentDamage(
             shard, f"shard segment {path.name} failed its CRC check"
         )

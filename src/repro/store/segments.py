@@ -1,51 +1,43 @@
-"""Streaming epoch construction: segments written row-by-row.
+"""Epoch construction: segments written row-by-row, published once.
 
-:meth:`repro.store.store.ResultsStore.commit` takes a fully
-materialized :class:`~repro.store.records.EpochData` — fine for the
-paper-scale study, hopeless for a million-host scan whose rows must
-never all live in memory at once. This module provides the streaming
-half of the store: an :class:`EpochStream` opens a staging directory,
+Every epoch the store holds is built here, whether its rows stream in
+from a million-host scan that must never hold them all in memory or
+come from a fully materialized :class:`~repro.store.records.EpochData`
+(:meth:`repro.store.store.ResultsStore.commit` loops over the same
+writers). An :class:`EpochStream` opens a staging directory,
 :class:`SegmentWriter` feeds each row's canonical JSON straight through
 an incremental ``zlib`` compressor to disk (tracking CRC32, SHA-256,
 counts and index keys as it goes), and ``finalize()`` seals the
-manifest and publishes through the exact same commit path.
-
-The contract that makes this safe to adopt anywhere: a streamed epoch
-is **byte-identical** to the in-memory commit of the same rows. Raw
-segment bytes are built as ``"[" + ",".join(canonical(row)) + "]"`` —
-precisely ``canonical(rows)`` — and a single-``flush()`` compressobj
-emits the same stream as one-shot ``zlib.compress(raw, 6)``. Same rows
-⇒ same segment digests ⇒ same manifest core ⇒ same epoch id, so
-content-addressed idempotence keeps working across the two code paths.
+manifest and publishes the directory with
+:func:`repro.exec.journal.publish_directory`. Raw segment bytes are
+``"[" + ",".join(canonical(row)) + "]"``, precisely ``canonical(rows)``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import os
+import shutil
 import zlib
 from pathlib import Path
 from typing import Any, Dict, Optional, Set, Tuple, TYPE_CHECKING
 
+from repro.exec.journal import canonical, publish_directory
 from repro.store.records import INDEX_DIMENSIONS, RECORD_KINDS
 from repro.store.store import (
     CommitResult,
-    EpochManifest,
     MANIFEST_FILENAME,
     SEGMENT_SUFFIX,
     SegmentInfo,
     StoreError,
-    _canonical,
-    _fsync_file,
-    _remove_tree,
 )
 
 if TYPE_CHECKING:
     from repro.store.store import ResultsStore
 
-#: Compression level must match ``store._encode_segment`` or streamed
-#: and in-memory commits of identical rows would stop being
-#: byte-identical (and content addressing would fork).
+#: Part of the on-disk format: a segment's stored size is hashed into
+#: the epoch id, so another level would change every epoch id.
 COMPRESSION_LEVEL = 6
 
 
@@ -87,7 +79,7 @@ class SegmentWriter:
         """Append one row (canonical JSON, comma-separated)."""
         if self._closed:
             raise StoreError(f"segment {self.kind} already sealed")
-        chunk = _canonical(row).encode("utf-8")
+        chunk = canonical(row).encode("utf-8")
         self._feed(b"," + chunk if self.count else chunk)
         self.count += 1
         for dim in INDEX_DIMENSIONS:
@@ -96,7 +88,10 @@ class SegmentWriter:
                 self.keys[dim].add(str(value))
 
     def close(self) -> SegmentInfo:
-        """Seal the segment: flush compression, fsync, return digests."""
+        """Seal the segment: flush compression, return digests.
+
+        The file is made durable when its directory is published.
+        """
         if self._closed:
             raise StoreError(f"segment {self.kind} already sealed")
         self._closed = True
@@ -105,8 +100,6 @@ class SegmentWriter:
         if tail:
             self._handle.write(tail)
             self.stored_bytes += len(tail)
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
         self._handle.close()
         return SegmentInfo(
             file=self.path.name,
@@ -154,7 +147,7 @@ class EpochStream:
         nonce = f"{os.getpid()}-{id(self):x}"
         self._staging = store._epochs_dir / f".stream-{nonce}"
         if self._staging.exists():
-            _remove_tree(self._staging)
+            shutil.rmtree(self._staging)
         self._staging.mkdir(parents=True)
 
     # ------------------------------------------------------------- writing
@@ -214,24 +207,24 @@ class EpochStream:
                 keys={dim: tuple(sorted(vals)) for dim, vals in keys.items()},
             )
             final = self._store._epochs_dir / manifest.epoch_id
-            if final.is_dir():
-                # Identical epoch already durable (content addressing);
-                # the staged copy is redundant.
-                _remove_tree(self._staging)
-                return CommitResult(
-                    epoch_id=manifest.epoch_id, created=False, path=final
+            created = not final.is_dir()
+            if created:
+                document = manifest.to_document()
+                (self._staging / MANIFEST_FILENAME).write_bytes(
+                    (json.dumps(document, indent=2, sort_keys=True) + "\n")
+                    .encode("utf-8")
                 )
-            self._store._write_manifest(self._staging, manifest)
-            os.replace(self._staging, final)
-            _fsync_file(self._store._epochs_dir)
-        except StoreError:
-            raise
+                publish_directory(self._staging, final)
+            else:
+                # Content addressing: the identical epoch is already in
+                # place, so the staged copy is redundant.
+                shutil.rmtree(self._staging)
         except OSError as exc:
-            _remove_tree(self._staging)
-            raise StoreError(f"cannot finalize streamed epoch: {exc}") from exc
-        self._store._register_commit(manifest)
+            shutil.rmtree(self._staging, ignore_errors=True)
+            raise StoreError(f"cannot commit epoch: {exc}") from exc
+        self._store._register_commit(manifest, created=created)
         return CommitResult(
-            epoch_id=manifest.epoch_id, created=True, path=final
+            epoch_id=manifest.epoch_id, created=created, path=final
         )
 
     def abort(self, _force: bool = False) -> None:
@@ -242,7 +235,7 @@ class EpochStream:
         for writer in self._writers.values():
             writer.discard()
         if self._staging.exists():
-            _remove_tree(self._staging)
+            shutil.rmtree(self._staging)
 
     def __enter__(self) -> "EpochStream":
         return self

@@ -15,18 +15,19 @@ The epoch id is the SHA-256 of the manifest's canonical core (identity
 fingerprint, seed, sim-clock window, per-segment digests, index keys) —
 so identical results hash to the same epoch, committing is idempotent,
 and two runs of the same study at different ``--workers`` counts land on
-byte-identical epochs. Segments carry a CRC32 over their raw canonical
-JSON in the spirit of :mod:`repro.exec.journal`, plus a SHA-256; reads
-verify both, and any mismatch (torn file, flipped byte) raises
-:class:`SegmentDamage` instead of returning silently wrong science.
+byte-identical epochs. Segments carry a CRC32 and a SHA-256 over their
+raw canonical JSON; reads verify both, and any mismatch (torn file,
+flipped byte) raises :class:`SegmentDamage` instead of returning
+silently wrong science.
 
-Durability follows :mod:`repro.exec.checkpoint`'s protocol: epoch
-directories are staged under a temp name, each file fsynced, the
-directory atomically renamed into place, and the parent fsynced; the
-commit log and indexes are written with the same temp+fsync+replace
-dance. Secondary indexes (country, ASN, product, ISP, category) are a
-pure function of the manifests, so a missing or damaged index file is
-rebuilt on load rather than trusted.
+Every write goes through :mod:`repro.exec.journal`. An epoch is built
+in a staging directory by :class:`~repro.store.segments.EpochStream`
+(:meth:`ResultsStore.commit` streams through one too) and published
+with :func:`~repro.exec.journal.publish_directory`; the commit log is a
+framed log; indexes are replaced with
+:func:`~repro.exec.journal.atomic_write`. Secondary indexes (country,
+ASN, product, ISP, category) are a pure function of the manifests, so a
+missing or damaged index file is rebuilt on load rather than trusted.
 """
 
 from __future__ import annotations
@@ -39,6 +40,14 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.exec.journal import (
+    RecoveryReport,
+    append_frames,
+    atomic_write,
+    canonical,
+    read_frames,
+    truncate_damaged_suffix,
+)
 from repro.store.records import INDEX_DIMENSIONS, EpochData
 
 #: Bump on any incompatible change to manifests, segments, or indexes.
@@ -61,29 +70,6 @@ class SegmentDamage(StoreError):
 
 class UnknownEpoch(StoreError):
     """No committed epoch matches the requested id."""
-
-
-def _canonical(value: Any) -> str:
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
-
-
-def _fsync_file(path: Path) -> None:
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
-def _write_durable(path: Path, data: bytes) -> None:
-    """temp + fsync + atomic replace + parent fsync."""
-    temp = path.with_name(path.name + ".tmp")
-    with open(temp, "wb") as handle:
-        handle.write(data)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(temp, path)
-    _fsync_file(path.parent)
 
 
 @dataclass(frozen=True)
@@ -210,19 +196,6 @@ class CommitResult:
     path: Path
 
 
-def _encode_segment(rows: List[Dict[str, Any]]) -> Tuple[bytes, SegmentInfo]:
-    raw = _canonical(rows).encode("utf-8")
-    compressed = zlib.compress(raw, 6)
-    return compressed, SegmentInfo(
-        file="",  # filled in by the caller, which knows the kind
-        count=len(rows),
-        crc32=zlib.crc32(raw),
-        sha256=hashlib.sha256(raw).hexdigest(),
-        raw_bytes=len(raw),
-        stored_bytes=len(compressed),
-    )
-
-
 class ResultsStore:
     """Append-only longitudinal results store rooted at one directory."""
 
@@ -243,53 +216,19 @@ class ResultsStore:
     # ------------------------------------------------------------- commits
     def commit(self, epoch: EpochData) -> CommitResult:
         """Durably commit an epoch; idempotent for identical content."""
-        segments: Dict[str, SegmentInfo] = {}
-        payloads: Dict[str, bytes] = {}
-        for kind, rows in sorted(epoch.records.items()):
-            compressed, info = _encode_segment(rows)
-            filename = f"{kind}{SEGMENT_SUFFIX}"
-            segments[kind] = SegmentInfo(
-                file=filename,
-                count=info.count,
-                crc32=info.crc32,
-                sha256=info.sha256,
-                raw_bytes=info.raw_bytes,
-                stored_bytes=info.stored_bytes,
-            )
-            payloads[filename] = compressed
-        manifest = self._seal_manifest(
+        with self.begin_stream(
+            identity=epoch.identity,
             fingerprint=epoch.fingerprint,
             seed=epoch.seed,
-            identity=epoch.identity,
             window_start=epoch.window[0],
-            window_end=epoch.window[1],
-            partial=epoch.partial,
-            segments=segments,
-            keys={dim: tuple(vals) for dim, vals in epoch.keys().items()},
-        )
-        epoch_id = manifest.epoch_id
-        final = self._epochs_dir / epoch_id
-        if final.is_dir():
-            # Content-addressed: the identical epoch is already durable.
-            return CommitResult(epoch_id=epoch_id, created=False, path=final)
-        staging = self._epochs_dir / f".staging-{epoch_id}"
-        if staging.exists():
-            _remove_tree(staging)
-        staging.mkdir(parents=True)
-        try:
-            for filename, payload in sorted(payloads.items()):
-                with open(staging / filename, "wb") as handle:
-                    handle.write(payload)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-            self._write_manifest(staging, manifest)
-            os.replace(staging, final)
-            _fsync_file(self._epochs_dir)
-        except OSError as exc:
-            _remove_tree(staging)
-            raise StoreError(f"cannot commit epoch {epoch_id}: {exc}") from exc
-        self._register_commit(manifest)
-        return CommitResult(epoch_id=epoch_id, created=True, path=final)
+        ) as stream:
+            for kind, rows in sorted(epoch.records.items()):
+                writer = stream.writer(kind)
+                for row in rows:
+                    writer.write(row)
+            return stream.finalize(
+                window_end=epoch.window[1], partial=epoch.partial
+            )
 
     def begin_stream(
         self,
@@ -301,9 +240,9 @@ class ResultsStore:
     ):
         """Open a streaming epoch (rows written incrementally to disk).
 
-        Returns an :class:`repro.store.segments.EpochStream`; identical
-        rows finalize to the identical epoch id :meth:`commit` would
-        produce, so the two paths are interchangeable per study.
+        Returns an :class:`repro.store.segments.EpochStream`, the one
+        path by which epochs are published (:meth:`commit` streams an
+        in-memory epoch through it).
         """
         from repro.store.segments import EpochStream
 
@@ -340,7 +279,7 @@ class ResultsStore:
             keys=keys,
         )
         epoch_id = hashlib.sha256(
-            _canonical(unsealed.core_document()).encode("utf-8")
+            canonical(unsealed.core_document()).encode("utf-8")
         ).hexdigest()
         return EpochManifest(
             epoch_id=epoch_id,
@@ -354,80 +293,64 @@ class ResultsStore:
             keys=keys,
         )
 
-    @staticmethod
-    def _write_manifest(directory: Path, manifest: EpochManifest) -> None:
-        manifest_bytes = (
-            json.dumps(manifest.to_document(), indent=2, sort_keys=True)
-            + "\n"
-        ).encode("utf-8")
-        with open(directory / MANIFEST_FILENAME, "wb") as handle:
-            handle.write(manifest_bytes)
-            handle.flush()
-            os.fsync(handle.fileno())
+    def _register_commit(
+        self, manifest: EpochManifest, *, created: bool
+    ) -> None:
+        """Log a published epoch and refresh the indexes.
 
-    def _register_commit(self, manifest: EpochManifest) -> None:
-        """Post-rename bookkeeping shared by both commit paths."""
+        ``created`` is False when the epoch directory was already in
+        place. That is either an identical epoch committed before (a
+        no-op) or a retry of a commit whose log append failed after the
+        rename, which is logged now.
+        """
         self._manifest_cache[manifest.epoch_id] = manifest
-        self._append_commit_log(manifest.epoch_id)
-        self._write_indexes()
+        if self._append_commit_log(manifest.epoch_id, created=created):
+            self._write_indexes()
 
     # ----------------------------------------------------------- commit log
-    def _append_commit_log(self, epoch_id: str) -> None:
-        # The epoch directory being logged is already on disk, so it
-        # must not count as an orphan here — only *other* unlisted
-        # directories signal damage.
-        order, dirty = self._read_log_lines()
-        extras = self._orphaned_epochs(set(order) | {epoch_id})
-        if extras:
-            order.extend(extras)
-            dirty = True
-        if epoch_id not in order:
-            order.append(epoch_id)
-        if dirty:
-            # Damage mid-log: rewrite the whole log from the recovered
-            # order rather than appending after garbage.
-            self._rewrite_commit_log(order)
-            return
-        line = self._log_line(len(order) - 1, epoch_id)
-        with open(self._log_path, "ab") as handle:
-            handle.write(line)
-            handle.flush()
-            os.fsync(handle.fileno())
+    def _append_commit_log(self, epoch_id: str, *, created: bool) -> bool:
+        """Log ``epoch_id`` and any orphans; False if already logged.
 
-    def _log_line(self, seq: int, epoch_id: str) -> bytes:
-        body = _canonical(
-            {"seq": seq, "v": STORE_SCHEMA_VERSION, "epoch": epoch_id}
+        A damaged suffix is truncated first, so the appended records
+        continue the valid prefix and the next read is clean again.
+        Orphans are epoch directories whose log append never landed.
+        A newly created epoch is the newest commit, so they precede it;
+        a retried commit is the oldest one still pending, so it
+        precedes them.
+        """
+        order, report = self._read_log()
+        if epoch_id in order:
+            return False
+        truncate_damaged_suffix(self._log_path, report)
+        orphans = self._orphaned_epochs(set(order) | {epoch_id})
+        pending = orphans + [epoch_id] if created else [epoch_id] + orphans
+        append_frames(
+            self._log_path,
+            (
+                {"seq": seq, "v": STORE_SCHEMA_VERSION, "epoch": pending_id}
+                for seq, pending_id in enumerate(pending, start=len(order))
+            ),
         )
-        crc = zlib.crc32(body.encode("utf-8"))
-        return f'{{"crc": {crc}, "rec": {body}}}\n'.encode("utf-8")
+        return True
 
-    def _rewrite_commit_log(self, order: List[str]) -> None:
-        data = b"".join(
-            self._log_line(seq, epoch_id)
-            for seq, epoch_id in enumerate(order)
-        )
-        _write_durable(self._log_path, data)
+    def _read_commit_log(self) -> List[str]:
+        """Epoch ids in commit order.
 
-    def _read_commit_log(self) -> Tuple[List[str], bool]:
-        """(epoch ids in commit order, log-was-damaged flag).
-
-        Damage semantics mirror :mod:`repro.exec.journal`: the longest
-        valid prefix is kept; committed epoch directories missing from
-        that prefix are appended in sorted-name order so an epoch can
-        never become unreachable through log damage alone.
+        The log's longest valid prefix is kept; committed epoch
+        directories missing from that prefix are appended in
+        sorted-name order so an epoch can never become unreachable
+        through log damage alone.
         """
         token = self._log_stat_token()
         if token is not None and self._order_cache is not None:
             if self._order_cache[0] == token:
-                return list(self._order_cache[1]), False
-        order, dirty = self._read_log_lines()
+                return list(self._order_cache[1])
+        order, report = self._read_log()
         extras = self._orphaned_epochs(set(order))
-        if extras:
-            dirty = True
-            order.extend(extras)
-        if not dirty and token is not None:
+        order.extend(extras)
+        if report.clean and not extras and token is not None:
             self._order_cache = (token, list(order))
-        return order, dirty
+        return order
 
     def _log_stat_token(self) -> Optional[Tuple[int, int]]:
         try:
@@ -436,25 +359,11 @@ class ResultsStore:
             return None
         return (stat.st_mtime_ns, stat.st_size)
 
-    def _read_log_lines(self) -> Tuple[List[str], bool]:
+    def _read_log(self) -> Tuple[List[str], RecoveryReport]:
         """The log's longest valid prefix, without orphan recovery."""
-        order: List[str] = []
-        dirty = False
-        if self._log_path.exists():
-            raw = self._log_path.read_bytes()
-            lines = raw.split(b"\n")
-            if lines and lines[-1] != b"":
-                dirty = True  # torn tail
-                lines = lines[:-1]
-            for line in lines:
-                if line == b"":
-                    continue
-                record = self._validate_log_line(line, len(order))
-                if record is None:
-                    dirty = True
-                    break
-                order.append(record)
-        return order, dirty
+        return read_frames(
+            self._log_path, version=STORE_SCHEMA_VERSION, decode=_logged_epoch
+        )
 
     def _orphaned_epochs(self, known: set) -> List[str]:
         """Committed epoch directories absent from ``known``, by name."""
@@ -467,31 +376,10 @@ class ResultsStore:
             and (path / MANIFEST_FILENAME).exists()
         )
 
-    @staticmethod
-    def _validate_log_line(line: bytes, expected_seq: int) -> Optional[str]:
-        try:
-            outer = json.loads(line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            return None
-        if not isinstance(outer, dict) or "crc" not in outer or "rec" not in outer:
-            return None
-        rec = outer["rec"]
-        if not isinstance(rec, dict):
-            return None
-        if zlib.crc32(_canonical(rec).encode("utf-8")) != outer["crc"]:
-            return None
-        if rec.get("v") != STORE_SCHEMA_VERSION:
-            return None
-        if rec.get("seq") != expected_seq:
-            return None
-        epoch = rec.get("epoch")
-        return epoch if isinstance(epoch, str) else None
-
     # -------------------------------------------------------------- reading
     def epoch_ids(self) -> List[str]:
         """Committed epoch ids, oldest first."""
-        order, _dirty = self._read_commit_log()
-        return order
+        return self._read_commit_log()
 
     def __len__(self) -> int:
         return len(self.epoch_ids())
@@ -576,7 +464,7 @@ class ResultsStore:
         except StoreError as exc:
             return [str(exc)]
         recomputed = hashlib.sha256(
-            _canonical(manifest.core_document()).encode("utf-8")
+            canonical(manifest.core_document()).encode("utf-8")
         ).hexdigest()
         if recomputed != manifest.epoch_id:
             problems.append("manifest core does not hash to the epoch id")
@@ -642,7 +530,7 @@ class ResultsStore:
             data = (
                 json.dumps(document, indent=2, sort_keys=True) + "\n"
             ).encode("utf-8")
-            _write_durable(self._indexes_dir / f"{dimension}.json", data)
+            atomic_write(self._indexes_dir / f"{dimension}.json", data)
 
     def rebuild_indexes(self) -> None:
         """Force a rebuild of every index file from manifests."""
@@ -660,11 +548,7 @@ class ResultsStore:
         ).hexdigest()
 
 
-def _remove_tree(path: Path) -> None:
-    for child in sorted(path.rglob("*"), reverse=True):
-        if child.is_dir():
-            child.rmdir()
-        else:
-            child.unlink()
-    if path.exists():
-        path.rmdir()
+def _logged_epoch(rec: Dict[str, Any]) -> Optional[str]:
+    """The epoch id a commit-log record names (None if malformed)."""
+    epoch = rec.get("epoch")
+    return epoch if isinstance(epoch, str) else None

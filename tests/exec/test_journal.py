@@ -1,11 +1,12 @@
 """The write-ahead journal and atomic snapshots in isolation.
 
 Covers the durability contract of :mod:`repro.exec.journal` and
-:mod:`repro.exec.checkpoint` without running a study: every documented
-damage class (torn tail, CRC corruption, version skew, sequence break)
-must degrade to the longest valid prefix plus an explicit recovery
-report — never an exception — and snapshot writes must be atomic and
-self-verifying.
+:mod:`repro.exec.checkpoint` without running a study: damage must
+degrade to the longest valid prefix plus an explicit recovery report —
+never an exception — and snapshot writes must be atomic and
+self-verifying. Torn tails, CRC corruption, sequence breaks and resume
+truncation are covered for every framed log by the properties in
+``test_framed_log.py``.
 """
 
 import json
@@ -26,11 +27,9 @@ from repro.exec.checkpoint import (
 from repro.exec.journal import (
     JOURNAL_SCHEMA_VERSION,
     JournalError,
-    JournalRecord,
     JournalWriter,
     RecoveryReport,
     read_journal,
-    valid_prefix_length,
 )
 
 
@@ -88,31 +87,6 @@ class DescribeJournalWriter:
 
 
 class DescribeJournalDamage:
-    def test_drops_a_torn_tail_and_keeps_the_prefix(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        write_records(path, ["begin", "unit-start", "unit-commit"])
-        raw = path.read_bytes()
-        # Simulate power loss mid-append: half the final line, no newline.
-        lines = raw.splitlines(keepends=True)
-        path.write_bytes(b"".join(lines[:-1]) + lines[-1][: len(lines[-1]) // 2])
-        records, report = read_journal(path)
-        assert [r.kind for r in records] == ["begin", "unit-start"]
-        assert report.records_discarded == 1
-        assert any("torn tail" in note for note in report.notes)
-
-    def test_discards_from_a_crc_corrupt_record_onward(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        write_records(path, ["begin", "unit-start", "unit-commit", "snapshot"])
-        lines = path.read_bytes().splitlines(keepends=True)
-        # Flip payload bytes in record 1 without touching its CRC field.
-        lines[1] = lines[1].replace(b'"index":1', b'"index":9')
-        path.write_bytes(b"".join(lines))
-        records, report = read_journal(path)
-        assert [r.kind for r in records] == ["begin"]
-        assert report.records_kept == 1
-        assert report.records_discarded == 3
-        assert any("CRC mismatch" in note for note in report.notes)
-
     def test_treats_version_skew_like_corruption(self, tmp_path):
         path = tmp_path / "journal.jsonl"
         write_records(path, ["begin"])
@@ -132,33 +106,6 @@ class DescribeJournalDamage:
         records, report = read_journal(path)
         assert [r.kind for r in records] == ["begin"]
         assert any("version skew" in note for note in report.notes)
-
-    def test_rejects_sequence_breaks(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        writer = JournalWriter.create(path)
-        writer.append("begin", {})
-        writer.close()
-        # Append a validly-encoded record with the wrong sequence number.
-        rogue = JournalRecord(seq=5, kind="unit-start", payload={})
-        with open(path, "ab") as handle:
-            handle.write(rogue.encode())
-        records, report = read_journal(path)
-        assert [r.kind for r in records] == ["begin"]
-        assert any("sequence break" in note for note in report.notes)
-
-    def test_truncates_the_damaged_suffix_on_resume(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        write_records(path, ["begin", "unit-start", "unit-commit"])
-        good_length = valid_prefix_length(path)
-        path.write_bytes(path.read_bytes() + b'{"crc": 1, "rec": {"bad"')
-        writer, records, report = JournalWriter.resume(path)
-        assert path.stat().st_size == good_length
-        assert writer.next_seq == 3
-        writer.append("snapshot", {})
-        writer.close()
-        records, report = read_journal(path)
-        assert [r.seq for r in records] == [0, 1, 2, 3]
-        assert report.clean
 
     def test_never_raises_on_arbitrary_garbage(self, tmp_path):
         path = tmp_path / "journal.jsonl"

@@ -214,6 +214,35 @@ class DescribeCommitLogRecovery:
         log_lines = (tmp_path / COMMIT_LOG_FILENAME).read_text().strip().split("\n")
         assert len(log_lines) == 2
 
+    def test_retried_commit_lands_in_commit_order(self, tmp_path, monkeypatch):
+        # The log append fails after each epoch directory is renamed
+        # into place, for A and then B, and B's id sorts first.
+        probe = ResultsStore(tmp_path / "probe")
+        epochs = {
+            probe.commit(tiny_epoch(seed=s)).epoch_id: tiny_epoch(seed=s)
+            for s in (1, 2)
+        }
+        second_id, first_id = sorted(epochs)
+        store = ResultsStore(tmp_path / "store")
+        append = ResultsStore._append_commit_log
+
+        def unwritable_log(self, epoch_id, **kwargs):
+            raise OSError("simulated log append failure")
+
+        monkeypatch.setattr(ResultsStore, "_append_commit_log", unwritable_log)
+        for epoch_id in (first_id, second_id):
+            with pytest.raises(OSError):
+                store.commit(epochs[epoch_id])
+        monkeypatch.setattr(ResultsStore, "_append_commit_log", append)
+        # The caller retries both in order, as the monitor's buffer does.
+        for epoch_id in (first_id, second_id):
+            store.commit(epochs[epoch_id])
+        assert store.epoch_ids() == [first_id, second_id]
+        assert ResultsStore(tmp_path / "store").epoch_ids() == [
+            first_id,
+            second_id,
+        ]
+
 
 class DescribeIndexes:
     def test_lookup_by_every_dimension(self, tmp_path):
@@ -251,6 +280,24 @@ class DescribeIndexes:
         fresh = ResultsStore(tmp_path)
         assert fresh.lookup("isp", "testnet") == [epoch_id]
         assert fresh.lookup("isp", "bogus") == []
+
+    def test_failed_index_write_leaves_no_temp_file(
+        self, tmp_path, monkeypatch
+    ):
+        store = ResultsStore(tmp_path)
+        store.commit(tiny_epoch())
+        index_path = tmp_path / "indexes" / "isp.json"
+        before = index_path.read_bytes()
+
+        def failing_replace(source, target):
+            raise OSError("simulated rename failure")
+
+        monkeypatch.setattr("os.replace", failing_replace)
+        with pytest.raises(OSError, match="simulated rename failure"):
+            store.rebuild_indexes()
+        monkeypatch.undo()
+        assert not list((tmp_path / "indexes").glob("*.tmp"))
+        assert index_path.read_bytes() == before
 
     def test_corrupt_index_file_rebuilt(self, tmp_path):
         store = ResultsStore(tmp_path)
