@@ -1,0 +1,62 @@
+"""Golden pins for the default study: the §3 query stream and the epoch.
+
+Two digests taken at seed 2013, both of which must hold across any
+refactor or speed-up of the identification path:
+
+- the epoch id a default ``FullStudy(workers=1)`` commits (the same
+  value the benchmark pins for its study workload);
+- a SHA-256 over every identification query the study sends — the
+  paper's keyword × ccTLD expansion, 10 keywords × (1 + 122 ccTLDs) =
+  1230 queries — folding in each query string, the count its log entry
+  records, and its ordered hit list as ``ip:port``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+from repro.core.pipeline import FullStudy
+from repro.geo.maxmind import GeoDatabase
+from repro.net.url import COUNTRY_CODE_TLDS
+from repro.products.registry import default_registry
+from repro.scan.banner import scan_world
+from repro.scan.shodan import ShodanIndex
+from repro.store import ResultsStore
+from repro.world.scenario import build_scenario
+
+SEED = 2013
+STUDY_EPOCH_ID = "2e4b9558042c1fc1709a2924c7cefd830692b20cfa78ea0043b8951b5d6f1def"
+QUERY_STREAM_SHA256 = (
+    "0a6ebd5712fb2fd0d250a20596d57aff857d5e92211b21d1f49c718090906856"
+)
+QUERY_COUNT = 1230
+
+
+def test_default_study_epoch_id(tmp_path):
+    study = FullStudy(build_scenario(seed=SEED), workers=1)
+    study.run()
+    assert study.commit_epoch(ResultsStore(tmp_path)).epoch_id == STUDY_EPOCH_ID
+
+
+def test_identification_query_stream():
+    # Built the way FullStudy.run_identification builds its index.
+    world = build_scenario(seed=SEED).world
+    registry = default_registry()
+    geo = GeoDatabase.build_from_world(world)
+    index = ShodanIndex(
+        scan_world(world, registry.scan_ports()), geolocate=geo.country_code
+    )
+    digest = hashlib.sha256()
+    for keywords in registry.shodan_keywords().values():
+        for keyword in keywords:
+            for query in [keyword] + [
+                f"{keyword} country:{code}"
+                for code in sorted(COUNTRY_CODE_TLDS)
+            ]:
+                hits = index.search(query)
+                logged_query, count = index.log.entries[-1]
+                assert logged_query == query
+                hit_list = ",".join(f"{hit.ip}:{hit.port}" for hit in hits)
+                digest.update(f"{query}\t{count}\t{hit_list}\n".encode("utf-8"))
+    assert index.log.query_count == QUERY_COUNT
+    assert digest.hexdigest() == QUERY_STREAM_SHA256
