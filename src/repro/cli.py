@@ -121,11 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
         "memory; epoch ids are invariant to this)",
     )
     study.add_argument(
-        "--scan-backend", choices=("thread", "process"), default="thread",
-        help="where CPU-bound signature matching runs (default thread; "
-        "'process' fans it over a process pool — results identical)",
-    )
-    study.add_argument(
         "--record-confidence", action="store_true",
         help="persist fused verdict confidences and per-classifier "
         "signal breakdowns in committed epochs (changes row bytes, so "
@@ -595,7 +590,6 @@ def _cmd_study(args) -> int:
         max_retries=args.max_retries,
         fail_fast=args.fail_fast,
         scan_shards=args.shards,
-        scan_backend=args.scan_backend,
         record_confidence=args.record_confidence,
     )
     partial = None

@@ -41,12 +41,7 @@ from repro.exec.checkpoint import (
     load_latest_snapshot,
     write_snapshot,
 )
-from repro.exec.executor import (
-    BACKENDS,
-    Executor,
-    PROCESS_BACKEND,
-    THREAD_BACKEND,
-)
+from repro.exec.executor import Executor
 from repro.exec.journal import (
     JOURNAL_FILENAME,
     JournalError,
@@ -64,7 +59,7 @@ from repro.geo.cymru import WhoisService
 from repro.geo.maxmind import GeoDatabase
 from repro.products.registry import NETSWEEPER, SMARTFILTER, default_registry
 from repro.scan.banner import scan_world
-from repro.scan.shodan import ShodanIndex, build_prematch
+from repro.scan.shodan import ShodanIndex
 from repro.store import CommitResult, ResultsStore, study_epoch
 from repro.scan.whatweb import WhatWebEngine, world_probe
 from repro.world.clock import SimTime
@@ -256,7 +251,6 @@ class FullStudy:
         max_retries: int = 2,
         fail_fast: bool = False,
         scan_shards: Optional[int] = None,
-        scan_backend: str = THREAD_BACKEND,
         record_confidence: bool = False,
     ) -> None:
         if workers < 1:
@@ -265,10 +259,6 @@ class FullStudy:
             raise ValueError("link_latency must be >= 0")
         if scan_shards is not None and scan_shards < 1:
             raise ValueError("scan_shards must be >= 1")
-        if scan_backend not in BACKENDS:
-            raise ValueError(
-                f"unknown scan backend {scan_backend!r}; one of {BACKENDS}"
-            )
         self._scenario = scenario
         # Resolve eagerly so unknown product names fail fast; None keeps
         # the paper's default selection (the 2013 four).
@@ -282,10 +272,9 @@ class FullStudy:
         self._shodan_coverage = shodan_coverage
         self._geo_error_rate = geo_error_rate
         self._link_latency = link_latency
-        # Execution-shape knobs: like workers, they must not influence
+        # An execution-shape knob: like workers, it must not influence
         # study identity — the determinism matrix pins this down.
         self._scan_shards = scan_shards
-        self._scan_backend = scan_backend
         self._max_retries = max_retries
         self._fail_fast = fail_fast
         # Opt-in: persist fused confidence + signal breakdowns on epoch
@@ -354,32 +343,10 @@ class FullStudy:
             # The banner index geolocates every record up front; routing
             # it through the shared cache turns the §3 candidate
             # re-lookups into hits.
-            prematch = None
-            if self._scan_backend == PROCESS_BACKEND:
-                # CPU-bound signature matching is the half of the sweep
-                # a process pool can genuinely parallelize; records
-                # cross the boundary as plain picklable data and the
-                # per-record result table is order-independent.
-                keywords = [
-                    keyword
-                    for spec in registry.resolve(
-                        None if self._products is None
-                        else list(self._products)
-                    )
-                    for keyword in spec.shodan_keywords
-                ]
-                match_executor = Executor(
-                    workers=self.executor.workers,
-                    backend=PROCESS_BACKEND,
-                    metrics=self.metrics,
-                    name="study-match",
-                )
-                prematch = build_prematch(records, keywords, match_executor)
             shodan = ShodanIndex(
                 records,
                 geolocate=self.caches.wrap_geo(geo.country_code),
                 query_cache=self.caches.banner,
-                prematch=prematch,
             )
             whatweb = WhatWebEngine(
                 world_probe(world),
@@ -844,7 +811,6 @@ def run_full_study(
     checkpoint_every: int = 1,
     store_dir: Optional[Path] = None,
     scan_shards: Optional[int] = None,
-    scan_backend: str = THREAD_BACKEND,
     record_confidence: bool = False,
 ):
     """Build the scenario for ``seed`` and run the whole campaign.
@@ -882,7 +848,6 @@ def run_full_study(
         max_retries=max_retries,
         fail_fast=fail_fast,
         scan_shards=scan_shards,
-        scan_backend=scan_backend,
         record_confidence=record_confidence,
     )
     if journal_dir is not None:

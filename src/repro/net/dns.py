@@ -36,15 +36,20 @@ class DnsZone:
 
     def __init__(self) -> None:
         self._records: Dict[str, DnsRecord] = {}
+        # address -> first name registered for it; rebuilt on the first
+        # reverse lookup after any change.
+        self._reverse: Optional[Dict[Ipv4Address, str]] = None
 
     def register(self, name: str, address: Ipv4Address) -> DnsRecord:
         """Register (or re-point) an A record."""
         record = DnsRecord(name.lower().rstrip("."), address)
         self._records[record.name] = record
+        self._reverse = None
         return record
 
     def unregister(self, name: str) -> None:
         self._records.pop(name.lower().rstrip("."), None)
+        self._reverse = None
 
     def resolve(self, name: str) -> Ipv4Address:
         record = self._records.get(name.lower().rstrip("."))
@@ -53,11 +58,18 @@ class DnsZone:
         return record.address
 
     def reverse(self, address: Ipv4Address) -> Optional[str]:
-        """Best-effort PTR lookup (first name registered for the address)."""
-        for record in self._records.values():
-            if record.address == address:
-                return record.name
-        return None
+        """Best-effort PTR lookup (first name registered for the address).
+
+        A re-pointed name keeps its registration position, so the map
+        built in registration order agrees with a scan of the zone.
+        """
+        reverse = self._reverse
+        if reverse is None:
+            reverse = {}
+            for record in self._records.values():
+                reverse.setdefault(record.address, record.name)
+            self._reverse = reverse
+        return reverse.get(address)
 
     def __contains__(self, name: object) -> bool:
         return isinstance(name, str) and name.lower().rstrip(".") in self._records

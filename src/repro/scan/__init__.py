@@ -9,11 +9,8 @@ from repro.scan.banner import (
 from repro.scan.census import CensusDataset, run_census
 from repro.scan.shodan import (
     DEFAULT_RESULT_CAP,
-    PrematchTable,
     ShodanIndex,
     ShodanQueryLog,
-    build_prematch,
-    keyword_tokens,
 )
 from repro.products.registry import (
     BLUE_COAT,
@@ -62,7 +59,6 @@ __all__ = [
     "scan_batch",
     "NETSWEEPER",
     "PRODUCT_NAMES",
-    "PrematchTable",
     "ProbeObservation",
     "ProductMatch",
     "SHODAN_KEYWORDS",
@@ -73,9 +69,7 @@ __all__ = [
     "WHATWEB_SIGNATURES",
     "WhatWebEngine",
     "WhatWebReport",
-    "build_prematch",
     "grab_banner",
-    "keyword_tokens",
     "run_census",
     "scan_world",
     "world_probe",

@@ -22,76 +22,11 @@ from repro.scan.banner import BannerRecord
 
 DEFAULT_RESULT_CAP = 100
 
+_COUNTRY = "country:"
+_PORT = "port:"
 
-@dataclass(frozen=True)
-class PrematchTable:
-    """Precomputed keyword-token matches for a fixed banner corpus.
-
-    Signature matching is the CPU-bound half of a Shodan sweep: every
-    query token is substring-checked against every banner. A prematch
-    table moves that work to a fan-out stage — for each record, which
-    of the known keyword ``tokens`` its banner contains — so queries
-    become set lookups. Built by :func:`build_prematch`, consumed by
-    :class:`ShodanIndex`; query semantics are byte-identical with or
-    without one (the table is keyed on the exact ``matches_keyword``
-    predicate).
-    """
-
-    tokens: frozenset
-    matches: Dict[Tuple[int, int], Tuple[str, ...]]
-
-
-def keyword_tokens(keywords: Iterable[str]) -> frozenset:
-    """The lowered token universe of a set of query keywords."""
-    tokens: Set[str] = set()
-    for keyword in keywords:
-        for token in _tokenize(keyword):
-            tokens.add(token.lower())
-    return frozenset(tokens)
-
-
-def prematch_chunk(
-    payload: Tuple[List[BannerRecord], Tuple[str, ...]],
-) -> Dict[Tuple[int, int], Tuple[str, ...]]:
-    """Match one record chunk against the token universe.
-
-    Module-level and fed plain picklable data so a process-pool
-    :class:`~repro.exec.executor.Executor` can run it.
-    """
-    records, tokens = payload
-    matched: Dict[Tuple[int, int], Tuple[str, ...]] = {}
-    for record in records:
-        matched[(record.ip.value, record.port)] = tuple(
-            token for token in tokens if record.matches_keyword(token)
-        )
-    return matched
-
-
-def build_prematch(
-    records: Iterable[BannerRecord],
-    keywords: Iterable[str],
-    executor,
-    *,
-    chunk_size: int = 256,
-) -> PrematchTable:
-    """Fan signature matching out over an executor (any backend).
-
-    Chunks merge in submission order, but the result is a per-record
-    mapping, so the table — and every query answered from it — is
-    independent of worker count and backend.
-    """
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
-    tokens = tuple(sorted(keyword_tokens(keywords)))
-    pool = list(records)
-    payloads = [
-        (pool[start: start + chunk_size], tokens)
-        for start in range(0, len(pool), chunk_size)
-    ]
-    matches: Dict[Tuple[int, int], Tuple[str, ...]] = {}
-    for chunk in executor.map(prematch_chunk, payloads, label="prematch"):
-        matches.update(chunk)
-    return PrematchTable(tokens=frozenset(tokens), matches=matches)
+#: A token's matches: ascending record positions, and the same as a set.
+_Posting = Tuple[List[int], Set[int]]
 
 
 @dataclass
@@ -109,7 +44,16 @@ class ShodanQueryLog:
 
 
 class ShodanIndex:
-    """Searchable index over banner records."""
+    """Searchable index over banner records.
+
+    Each query is answered from per-token posting lists: the ascending
+    positions of the records a token matches, plus the same positions
+    as a set for membership tests. Every matching rule depends only on
+    the lowered token, so postings are memoized under it. ``country:``
+    postings come from one grouping pass at construction; a keyword or
+    ``port:`` posting is built in one pass the first time a query uses
+    it. Records are treated as immutable once indexed.
+    """
 
     def __init__(
         self,
@@ -118,7 +62,6 @@ class ShodanIndex:
         result_cap: int = DEFAULT_RESULT_CAP,
         geolocate: Optional[Callable[[Ipv4Address], Optional[str]]] = None,
         query_cache: Optional[MemoCache] = None,
-        prematch: Optional[PrematchTable] = None,
     ) -> None:
         """``geolocate`` overrides each record's country tag (e.g. with a
         MaxMind-style database including its errors); records the
@@ -128,24 +71,29 @@ class ShodanIndex:
         models *not issuing the API query again*, so it is answered
         without touching the query log — the paper counts queries
         actually sent to the service.
-
-        ``prematch`` (see :func:`build_prematch`) answers keyword
-        tokens from a precomputed table; tokens outside its universe
-        fall back to direct substring matching.
         """
         self._records: List[BannerRecord] = []
-        for record in records:
+        by_country: Dict[str, List[int]] = {}
+        for position, record in enumerate(records):
             if geolocate is not None:
                 code = geolocate(record.ip)
                 if code is not None:
                     record.country_code = code
             self._records.append(record)
+            by_country.setdefault(
+                _COUNTRY + record.country_code.lower(), []
+            ).append(position)
         if result_cap <= 0:
             raise ValueError("result_cap must be positive")
         self.result_cap = result_cap
         self.log = ShodanQueryLog()
         self._query_cache = query_cache
-        self._prematch = prematch
+        # Concurrent searches may build the same posting twice; both
+        # builds are equal, so the race only duplicates work.
+        self._postings: Dict[str, _Posting] = {
+            token: (positions, set(positions))
+            for token, positions in by_country.items()
+        }
 
     def __len__(self) -> int:
         return len(self._records)
@@ -183,24 +131,47 @@ class ShodanIndex:
         return hits
 
     def _execute(self, query: str) -> List[BannerRecord]:
+        """Walk the shortest posting in record order, keep the positions
+        every other token's posting contains, stop at the cap."""
         tokens = _tokenize(query)
+        if not tokens:
+            return self._records[: self.result_cap]
+        shortest, *others = sorted(
+            (self._posting(token) for token in tokens),
+            key=lambda posting: len(posting[0]),
+        )
         hits: List[BannerRecord] = []
-        for record in self._records:
-            if all(self._matches(record, token) for token in tokens):
-                hits.append(record)
+        for position in shortest[0]:
+            if all(position in members for _, members in others):
+                hits.append(self._records[position])
                 if len(hits) >= self.result_cap:
                     break
         return hits
 
-    def _matches(self, record: BannerRecord, token: str) -> bool:
-        prematch = self._prematch
-        if prematch is not None:
-            lowered = token.lower()
-            if lowered in prematch.tokens:
-                return lowered in prematch.matches.get(
-                    (record.ip.value, record.port), ()
-                )
-        return _token_matches(record, token)
+    def _posting(self, token: str) -> _Posting:
+        lowered = token.lower()
+        posting = self._postings.get(lowered)
+        if posting is not None:
+            return posting
+        if lowered.startswith(_COUNTRY):
+            # Every country present got its posting at construction.
+            positions: List[int] = []
+        elif lowered.startswith(_PORT):
+            value = lowered[len(_PORT):]
+            port = int(value) if value.isdecimal() else None
+            positions = [
+                position
+                for position, record in enumerate(self._records)
+                if record.port == port
+            ]
+        else:
+            positions = [
+                position
+                for position, record in enumerate(self._records)
+                if record.matches_keyword(token)
+            ]
+        posting = self._postings[lowered] = (positions, set(positions))
+        return posting
 
     def search_expanded(
         self,
@@ -243,13 +214,3 @@ def _tokenize(query: str) -> List[str]:
             tokens.append(piece)
             rest = rest.strip()
     return [t for t in tokens if t]
-
-
-def _token_matches(record: BannerRecord, token: str) -> bool:
-    lowered = token.lower()
-    if lowered.startswith("country:"):
-        return record.country_code.lower() == lowered[len("country:"):]
-    if lowered.startswith("port:"):
-        value = lowered[len("port:"):]
-        return value.isdigit() and record.port == int(value)
-    return record.matches_keyword(token)

@@ -6,8 +6,8 @@ the stored rows — at workers {1, 4, 8}, backends {thread, process},
 and any shard count. Execution shape must never leak into results.
 
 The §3 world-scan path gets the same treatment: ``FullStudy`` with
-``scan_shards``/``scan_backend`` set must render the identification
-tables byte-identically to the sequential baseline.
+``workers``/``scan_shards`` set must render the identification tables
+byte-identically to the sequential baseline.
 """
 
 from __future__ import annotations
@@ -95,10 +95,10 @@ def test_matrix_segment_bytes_identical(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "workers,backend,shards",
-    [(4, "thread", 7), (2, "process", None), (4, "process", 3)],
+    "workers,shards",
+    [(4, 7), (2, None), (4, 3)],
 )
-def test_full_study_identification_invariant(workers, backend, shards):
+def test_full_study_identification_invariant(workers, shards):
     """§3 against the simulated world: same figure at any scan shape."""
     baseline = (
         FullStudy(build_scenario(seed=SEED)).run_identification()
@@ -107,7 +107,6 @@ def test_full_study_identification_invariant(workers, backend, shards):
         build_scenario(seed=SEED),
         workers=workers,
         scan_shards=shards,
-        scan_backend=backend,
     ).run_identification()
     assert render_figure1(report) == render_figure1(baseline)
     assert len(report.installations) == len(baseline.installations)

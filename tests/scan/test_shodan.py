@@ -61,6 +61,11 @@ class DescribeSearch:
         assert len(index.search("port:15871")) == 1
         assert len(index.search("port:9999")) == 0
 
+    def test_non_decimal_port_matches_nothing(self, index):
+        # "²".isdigit() is true but int("²") raises.
+        assert index.search("port:²") == []
+        assert index.search("port:8o") == []
+
     def test_empty_query_returns_capped_everything(self, index):
         assert len(index.search("")) == 4
 
