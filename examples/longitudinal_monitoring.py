@@ -10,15 +10,25 @@ Replays two temporal arcs from the paper:
    never reach the deployment: the monitor sees confirmation flip off,
    which is exactly the observable policy effect of the 2009 decision.
 
+Each round is also committed as one epoch to a throwaway results store.
+
 Run:  python examples/longitudinal_monitoring.py
 """
 
+import tempfile
+
 from repro import ConfirmationConfig, build_scenario
 from repro.core.monitor import LongitudinalMonitor
+from repro.store import ResultsStore
 from repro.world.content import ContentClass
 
 
 def main() -> None:
+    with tempfile.TemporaryDirectory() as directory:
+        run(ResultsStore(directory))
+
+
+def run(store: ResultsStore) -> None:
     scenario = build_scenario()
     world = scenario.world
 
@@ -34,6 +44,7 @@ def main() -> None:
             category_label="Anonymizers",
             requested_category="Anonymizers",
         ),
+        store=store,
     )
     series = monitor.run(rounds=3, interval_days=90)
     for round_ in series.rounds:
@@ -57,6 +68,7 @@ def main() -> None:
             category_label="Proxy Avoidance",
             requested_category="Proxy Avoidance",
         ),
+        store=store,
     )
     first = monitor2.run_round()
     print(

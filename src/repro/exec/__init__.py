@@ -7,12 +7,14 @@ this). This package makes that concurrency real for the reproduction
 while keeping its defining property — every run is a pure function of
 (seed, config) — intact:
 
-- :mod:`repro.exec.executor` — a thread-pool executor whose fan-out APIs
-  merge results in a stable, submission-ordered (seed-independent) way,
-  with per-task retry/timeout semantics, plus a :class:`Sequencer`
+- :mod:`repro.exec.executor` — a thread- or process-pool executor whose
+  fan-out APIs merge results in a stable, submission-ordered
+  (seed-independent) way and hand back each failed task as a
+  :class:`TaskFailure` in its own slot, plus a :class:`Sequencer`
   turnstile that forces side-effectful simulation steps to commit in
   submission order so parallel runs stay byte-identical to sequential
-  ones.
+  ones. Retries of transient faults live one layer up, in
+  :mod:`repro.exec.resilience`.
 - :mod:`repro.exec.cache` — thread-safe memoization for the hot lookup
   paths (MaxMind geo, Team Cymru ASN, DNS resolution, Shodan banner
   queries) with hit/miss counters and explicit invalidation.
@@ -36,11 +38,9 @@ from repro.exec.executor import (
     CampaignOutcome,
     Executor,
     PROCESS_BACKEND,
-    RetryPolicy,
     Sequencer,
     StreamStats,
     TaskFailure,
-    TaskTimeout,
     THREAD_BACKEND,
 )
 from repro.exec.metrics import Metrics, TimerStats
@@ -60,12 +60,10 @@ __all__ = [
     "MemoCache",
     "Metrics",
     "RecoveryReport",
-    "RetryPolicy",
     "Sequencer",
     "Snapshot",
     "StudyCaches",
     "TaskFailure",
-    "TaskTimeout",
     "TimerStats",
     "load_latest_snapshot",
     "write_snapshot",

@@ -5,10 +5,11 @@ measurement stages — banner scans over every host, keyword × ccTLD
 queries, WhatWeb validation probes, per-URL field/lab fetch pairs —
 are embarrassingly parallel. The executor reconciles the two:
 
-- **Stable merges.** :meth:`Executor.map` always returns results in
-  submission order regardless of completion order, and
-  :meth:`Executor.run_campaigns` merges campaign outcomes by submission
-  order (or an explicit key), never by which thread finished first.
+- **Stable merges.** :meth:`Executor.stream` yields results in
+  submission order regardless of completion order, and every other
+  fan-out API (:meth:`Executor.map`, :meth:`Executor.run_campaigns`)
+  is built on it, so no merge ever depends on which thread finished
+  first.
 - **Ordered side effects.** Simulation steps that mutate shared world
   state (a fetch through a stateful middlebox consumes RNG draws and
   feeds product queues) are wrapped in a :class:`Sequencer` turnstile:
@@ -16,14 +17,17 @@ are embarrassingly parallel. The executor reconciles the two:
   network waits, lab fetches, response comparison) but commit their
   mutating step strictly in submission order, so the world evolves
   exactly as it would under ``workers=1``.
-- **Fault semantics.** Each task gets a :class:`RetryPolicy`; a task
-  that keeps failing raises (or is collected as) a :class:`TaskFailure`
-  without disturbing sibling results, and every retry/failure/timeout is
-  visible in :class:`~repro.exec.metrics.Metrics`.
+- **Fault semantics.** Each task runs once. A task that raises is
+  returned (or raised) as a :class:`TaskFailure` in its own slot
+  without disturbing sibling results, and every failure is counted in
+  :class:`~repro.exec.metrics.Metrics`. Retrying transient network
+  faults is the study's job, not the executor's: see
+  :class:`repro.exec.resilience.ResilientRunner`.
 
-``workers=1`` bypasses the pool entirely and runs tasks inline, which is
-both the default and the reference behaviour the parallel paths must
-reproduce byte for byte.
+When at most one task can be in flight (``min(workers, window) == 1``)
+tasks run inline on the calling thread. That is both the default and
+the reference behaviour the parallel paths must reproduce byte for
+byte.
 """
 
 from __future__ import annotations
@@ -32,13 +36,14 @@ import threading
 import time
 from concurrent.futures import (
     FIRST_COMPLETED,
+    Future,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
     wait,
 )
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
@@ -53,7 +58,6 @@ from typing import (
 )
 
 from repro.exec.metrics import Metrics
-from repro.net.errors import NetError
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -85,56 +89,20 @@ class StreamStats:
     peak_inflight: int = 0
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """How many times a failing task is re-run before giving up."""
-
-    attempts: int = 1
-    backoff_seconds: float = 0.0
-    retry_on: Tuple[type, ...] = (Exception,)
-
-    def __post_init__(self) -> None:
-        if self.attempts < 1:
-            raise ValueError("attempts must be >= 1")
-        if self.backoff_seconds < 0:
-            raise ValueError("backoff_seconds must be >= 0")
-
-    def should_retry(self, exc: BaseException, attempt: int) -> bool:
-        """Whether a failure on ``attempt`` (1-based) warrants another try.
-
-        Network errors are classified by their ``transient`` flag: a
-        timeout or reset is noise worth re-trying, while NXDOMAIN, a
-        malformed URL, or a bad address is an *answer* — retrying it
-        would burn the budget re-asking a question already settled.
-        Permanent :class:`~repro.net.errors.NetError` subtypes therefore
-        never retry, even when ``retry_on`` names a base class that
-        matches them.
-        """
-        if attempt >= self.attempts:
-            return False
-        if isinstance(exc, NetError) and not exc.transient:
-            return False
-        return isinstance(exc, self.retry_on)
-
-
-#: The no-retry default.
-NO_RETRY = RetryPolicy()
-
-
 class TaskFailure(RuntimeError):
-    """A task exhausted its retry budget.
+    """A task raised instead of returning.
 
     Carries enough context to report the failure without losing sibling
     results: the task label, its submission index, how many attempts
-    ran, the final underlying exception (also set as ``__cause__``),
-    and — when the task belonged to a named campaign — which campaign,
-    so a failure surfacing far from its fan-out is still attributable.
+    ran, the underlying exception (also set as ``__cause__``), and —
+    when the task belonged to a named campaign — which campaign, so a
+    failure surfacing far from its fan-out is still attributable.
 
     ``transient`` marks failures of *infrastructure* rather than of the
-    task itself — e.g. a pool worker process SIGKILLed out from under
-    the task — where re-running the identical input elsewhere could
-    well succeed. Callers with their own retry ledgers (the scan
-    coordinator) treat transient failures as re-queueable.
+    task itself — a pool worker process SIGKILLed out from under the
+    task — where re-running the identical input elsewhere could well
+    succeed. The executor never re-runs it; a caller that wants to
+    retry can tell such failures apart by this flag.
     """
 
     def __init__(
@@ -155,37 +123,13 @@ class TaskFailure(RuntimeError):
         self.transient = transient
         self.__cause__ = cause
 
-    def _origin(self) -> str:
+    def __str__(self) -> str:
         origin = f"task {self.label}[{self.index}]"
         if self.campaign:
             origin += f" (campaign {self.campaign!r})"
-        return origin
-
-    def __str__(self) -> str:
         return (
-            f"{self._origin()} failed after {self.attempts} attempt(s): "
+            f"{origin} failed after {self.attempts} attempt(s): "
             f"{self.cause!r}"
-        )
-
-
-class TaskTimeout(TaskFailure):
-    """A task exceeded its per-task wall-clock budget."""
-
-    def __init__(
-        self,
-        label: str,
-        index: int,
-        timeout: float,
-        campaign: Optional[str] = None,
-    ) -> None:
-        cause = TimeoutError(f"exceeded {timeout:.3f}s")
-        super().__init__(label, index, 1, cause, campaign=campaign)
-        self.timeout = timeout
-
-    def __str__(self) -> str:
-        return (
-            f"{self._origin()} timed out on attempt {self.attempts}: "
-            f"exceeded {self.timeout:.3f}s"
         )
 
 
@@ -240,7 +184,6 @@ class CampaignOutcome:
     key: str
     result: Any = None
     error: Optional[TaskFailure] = None
-    attempts: int = 1
     elapsed_seconds: float = 0.0
 
     @property
@@ -249,7 +192,7 @@ class CampaignOutcome:
 
 
 class Executor:
-    """Thread-pool fan-out with deterministic, submission-ordered merges."""
+    """Thread- or process-pool fan-out with submission-ordered merges."""
 
     def __init__(
         self,
@@ -270,241 +213,47 @@ class Executor:
         self.name = name
         self.metrics = metrics if metrics is not None else Metrics()
 
-    # ------------------------------------------------------------ internals
-    def _run_once(
+    def _failure(
         self,
-        fn: Callable[[T], R],
-        item: T,
+        label: str,
         index: int,
-        label: str,
-        retry: RetryPolicy,
-    ) -> Tuple[R, int]:
-        """Run one task with retries; returns (result, attempts_used).
+        exc: BaseException,
+        transient: bool = False,
+    ) -> TaskFailure:
+        self.metrics.incr(f"{label}.failures")
+        return TaskFailure(label, index, 1, exc, transient=transient)
 
-        Retry eligibility is delegated to :meth:`RetryPolicy.should_retry`
-        so permanent network errors (NXDOMAIN and friends) fail
-        immediately even under a generous budget.
-        """
-        attempt = 0
-        while True:
-            attempt += 1
-            try:
-                return fn(item), attempt
-            except retry.retry_on as exc:
-                if not retry.should_retry(exc, attempt):
-                    self.metrics.incr(f"{label}.failures")
-                    raise TaskFailure(label, index, attempt, exc) from exc
-                self.metrics.incr(f"{label}.retries")
-                if retry.backoff_seconds:
-                    time.sleep(retry.backoff_seconds * attempt)
-
-    # ------------------------------------------------------------- fan-out
-    def map_unordered(
-        self,
-        fn: Callable[[T], R],
-        items: Iterable[T],
-        *,
-        label: str = "task",
-        retry: RetryPolicy = NO_RETRY,
-        timeout: Optional[float] = None,
-    ) -> Iterator[Tuple[int, Any]]:
-        """Yield ``(index, outcome)`` pairs as tasks complete.
-
-        ``outcome`` is the task's return value or a :class:`TaskFailure`
-        (including :class:`TaskTimeout`); the caller decides what to do
-        with failures. With ``workers=1`` tasks run inline in submission
-        order, making this the sequential reference behaviour.
-        """
-        pending = list(items)
-        self.metrics.incr(f"{label}.tasks", len(pending))
-        if self.workers == 1 or len(pending) <= 1:
-            for index, item in enumerate(pending):
-                started = time.perf_counter()
-                try:
-                    result, _attempts = self._run_once(
-                        fn, item, index, label, retry
-                    )
-                except TaskFailure as failure:
-                    yield index, failure
-                    continue
-                elapsed = time.perf_counter() - started
-                if timeout is not None and elapsed > timeout:
-                    # Best effort in inline mode: the work already ran,
-                    # but the budget violation must still surface.
-                    self.metrics.incr(f"{label}.timeouts")
-                    yield index, TaskTimeout(label, index, timeout)
-                else:
-                    yield index, result
-            return
-
-        if self.backend == PROCESS_BACKEND:
-            yield from self._map_unordered_process(
-                fn, pending, label, retry, timeout
-            )
-            return
-
-        pool_size = min(self.workers, len(pending))
-        with ThreadPoolExecutor(
-            max_workers=pool_size, thread_name_prefix=f"{self.name}-{label}"
-        ) as pool:
-            futures = {
-                pool.submit(self._run_once, fn, item, index, label, retry): index
-                for index, item in enumerate(pending)
-            }
-            deadline = (
-                time.perf_counter() + timeout if timeout is not None else None
-            )
-            outstanding = set(futures)
-            while outstanding:
-                budget = None
-                if deadline is not None:
-                    budget = max(0.0, deadline - time.perf_counter())
-                done, outstanding = wait(
-                    outstanding, timeout=budget, return_when=FIRST_COMPLETED
-                )
-                if not done:
-                    # Per-batch budget exhausted: everything still
-                    # outstanding times out. Threads cannot be killed;
-                    # the futures are abandoned but their effects are
-                    # bounded by the Sequencer discipline of callers.
-                    for future in outstanding:
-                        future.cancel()
-                        index = futures[future]
-                        self.metrics.incr(f"{label}.timeouts")
-                        yield index, TaskTimeout(label, index, timeout or 0.0)
-                    return
-                for future in done:
-                    index = futures[future]
-                    try:
-                        result, _attempts = future.result()
-                    except TaskFailure as failure:
-                        yield index, failure
-                    else:
-                        yield index, result
-
-    def _map_unordered_process(
-        self,
-        fn: Callable[[T], R],
-        pending: List[T],
-        label: str,
-        retry: RetryPolicy,
-        timeout: Optional[float],
-    ) -> Iterator[Tuple[int, Any]]:
-        """Process-pool fan-out with parent-side retries.
-
-        ``fn`` must be a picklable module-level callable over plain
-        data. Retries are orchestrated from the parent (worker processes
-        carry no retry state); metrics accounting therefore stays in
-        this process, same counters as the thread path.
-
-        A pool worker dying (SIGKILL, OOM) breaks the whole
-        ``ProcessPoolExecutor``: every in-flight future is poisoned and
-        the pool refuses new submissions. That must not take the fan-out
-        down with it — tasks the retry budget still covers re-run in a
-        fresh pool; the rest surface as *transient* :class:`TaskFailure`
-        values in their own slots, never as a raw ``BrokenProcessPool``.
-        """
-        pool_size = min(self.workers, len(pending))
-        deadline = (
-            time.perf_counter() + timeout if timeout is not None else None
-        )
-        queue: List[Tuple[int, int, Any]] = [
-            (index, 1, item) for index, item in enumerate(pending)
-        ]
-        while queue:
-            pool = ProcessPoolExecutor(max_workers=pool_size)
-            futures: Dict[Any, Tuple[int, int, Any]] = {}
-            for index, attempt, item in queue:
-                futures[pool.submit(fn, item)] = (index, attempt, item)
-            queue = []
-            broken: Optional[BaseException] = None
-            try:
-                outstanding = set(futures)
-                while outstanding and broken is None:
-                    budget = None
-                    if deadline is not None:
-                        budget = max(0.0, deadline - time.perf_counter())
-                    done, outstanding = wait(
-                        outstanding,
-                        timeout=budget,
-                        return_when=FIRST_COMPLETED,
-                    )
-                    if not done:
-                        for future in outstanding:
-                            future.cancel()
-                            index, _attempt, _item = futures[future]
-                            self.metrics.incr(f"{label}.timeouts")
-                            yield index, TaskTimeout(
-                                label, index, timeout or 0.0
-                            )
-                        return
-                    for future in done:
-                        entry = futures.pop(future)
-                        index, attempt, item = entry
-                        try:
-                            result = future.result()
-                        except BrokenProcessPool as exc:
-                            broken = exc
-                            futures[future] = entry
-                            break
-                        except Exception as exc:
-                            if retry.should_retry(exc, attempt):
-                                self.metrics.incr(f"{label}.retries")
-                                if retry.backoff_seconds:
-                                    time.sleep(retry.backoff_seconds * attempt)
-                                try:
-                                    replacement = pool.submit(fn, item)
-                                except BrokenProcessPool as pool_exc:
-                                    broken = pool_exc
-                                    queue.append((index, attempt + 1, item))
-                                    break
-                                futures[replacement] = (index, attempt + 1, item)
-                                outstanding.add(replacement)
-                                continue
-                            self.metrics.incr(f"{label}.failures")
-                            failure = TaskFailure(label, index, attempt, exc)
-                            failure.__cause__ = exc
-                            yield index, failure
-                        else:
-                            yield index, result
-                if broken is not None:
-                    for index, attempt, item in futures.values():
-                        if retry.should_retry(broken, attempt):
-                            self.metrics.incr(f"{label}.retries")
-                            queue.append((index, attempt + 1, item))
-                        else:
-                            self.metrics.incr(f"{label}.failures")
-                            yield index, TaskFailure(
-                                label, index, attempt, broken, transient=True
-                            )
-                    queue.sort()
-            finally:
-                pool.shutdown(wait=False, cancel_futures=True)
-
-    # ------------------------------------------------------------ streaming
     def stream(
         self,
         fn: Callable[[T], R],
         items: Iterable[T],
         *,
         label: str = "task",
-        retry: RetryPolicy = NO_RETRY,
         window: Optional[int] = None,
         stats: Optional[StreamStats] = None,
     ) -> Iterator[Tuple[int, Any]]:
         """Submission-ordered streaming fan-out with bounded in-flight.
 
-        Unlike :meth:`map_unordered`, ``items`` is consumed lazily and
-        at most ``window`` tasks are outstanding (in flight + buffered
-        awaiting their turn) at any moment — backpressure for scans
-        whose task list or result volume exceeds memory. Results are
-        yielded strictly in submission order; a consumer writing them
-        straight to a store segment therefore produces output identical
-        to a sequential run at any worker count or backend.
+        ``items`` is consumed lazily and at most ``window`` tasks are
+        outstanding (in flight + settled awaiting their turn) at any
+        moment — backpressure for scans whose task list or result
+        volume exceeds memory. Results are yielded strictly in
+        submission order; a consumer writing them straight to a store
+        segment therefore produces output identical to a sequential run
+        at any worker count or backend.
 
-        ``window`` defaults to ``max(2, 2 * workers)``. Failures arrive
-        in their slot as :class:`TaskFailure` values, never raised, so
-        one dead batch cannot tear down a million-host scan.
+        ``window`` defaults to ``max(2, 2 * workers)``. When
+        ``min(workers, window) == 1`` each task runs inline on the
+        calling thread. Failures arrive in their slot as
+        :class:`TaskFailure` values, never raised, so one dead batch
+        cannot tear down a million-host scan.
+
+        The process backend has one failure of its own: a pool worker
+        dying (SIGKILL, OOM) breaks the whole ``ProcessPoolExecutor``.
+        The stream then replaces the pool, fails every task that was in
+        flight as a *transient* :class:`TaskFailure` in its own slot,
+        and resubmits a task whose submission hit the broken pool, since
+        that task never ran.
         """
         if window is None:
             window = max(2, 2 * self.workers)
@@ -512,150 +261,100 @@ class Executor:
             raise ValueError("window must be >= 1")
         if stats is None:
             stats = StreamStats()
-        iterator = enumerate(items)
-        if self.workers == 1:
-            for index, item in iterator:
+        tasks = enumerate(items)
+        pool_size = min(self.workers, window)
+
+        if pool_size == 1:
+            for index, item in tasks:
                 self.metrics.incr(f"{label}.tasks")
                 stats.submitted += 1
-                if stats.peak_inflight < 1:
-                    stats.peak_inflight = 1
+                stats.peak_inflight = max(stats.peak_inflight, 1)
                 try:
-                    result, _attempts = self._run_once(
-                        fn, item, index, label, retry
-                    )
-                except TaskFailure as failure:
-                    outcome: Any = failure
-                else:
-                    outcome = result
+                    outcome: Any = fn(item)
+                except Exception as exc:
+                    outcome = self._failure(label, index, exc)
                 stats.completed += 1
                 yield index, outcome
             return
 
-        process = self.backend == PROCESS_BACKEND
-        buffered: Dict[int, Any] = {}
-        next_yield = 0
-        exhausted = False
-        # Tasks pulled off the iterator whose submission itself hit a
-        # broken pool — resubmitted (same attempt: they never ran) once
-        # the pool has been replaced.
-        spilled: List[Tuple[int, int, Any]] = []
-
-        def fill(pool: Any, futures: Dict[Any, Tuple[int, int, Any]]) -> None:
-            nonlocal exhausted
-            while spilled and len(futures) + len(buffered) < window:
-                index, attempt, item = spilled.pop(0)
-                futures[pool.submit(fn, item)] = (index, attempt, item)
-                if len(futures) > stats.peak_inflight:
-                    stats.peak_inflight = len(futures)
-            while not exhausted and len(futures) + len(buffered) < window:
-                try:
-                    index, item = next(iterator)
-                except StopIteration:
-                    exhausted = True
-                    return
-                self.metrics.incr(f"{label}.tasks")
-                stats.submitted += 1
-                if process:
-                    try:
-                        future = pool.submit(fn, item)
-                    except BrokenProcessPool:
-                        spilled.append((index, 1, item))
-                        raise
-                else:
-                    future = pool.submit(
-                        self._run_once, fn, item, index, label, retry
-                    )
-                futures[future] = (index, 1, item)
-                if len(futures) > stats.peak_inflight:
-                    stats.peak_inflight = len(futures)
-
-        def settle(
-            pool: Any,
-            futures: Dict[Any, Tuple[int, int, Any]],
-            future: Any,
-        ) -> None:
-            index, attempt, item = futures.pop(future)
-            try:
-                result = future.result()
-            except TaskFailure as failure:
-                buffered[index] = failure
-                stats.completed += 1
-            except Exception as exc:
-                # Only the process path surfaces raw exceptions here;
-                # thread tasks wrap retries inside _run_once.
-                if process and isinstance(exc, BrokenProcessPool):
-                    # The pool died under this future; hand the slot
-                    # back so the recovery path below can requeue or
-                    # fail it.
-                    futures[future] = (index, attempt, item)
-                    raise
-                if process and retry.should_retry(exc, attempt):
-                    self.metrics.incr(f"{label}.retries")
-                    if retry.backoff_seconds:
-                        time.sleep(retry.backoff_seconds * attempt)
-                    try:
-                        replacement = pool.submit(fn, item)
-                    except BrokenProcessPool:
-                        futures[future] = (index, attempt, item)
-                        raise
-                    futures[replacement] = (index, attempt + 1, item)
-                    return
-                self.metrics.incr(f"{label}.failures")
-                failure = TaskFailure(label, index, attempt, exc)
-                failure.__cause__ = exc
-                buffered[index] = failure
-                stats.completed += 1
-            else:
-                if not process:
-                    result, _attempts = result
-                buffered[index] = result
-                stats.completed += 1
-
-        pool_size = min(self.workers, window)
-        if process:
-            pool: Any = ProcessPoolExecutor(max_workers=pool_size)
-        else:
-            pool = ThreadPoolExecutor(
+        def new_pool() -> Any:
+            if self.backend == PROCESS_BACKEND:
+                return ProcessPoolExecutor(max_workers=pool_size)
+            return ThreadPoolExecutor(
                 max_workers=pool_size,
                 thread_name_prefix=f"{self.name}-{label}",
             )
-        futures: Dict[Any, Tuple[int, int, Any]] = {}
+
+        pool = new_pool()
+        inflight: Dict[Future, int] = {}
+        settled: Dict[int, Any] = {}
+        next_yield = 0
+        # Pulled off ``tasks`` but not yet accepted by a pool.
+        pulled: Optional[Tuple[int, T]] = None
         try:
             while True:
-                while next_yield in buffered:
-                    yield next_yield, buffered.pop(next_yield)
+                while next_yield in settled:
+                    yield next_yield, settled.pop(next_yield)
                     next_yield += 1
                 try:
-                    fill(pool, futures)
-                    if not futures:
-                        break
-                    done, _pending = wait(
-                        set(futures), return_when=FIRST_COMPLETED
-                    )
+                    while len(inflight) + len(settled) < window:
+                        if pulled is None:
+                            pulled = next(tasks, None)
+                            if pulled is None:
+                                break
+                            self.metrics.incr(f"{label}.tasks")
+                            stats.submitted += 1
+                        index, item = pulled
+                        inflight[pool.submit(fn, item)] = index
+                        pulled = None
+                        stats.peak_inflight = max(
+                            stats.peak_inflight, len(inflight)
+                        )
+                    if not inflight:
+                        return
+                    done, _ = wait(inflight, return_when=FIRST_COMPLETED)
                     for future in done:
-                        settle(pool, futures, future)
+                        index = inflight[future]
+                        try:
+                            outcome = future.result()
+                        except BrokenProcessPool:
+                            raise
+                        except Exception as exc:
+                            outcome = self._failure(label, index, exc)
+                        del inflight[future]
+                        settled[index] = outcome
+                        stats.completed += 1
                 except BrokenProcessPool as exc:
-                    # A pool worker died (SIGKILL, OOM) and poisoned
-                    # every in-flight future. Replace the pool, requeue
-                    # what the retry budget covers, and fail the rest in
-                    # their own slots as transient TaskFailures — a dead
-                    # worker process must never tear down the stream.
                     pool.shutdown(wait=False, cancel_futures=True)
-                    pool = ProcessPoolExecutor(max_workers=pool_size)
-                    stranded = sorted(futures.values())
-                    futures.clear()
-                    for index, attempt, item in stranded:
-                        if retry.should_retry(exc, attempt):
-                            self.metrics.incr(f"{label}.retries")
-                            spilled.append((index, attempt + 1, item))
-                        else:
-                            self.metrics.incr(f"{label}.failures")
-                            buffered[index] = TaskFailure(
-                                label, index, attempt, exc, transient=True
-                            )
-                            stats.completed += 1
+                    pool = new_pool()
+                    for index in inflight.values():
+                        settled[index] = self._failure(
+                            label, index, exc, transient=True
+                        )
+                        stats.completed += 1
+                    inflight.clear()
         finally:
             pool.shutdown(wait=False, cancel_futures=True)
+
+    def map_unordered(
+        self,
+        fn: Callable[[T], R],
+        items: Iterable[T],
+        *,
+        label: str = "task",
+    ) -> Iterator[Tuple[int, Any]]:
+        """Yield ``(index, outcome)`` for every item, all in flight at once.
+
+        :meth:`stream` with a window as wide as the item list: up to
+        ``workers`` tasks run at a time and nothing waits on the
+        consumer. ``outcome`` is the task's return value or a
+        :class:`TaskFailure`; the caller decides what to do with
+        failures. Callers must not rely on the yield order.
+        """
+        pending = list(items)
+        return self.stream(
+            fn, pending, label=label, window=max(1, len(pending))
+        )
 
     def map(
         self,
@@ -663,8 +362,6 @@ class Executor:
         items: Iterable[T],
         *,
         label: str = "task",
-        retry: RetryPolicy = NO_RETRY,
-        timeout: Optional[float] = None,
         on_error: str = RAISE,
     ) -> List[Any]:
         """Apply ``fn`` to every item; results in submission order.
@@ -679,9 +376,7 @@ class Executor:
         pending = list(items)
         slots: List[Any] = [None] * len(pending)
         with self.metrics.timer(label):
-            for index, outcome in self.map_unordered(
-                fn, pending, label=label, retry=retry, timeout=timeout
-            ):
+            for index, outcome in self.map_unordered(fn, pending, label=label):
                 slots[index] = outcome
         if on_error == RAISE:
             for outcome in slots:
@@ -694,18 +389,15 @@ class Executor:
         campaigns: Sequence[Campaign],
         *,
         label: str = "campaign",
-        retry: RetryPolicy = NO_RETRY,
-        timeout: Optional[float] = None,
-        key: Optional[Callable[[CampaignOutcome], Any]] = None,
     ) -> List[CampaignOutcome]:
         """Run independent campaigns concurrently; merge deterministically.
 
         Mirrors §6.1: campaigns in different ISPs overlap, wall clock is
         the max rather than the sum. Outcomes come back in submission
-        order by default (or sorted by ``key``) — never in completion
-        order — so downstream reports are identical at any worker count.
-        Failures are collected per campaign, not raised: one ISP's dead
-        vantage must not abort the other ISPs' campaigns.
+        order — never in completion order — so downstream reports are
+        identical at any worker count. Failures are collected per
+        campaign, not raised: one ISP's dead vantage must not abort the
+        other ISPs' campaigns.
         """
 
         def run_one(campaign: Campaign) -> Tuple[Any, float]:
@@ -713,23 +405,12 @@ class Executor:
             result = campaign.run()
             return result, time.perf_counter() - started
 
-        slots = self.map(
-            run_one,
-            campaigns,
-            label=label,
-            retry=retry,
-            timeout=timeout,
-            on_error=COLLECT,
-        )
+        slots = self.map(run_one, campaigns, label=label, on_error=COLLECT)
         outcomes: List[CampaignOutcome] = []
         for campaign, outcome in zip(campaigns, slots):
             if isinstance(outcome, TaskFailure):
                 outcome.campaign = campaign.key
-                outcomes.append(
-                    CampaignOutcome(
-                        campaign.key, error=outcome, attempts=outcome.attempts
-                    )
-                )
+                outcomes.append(CampaignOutcome(campaign.key, error=outcome))
             else:
                 result, elapsed = outcome
                 outcomes.append(
@@ -737,6 +418,4 @@ class Executor:
                         campaign.key, result=result, elapsed_seconds=elapsed
                     )
                 )
-        if key is not None:
-            outcomes.sort(key=key)
         return outcomes

@@ -11,9 +11,7 @@ This module keeps the old import surface alive:
 - ``BlockPagePattern`` / ``DEFAULT_PATTERNS`` / ``Detection`` re-export
   unchanged (no warning);
 - ``BlockPageDetector`` still works but warns once per process on first
-  instantiation — it is now a thin subclass of the canonical matcher;
-- the vendor-name constants (``BLUE_COAT`` …) remain deprecated; import
-  them from :mod:`repro.products.registry` instead.
+  instantiation — it is now a thin subclass of the canonical matcher.
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ from repro.measure.classifiers.blockpage import (
     default_patterns,
 )
 from repro.measure.verdict import Detection
-from repro.products import registry as _registry
 
 __all__ = [
     "BlockPageDetector",
@@ -77,18 +74,3 @@ class BlockPageDetector(BlockPagePatternMatcher):
             "repro.measure.classifiers.BlockPagePatternMatcher",
         )
         super().__init__(DEFAULT_PATTERNS if patterns is None else patterns)
-
-
-_DEPRECATED_CONSTANTS = {
-    "BLUE_COAT": _registry.BLUE_COAT,
-    "SMARTFILTER": _registry.SMARTFILTER,
-    "NETSWEEPER": _registry.NETSWEEPER,
-    "WEBSENSE": _registry.WEBSENSE,
-}
-
-
-def __getattr__(name: str) -> str:
-    if name in _DEPRECATED_CONSTANTS:
-        _warn_once(name, "repro.products.registry")
-        return _DEPRECATED_CONSTANTS[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -8,9 +8,10 @@ Each class carries a ``transient`` flag splitting the hierarchy into
 errors worth retrying (timeouts, resets — the noise a flaky vantage or
 churning link produces) and permanent ones (NXDOMAIN, malformed input)
 where a retry can only waste budget and, worse, mask a real signal.
-Retry layers (:class:`repro.exec.executor.RetryPolicy`,
-:class:`repro.exec.resilience.ResilientRunner`) consult this flag
-instead of maintaining their own exception lists.
+The retry layers (:class:`repro.exec.resilience.ResilientRunner` for
+the study, :class:`repro.monitor.supervisor.RoundSupervisor` for
+monitoring rounds) consult this flag instead of maintaining their own
+exception lists.
 """
 
 from __future__ import annotations

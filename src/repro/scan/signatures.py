@@ -2,27 +2,21 @@
 
 Everything here is derived from the product registry
 (:mod:`repro.products.registry`); this module remains as the scanning
-layer's view of Table 2 and as a compatibility surface for older
-imports.  Two artifacts per product:
+layer's view of Table 2.  Two artifacts per product:
 
 - **Shodan keywords** — the strings searched (with ccTLD expansion) to
   locate candidate installations. Deliberately *not conservative*
   (§3.1): false positives are expected and weeded out by validation.
 - **WhatWeb signature** — the rule the validation engine applies against
   live probes of a candidate IP.
-
-The vendor-name constants (``BLUE_COAT`` …) are deprecated here; import
-them from :mod:`repro.products.registry` instead.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, List, Sequence
 
 from repro.products.bluecoat import bluecoat_signature
 from repro.products.netsweeper import netsweeper_signature
-from repro.products import registry as _registry
 from repro.products.registry import default_registry
 from repro.products.signatures import (
     Evidence,
@@ -58,33 +52,3 @@ WHATWEB_SIGNATURES: Dict[str, SignatureFn] = _REGISTRY.whatweb_signatures()
 
 #: Probe plan: the (port, path) pairs WhatWeb requests on a candidate IP.
 DEFAULT_PROBE_PLAN: Sequence = _REGISTRY.probe_plan()
-
-_DEPRECATED_CONSTANTS = {
-    "BLUE_COAT": _registry.BLUE_COAT,
-    "SMARTFILTER": _registry.SMARTFILTER,
-    "NETSWEEPER": _registry.NETSWEEPER,
-    "WEBSENSE": _registry.WEBSENSE,
-}
-
-# A long campaign resolves these shims thousands of times; warn once per
-# constant per process so logs stay readable.
-_warned: set = set()
-
-
-def _reset_deprecation_warnings() -> None:
-    """Re-arm the warn-once latch (test helper)."""
-    _warned.clear()
-
-
-def __getattr__(name: str) -> str:
-    if name in _DEPRECATED_CONSTANTS:
-        if name not in _warned:
-            _warned.add(name)
-            warnings.warn(
-                f"repro.scan.signatures.{name} is deprecated; import it from "
-                "repro.products.registry",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        return _DEPRECATED_CONSTANTS[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

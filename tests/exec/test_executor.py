@@ -17,30 +17,11 @@ from hypothesis import strategies as st
 from repro.exec.executor import (
     Campaign,
     Executor,
-    NO_RETRY,
-    RetryPolicy,
     Sequencer,
+    StreamStats,
     TaskFailure,
-    TaskTimeout,
 )
 from repro.exec.metrics import Metrics
-
-
-class Flaky:
-    """Raises ``failures_before_success`` times per item, then succeeds."""
-
-    def __init__(self, failures_before_success: int) -> None:
-        self._budget = failures_before_success
-        self._lock = threading.Lock()
-        self._attempts: dict = {}
-
-    def __call__(self, item):
-        with self._lock:
-            seen = self._attempts.get(item, 0)
-            self._attempts[item] = seen + 1
-        if seen < self._budget:
-            raise ConnectionError(f"transient fault on {item!r}")
-        return item * 2
 
 
 class DescribeMapEquivalence:
@@ -105,44 +86,27 @@ class DescribeSequencer:
         assert sequencer.completed == n
 
 
-class DescribeRetries:
-    def test_transient_faults_retried_to_success(self):
-        metrics = Metrics()
-        executor = Executor(workers=3, metrics=metrics)
-        flaky = Flaky(failures_before_success=2)
-        policy = RetryPolicy(attempts=3, retry_on=(ConnectionError,))
-        result = executor.map(flaky, [1, 2, 3], label="net", retry=policy)
-        assert result == [2, 4, 6]
-        assert metrics.count("net.retries") == 6  # 2 per item
-        assert metrics.count("net.failures") == 0
+class DescribeInlineRule:
+    """A task runs on the calling thread exactly when
+    ``min(workers, window) == 1``."""
 
-    def test_exhausted_budget_raises_task_failure(self):
-        executor = Executor(workers=1)
-        flaky = Flaky(failures_before_success=5)
-        policy = RetryPolicy(attempts=2, retry_on=(ConnectionError,))
-        with pytest.raises(TaskFailure) as excinfo:
-            executor.map(flaky, [9], label="net", retry=policy)
-        assert excinfo.value.attempts == 2
-        assert isinstance(excinfo.value.cause, ConnectionError)
+    @staticmethod
+    def _thread(_item):
+        return threading.get_ident()
 
-    def test_unmatched_exception_type_is_not_retried(self):
-        executor = Executor(workers=1)
-        calls = []
+    @pytest.mark.parametrize(
+        "workers, window, inline", [(1, 8, True), (4, 1, True), (4, 4, False)]
+    )
+    def test_stream(self, workers, window, inline):
+        out = Executor(workers=workers).stream(
+            self._thread, range(5), window=window
+        )
+        on_caller = {ident == threading.get_ident() for _, ident in out}
+        assert on_caller == {inline}
 
-        def bad(item):
-            calls.append(item)
-            raise ValueError("not transient")
-
-        policy = RetryPolicy(attempts=5, retry_on=(ConnectionError,))
-        with pytest.raises(ValueError):
-            executor.map(bad, [1], retry=policy)
-        assert calls == [1]
-
-    def test_retry_policy_validates(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(backoff_seconds=-1.0)
+    def test_single_item_map(self):
+        out = Executor(workers=4).map(self._thread, ["only"])
+        assert out == [threading.get_ident()]
 
 
 class DescribeFailureContainment:
@@ -187,34 +151,6 @@ class DescribeFailureContainment:
             Executor(workers=0)
 
 
-class DescribeTimeouts:
-    def test_parallel_timeout_yields_task_timeout(self):
-        metrics = Metrics()
-        executor = Executor(workers=2, metrics=metrics)
-
-        def slow(x):
-            if x == 1:
-                time.sleep(0.5)
-            return x
-
-        slots = executor.map(
-            slow, [0, 1], label="slow", timeout=0.1, on_error="collect"
-        )
-        assert slots[0] == 0
-        assert isinstance(slots[1], TaskTimeout)
-        assert metrics.count("slow.timeouts") == 1
-
-    def test_inline_timeout_is_best_effort(self):
-        executor = Executor(workers=1)
-        slots = executor.map(
-            lambda x: time.sleep(0.05) or x,
-            [7],
-            timeout=0.01,
-            on_error="collect",
-        )
-        assert isinstance(slots[0], TaskTimeout)
-
-
 class DescribeCampaigns:
     def test_outcomes_keep_submission_order(self):
         executor = Executor(workers=4)
@@ -226,15 +162,6 @@ class DescribeCampaigns:
         assert [o.key for o in outcomes] == ["gamma", "alpha", "beta"]
         assert [o.result for o in outcomes] == ["GAMMA", "ALPHA", "BETA"]
         assert all(o.ok for o in outcomes)
-
-    def test_explicit_key_sorts_outcomes(self):
-        executor = Executor(workers=2)
-        campaigns = [
-            Campaign(key=name, run=lambda name=name: name)
-            for name in ("zeta", "eta", "theta")
-        ]
-        outcomes = executor.run_campaigns(campaigns, key=lambda o: o.key)
-        assert [o.key for o in outcomes] == ["eta", "theta", "zeta"]
 
     def test_one_dead_campaign_does_not_abort_the_rest(self):
         executor = Executor(workers=3)
@@ -254,64 +181,6 @@ class DescribeCampaigns:
         assert [outcomes[0].result, outcomes[2].result] == [1, 2]
 
 
-class DescribeTransientClassification:
-    """RetryPolicy must distinguish noise from answers (NetError.transient)."""
-
-    def test_permanent_net_error_fails_immediately(self):
-        from repro.net.errors import NetError, NxDomain
-
-        executor = Executor(workers=1)
-        calls = []
-
-        def nxdomain(item):
-            calls.append(item)
-            raise NxDomain("gone.test")
-
-        policy = RetryPolicy(attempts=5, retry_on=(NetError,))
-        with pytest.raises(TaskFailure) as excinfo:
-            executor.map(nxdomain, ["x"], label="dns", retry=policy)
-        # An NXDOMAIN is an answer: one attempt, no budget burned.
-        assert len(calls) == 1
-        assert excinfo.value.attempts == 1
-
-    def test_transient_net_error_still_retries(self):
-        from repro.net.errors import ConnectionTimeout, NetError
-
-        executor = Executor(workers=1)
-        calls = []
-
-        def flaky(item):
-            calls.append(item)
-            if len(calls) < 3:
-                raise ConnectionTimeout("blip")
-            return item
-
-        policy = RetryPolicy(attempts=3, retry_on=(NetError,))
-        assert executor.map(flaky, ["x"], label="net", retry=policy) == ["x"]
-        assert len(calls) == 3
-
-    def test_should_retry_classification_table(self):
-        from repro.net.errors import (
-            AddressError,
-            ConnectionReset,
-            ConnectionTimeout,
-            DnsTimeout,
-            NetError,
-            NxDomain,
-            UrlError,
-        )
-
-        policy = RetryPolicy(attempts=10, retry_on=(NetError,))
-        for noise in (DnsTimeout("t"), ConnectionReset("r"), ConnectionTimeout("c")):
-            assert policy.should_retry(noise, attempt=1), noise
-        for answer in (NxDomain("n"), UrlError("u"), AddressError("a")):
-            assert not policy.should_retry(answer, attempt=1), answer
-        # Budget exhaustion always wins.
-        assert not policy.should_retry(DnsTimeout("t"), attempt=10)
-        # Non-NetError exceptions keep the plain retry_on behaviour.
-        assert policy.should_retry(ConnectionError("os-level"), attempt=1) is False
-
-
 class DescribeFailureAttribution:
     def test_task_failure_str_names_campaign_and_attempts(self):
         failure = TaskFailure("fetch", 3, 4, ValueError("x"), campaign="yemen-jan")
@@ -319,14 +188,6 @@ class DescribeFailureAttribution:
         assert "fetch[3]" in text
         assert "4 attempt(s)" in text
         assert "campaign 'yemen-jan'" in text
-
-    def test_task_timeout_str_names_campaign(self):
-        timeout = TaskTimeout("probe", 0, 1.5, campaign="du-feb")
-        text = str(timeout)
-        assert "probe[0]" in text
-        assert "attempt 1" in text
-        assert "1.500s" in text
-        assert "campaign 'du-feb'" in text
 
     def test_without_campaign_message_is_unchanged(self):
         failure = TaskFailure("net", 1, 2, ValueError("x"))
@@ -378,8 +239,6 @@ class DescribeStream:
         assert out == [(i, x * 3) for i, x in enumerate(items)]
 
     def test_window_bounds_inflight(self):
-        from repro.exec.executor import StreamStats
-
         stats = StreamStats()
         executor = Executor(workers=8)
         results = list(
@@ -418,13 +277,6 @@ class DescribeStream:
         # Backpressure: nowhere near 100 items drawn while only 3 yielded.
         assert len(pulled) <= 3 + 4 + 1
         stream.close()
-
-    def test_stream_retries_through_policy(self):
-        flaky = Flaky(failures_before_success=1)
-        executor = Executor(workers=3)
-        retry = RetryPolicy(attempts=3, backoff_seconds=0.0)
-        out = list(executor.stream(flaky, [1, 2, 3], retry=retry, window=3))
-        assert out == [(0, 2), (1, 4), (2, 6)]
 
     def test_window_must_be_positive(self):
         executor = Executor(workers=2)
@@ -469,8 +321,8 @@ class DescribeProcessBackend:
         assert metrics.count("batch.failures") == 1
 
 
-def _die_once_then_square(args):
-    """SIGKILL the pool worker the first time a flag file is absent.
+def _always_die(args):
+    """SIGKILL the pool worker that draws item 5.
 
     os._exit(-9)-style death (here a raw SIGKILL to self) is what a
     cgroup OOM-kill or operator kill -9 looks like from the parent: the
@@ -480,20 +332,26 @@ def _die_once_then_square(args):
     import os as _os
     import signal as _signal
 
-    x, flag = args
-    if x == 5 and not _os.path.exists(flag):
-        with open(flag, "w", encoding="utf-8") as handle:
-            handle.write("died once")
+    x, _flag = args
+    if x == 5:
         _os.kill(_os.getpid(), _signal.SIGKILL)
     return x * x
 
 
-def _always_die(args):
+def _die_on_cue(args):
+    """Item 1 waits for a ``go`` file, marks ``dying``, then SIGKILLs
+    its pool worker; every other item squares at once."""
     import os as _os
     import signal as _signal
 
-    x, _flag = args
-    if x == 5:
+    x, folder = args
+    if x == 1:
+        deadline = time.monotonic() + 10.0
+        while not _os.path.exists(_os.path.join(folder, "go")):
+            if time.monotonic() > deadline:
+                raise TimeoutError("no cue")
+            time.sleep(0.01)
+        open(_os.path.join(folder, "dying"), "w").close()
         _os.kill(_os.getpid(), _signal.SIGKILL)
     return x * x
 
@@ -502,16 +360,6 @@ class DescribeProcessWorkerDeath:
     """SIGKILLed pool workers degrade to transient TaskFailure, never
     an uncaught BrokenProcessPool or a hang."""
 
-    def test_map_unordered_retries_through_a_worker_kill(self, tmp_path):
-        flag = str(tmp_path / "died")
-        executor = Executor(workers=2, backend="process")
-        items = [(i, flag) for i in range(8)]
-        retry = RetryPolicy(attempts=3, backoff_seconds=0.0)
-        got = sorted(
-            executor.map_unordered(_die_once_then_square, items, retry=retry)
-        )
-        assert got == [(i, i * i) for i in range(8)]
-
     def test_map_unordered_without_retry_yields_transient_failures(
         self, tmp_path
     ):
@@ -519,9 +367,7 @@ class DescribeProcessWorkerDeath:
         executor = Executor(workers=2, backend="process", metrics=metrics)
         items = [(i, str(tmp_path / "unused")) for i in range(8)]
         results = list(
-            executor.map_unordered(
-                _always_die, items, retry=NO_RETRY, label="scan"
-            )
+            executor.map_unordered(_always_die, items, label="scan")
         )
         assert len(results) == 8
         failures = [v for _, v in results if isinstance(v, TaskFailure)]
@@ -537,27 +383,13 @@ class DescribeProcessWorkerDeath:
         for index, value in successes:
             assert value == index * index
 
-    def test_stream_recovers_and_keeps_slot_order(self, tmp_path):
-        flag = str(tmp_path / "died")
-        executor = Executor(workers=2, backend="process")
-        items = [(i, flag) for i in range(10)]
-        retry = RetryPolicy(attempts=3, backoff_seconds=0.0)
-        out = list(
-            executor.stream(
-                _die_once_then_square, items, retry=retry, window=4
-            )
-        )
-        assert out == [(i, i * i) for i in range(10)]
-
     def test_stream_without_retry_marks_the_failure_transient(
         self, tmp_path
     ):
         executor = Executor(workers=2, backend="process")
         items = [(i, str(tmp_path / "unused")) for i in range(10)]
         out = list(
-            executor.stream(
-                _always_die, items, retry=NO_RETRY, window=3, label="scan"
-            )
+            executor.stream(_always_die, items, window=3, label="scan")
         )
         assert [i for i, _ in out] == list(range(10))
         failures = [v for _, v in out if isinstance(v, TaskFailure)]
@@ -566,6 +398,32 @@ class DescribeProcessWorkerDeath:
         for index, value in out:
             if not isinstance(value, TaskFailure):
                 assert value == index * index
+
+    def test_submission_into_a_broken_pool_is_resubmitted(self, tmp_path):
+        # Item 2 is drawn only after item 1 has killed its worker, so its
+        # submission hits the broken pool. It never ran, so it must
+        # succeed on the replacement pool rather than fail with item 1.
+        metrics = Metrics()
+        stats = StreamStats()
+        executor = Executor(workers=2, backend="process", metrics=metrics)
+        items = [(i, str(tmp_path)) for i in range(3)]
+        stream = executor.stream(
+            _die_on_cue, items, window=2, label="scan", stats=stats
+        )
+        assert next(stream) == (0, 0)
+        (tmp_path / "go").touch()
+        deadline = time.monotonic() + 10.0
+        while not (tmp_path / "dying").exists():
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        time.sleep(1.0)  # let the pool notice its dead worker
+        (index, failure), (last, value) = list(stream)
+        assert index == 1 and isinstance(failure, TaskFailure)
+        assert failure.transient
+        assert (last, value) == (2, 4)
+        assert metrics.count("scan.tasks") == 3
+        assert metrics.count("scan.failures") == 1
+        assert stats.submitted == stats.completed == 3
 
     def test_ordinary_task_errors_are_not_transient(self):
         executor = Executor(workers=3, backend="process")

@@ -169,31 +169,8 @@ class DescribeInfrastructureFailures:
 
 
 class DescribeExecutorFaults:
-    """Fault injection at the fan-out layer: retries, containment,
-    and the world-facing cache invalidation path."""
-
-    def test_flaky_probe_retried_to_success_and_counted(self):
-        from repro.exec.executor import Executor, RetryPolicy
-        from repro.exec.metrics import Metrics
-
-        world = make_mini_world()
-        fail_once = {"budget": 2}
-
-        def probe(name):
-            if fail_once["budget"] > 0:
-                fail_once["budget"] -= 1
-                raise ConnectionError("probe link flapped")
-            return world.isps[name].asn
-
-        metrics = Metrics()
-        executor = Executor(workers=1, metrics=metrics)
-        policy = RetryPolicy(attempts=3, retry_on=(ConnectionError,))
-        result = executor.map(
-            probe, ["testnet", "testnet"], label="flaky", retry=policy
-        )
-        assert result == [65001, 65001]
-        assert metrics.count("flaky.retries") == 2
-        assert metrics.count("flaky.failures") == 0
+    """Fault injection at the fan-out layer: containment and the
+    world-facing cache invalidation path."""
 
     def test_one_dead_vantage_leaves_sibling_surveys_intact(self):
         from repro.exec.executor import Campaign, Executor
@@ -217,33 +194,6 @@ class DescribeExecutorFaults:
         assert not outcomes[1].ok
         assert "no route" in str(outcomes[1].error.cause)
         assert executor.metrics.count("campaign.failures") == 1
-
-    def test_exhausted_retries_surface_in_metrics_not_siblings(self):
-        from repro.exec.executor import Executor, RetryPolicy, TaskFailure
-        from repro.exec.metrics import Metrics
-
-        metrics = Metrics()
-        executor = Executor(workers=3, metrics=metrics)
-
-        def probe(ip):
-            if ip == "203.0.113.9":
-                raise ConnectionError("host always down")
-            return f"banner:{ip}"
-
-        slots = executor.map(
-            probe,
-            ["203.0.113.8", "203.0.113.9", "203.0.113.10"],
-            label="grab",
-            retry=RetryPolicy(attempts=2, retry_on=(ConnectionError,)),
-            on_error="collect",
-        )
-        assert slots[0] == "banner:203.0.113.8"
-        assert isinstance(slots[1], TaskFailure)
-        assert slots[1].attempts == 2
-        assert slots[2] == "banner:203.0.113.10"
-        assert metrics.count("grab.retries") == 1
-        assert metrics.count("grab.failures") == 1
-        assert metrics.count("grab.tasks") == 3
 
     def test_dns_cache_invalidation_tracks_campaign_domains(self):
         """§4 campaign domains register and tear down mid-study; a

@@ -278,79 +278,3 @@ class DescribeTable2Guard:
             assert row.headquarters == spec.headquarters
             assert row.description == spec.description
             assert row.previously_observed == spec.previously_observed
-
-
-class DescribeDeprecationShims:
-    @pytest.mark.parametrize(
-        "constant, expected",
-        [
-            ("BLUE_COAT", BLUE_COAT),
-            ("SMARTFILTER", SMARTFILTER),
-            ("NETSWEEPER", NETSWEEPER),
-            ("WEBSENSE", WEBSENSE),
-        ],
-    )
-    def test_scan_signatures_constants_warn(self, constant, expected):
-        from repro.scan import signatures
-
-        signatures._reset_deprecation_warnings()
-        with pytest.warns(DeprecationWarning, match="repro.products.registry"):
-            assert getattr(signatures, constant) == expected
-
-    @pytest.mark.parametrize(
-        "constant, expected",
-        [
-            ("BLUE_COAT", BLUE_COAT),
-            ("SMARTFILTER", SMARTFILTER),
-            ("NETSWEEPER", NETSWEEPER),
-            ("WEBSENSE", WEBSENSE),
-        ],
-    )
-    def test_blockpage_detect_constants_warn(self, constant, expected):
-        from repro.measure import blockpage_detect
-
-        blockpage_detect._reset_deprecation_warnings()
-        with pytest.warns(DeprecationWarning, match="repro.products.registry"):
-            assert getattr(blockpage_detect, constant) == expected
-
-    @pytest.mark.parametrize(
-        "module_path", ["repro.scan.signatures", "repro.measure.blockpage_detect"]
-    )
-    def test_each_constant_warns_exactly_once_per_process(self, module_path):
-        import importlib
-        import warnings as _warnings
-
-        module = importlib.import_module(module_path)
-        module._reset_deprecation_warnings()
-        with _warnings.catch_warnings(record=True) as caught:
-            _warnings.simplefilter("always")
-            for _ in range(5):
-                module.NETSWEEPER
-                module.WEBSENSE
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        # One warning per constant, no matter how many resolutions.
-        assert len(deprecations) == 2
-
-    def test_repeat_access_still_returns_value_silently(self):
-        from repro.scan import signatures
-
-        signatures._reset_deprecation_warnings()
-        with pytest.warns(DeprecationWarning):
-            first = signatures.BLUE_COAT
-        import warnings as _warnings
-
-        with _warnings.catch_warnings(record=True) as caught:
-            _warnings.simplefilter("always")
-            assert signatures.BLUE_COAT == first == BLUE_COAT
-        assert not caught
-
-    def test_unknown_attribute_still_raises(self):
-        from repro.measure import blockpage_detect
-        from repro.scan import signatures
-
-        with pytest.raises(AttributeError):
-            signatures.NO_SUCH_CONSTANT
-        with pytest.raises(AttributeError):
-            blockpage_detect.NO_SUCH_CONSTANT
