@@ -23,6 +23,11 @@ service closures make the live world unpicklable by design; see
 docs/methodology.md, "Durability & resume"). :func:`encode_state` /
 :func:`decode_state` are the shared codec, also used by the
 ``PartialStudyResult`` round-trip tests.
+
+A list that only grows between snapshots can go through
+:class:`ListFrames`, which pickles each item once: a snapshot embeds
+the frames earlier snapshots already pickled plus one frame for the
+items added since, and decodes to the plain list again.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ import pickle
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.exec.journal import RecoveryReport, atomic_write, canonical
 
@@ -85,7 +90,73 @@ def decode_state(encoded: Dict[str, str]) -> Any:
     digest = hashlib.sha256(blob).hexdigest()
     if digest != encoded.get("sha256"):
         raise ValueError("state blob SHA-256 mismatch")
-    return pickle.loads(zlib.decompress(blob))
+    try:
+        return pickle.loads(zlib.decompress(blob))
+    except Exception as exc:
+        raise ValueError(f"unloadable state blob: {exc}") from exc
+
+
+def join_frames(frames: Sequence[bytes]) -> List[Any]:
+    """Unpickle each frame (a pickled list) and concatenate them.
+
+    Part of the snapshot format: a state holding :class:`ListFrames`
+    output pickles as a call to this function, by its import path.
+    """
+    joined: List[Any] = []
+    for frame in frames:
+        joined.extend(pickle.loads(frame))
+    return joined
+
+
+class _Joined:
+    """Pickles as the list its frames join to."""
+
+    __slots__ = ("frames",)
+
+    def __init__(self, frames: Tuple[bytes, ...]) -> None:
+        self.frames = frames
+
+    def __reduce__(self) -> Tuple[Any, ...]:
+        return join_frames, (self.frames,)
+
+
+class ListFrames:
+    """Pickles an append-only list one frame of new items at a time.
+
+    :meth:`encode` takes the list's current items and returns a
+    stand-in to put in the state instead; it pickles only the items
+    added since the last call and unpickles as the whole list. The
+    frames are reused while the items framed so far are the same
+    objects, in the same order, at the head of the list; otherwise
+    everything is pickled again. Changing an item in place once it is
+    framed is not detected, so the caller must treat framed items as
+    final.
+    """
+
+    def __init__(self) -> None:
+        self._items: List[Any] = []
+        self._frames: List[bytes] = []
+
+    @property
+    def frame_count(self) -> int:
+        return len(self._frames)
+
+    def clear(self) -> None:
+        self._items, self._frames = [], []
+
+    def encode(self, items: List[Any]) -> _Joined:
+        framed = len(self._items)
+        if len(items) < framed or any(
+            item is not old for item, old in zip(items, self._items)
+        ):
+            self.clear()
+            framed = 0
+        if len(items) > framed:
+            self._frames.append(
+                pickle.dumps(items[framed:], protocol=pickle.HIGHEST_PROTOCOL)
+            )
+            self._items = list(items)
+        return _Joined(tuple(self._frames))
 
 
 # ------------------------------------------------------------------ snapshots
@@ -151,29 +222,36 @@ def load_latest_snapshot(
     """
     report = report if report is not None else RecoveryReport()
     for path in reversed(list_snapshots(directory)):
-        problem = None
-        try:
-            document = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            problem = f"unreadable ({exc})"
-            document = None
-        if document is not None:
-            if document.get("schema") != SNAPSHOT_SCHEMA_VERSION:
-                problem = (
-                    f"schema version skew (snapshot "
-                    f"v{document.get('schema')}, reader "
-                    f"v{SNAPSHOT_SCHEMA_VERSION})"
-                )
-            elif document.get("fingerprint") != identity_fingerprint:
-                problem = "study identity mismatch (seed/products/plan differ)"
-            else:
-                try:
-                    state = decode_state(document)
-                except ValueError as exc:
-                    problem = str(exc)
-        if problem is not None:
-            report.snapshots_rejected.append(f"{path.name}: {problem}")
-            continue
-        report.snapshot_used = path.name
-        return Snapshot(path=path, seq=int(document["seq"]), state=state)
+        loaded = _load_snapshot(path, identity_fingerprint)
+        if isinstance(loaded, Snapshot):
+            report.snapshot_used = path.name
+            return loaded
+        report.snapshots_rejected.append(f"{path.name}: {loaded}")
     return None
+
+
+def _load_snapshot(
+    path: Path, identity_fingerprint: str
+) -> Union[Snapshot, str]:
+    """The verified snapshot at ``path``, or why it was rejected."""
+    try:
+        document = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        return f"unreadable ({exc})"
+    if not isinstance(document, dict):
+        return f"malformed envelope (a JSON {type(document).__name__})"
+    if document.get("schema") != SNAPSHOT_SCHEMA_VERSION:
+        return (
+            f"schema version skew (snapshot v{document.get('schema')}, "
+            f"reader v{SNAPSHOT_SCHEMA_VERSION})"
+        )
+    if document.get("fingerprint") != identity_fingerprint:
+        return "study identity mismatch (seed/products/plan differ)"
+    seq = document.get("seq")
+    if type(seq) is not int:
+        return f"malformed envelope (seq {seq!r})"
+    try:
+        state = decode_state(document)
+    except ValueError as exc:
+        return str(exc)
+    return Snapshot(path=path, seq=seq, state=state)

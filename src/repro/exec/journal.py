@@ -187,12 +187,17 @@ def encode_frame(rec: Dict[str, Any]) -> bytes:
     return b'{"crc": %d, "rec": %s}\n' % (zlib.crc32(body), body)
 
 
-def append_frames(path: Path, recs: Iterable[Dict[str, Any]]) -> None:
-    """Append framed records in one write made durable by one fsync."""
+def append_frames(path: Path, recs: Iterable[Dict[str, Any]]) -> int:
+    """Append framed records in one write made durable by one fsync.
+
+    Returns the number of bytes appended.
+    """
+    data = b"".join(encode_frame(rec) for rec in recs)
     with open(path, "ab") as handle:
-        handle.write(b"".join(encode_frame(rec) for rec in recs))
+        handle.write(data)
         handle.flush()
         os.fsync(handle.fileno())
+    return len(data)
 
 
 def read_frames(

@@ -49,6 +49,7 @@ from repro.core.confirm import ConfirmationConfig, ConfirmationStudy
 from repro.exec.checkpoint import (
     SNAPSHOT_SCHEMA_VERSION,
     CheckpointError,
+    ListFrames,
     fingerprint,
     load_latest_snapshot,
     write_snapshot,
@@ -198,6 +199,9 @@ class MonitorService:
         self._rounds_by_target: Dict[str, int] = {}
         self._scenario: Optional[Scenario] = None
         self._baseline_domains: frozenset = frozenset()
+        # The campaign sites earlier snapshots pickled. A campaign site
+        # is final once a snapshot holds it: no round changes it later.
+        self._site_frames = ListFrames()
         self.last_recovery: Optional[RecoveryReport] = None
         self.last_store_error: Optional[str] = None
 
@@ -291,6 +295,7 @@ class MonitorService:
         return state
 
     def restore_state(self, state: Dict[str, Any]) -> None:
+        self._site_frames.clear()
         self._restore_measurement(state)
         self.scheduler.restore_state(state["scheduler"])
         self.alert_engine.restore_state(state["alerts"])
@@ -495,11 +500,14 @@ class MonitorService:
         return summary
 
     def _snapshot(self, writer: JournalWriter, identity_fp: str) -> None:
+        state = self.capture_state()
+        world = state["world"]
+        world["added_sites"] = self._site_frames.encode(world["added_sites"])
         path = write_snapshot(
             self.monitor_dir,
             seq=self._round_index,
             identity_fingerprint=identity_fp,
-            state=self.capture_state(),
+            state=state,
         )
         writer.append(
             "snapshot",

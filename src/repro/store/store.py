@@ -28,6 +28,14 @@ framed log; indexes are replaced with
 :func:`~repro.exec.journal.atomic_write`. Secondary indexes (country,
 ASN, product, ISP, category) are a pure function of the manifests, so a
 missing or damaged index file is rebuilt on load rather than trusted.
+
+A commit reads back only what it adds, not the history before it. It
+appends to the epoch order this instance last read or wrote, unless
+the log's size and mtime show that the log changed since, and it folds
+the new manifest's keys into the indexes this instance keeps in
+memory, unless the committed order no longer extends theirs. Otherwise
+it reads the whole log or every manifest again. The bytes written are
+the same either way.
 """
 
 from __future__ import annotations
@@ -35,6 +43,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -52,6 +61,9 @@ from repro.store.records import INDEX_DIMENSIONS, EpochData
 
 #: Bump on any incompatible change to manifests, segments, or indexes.
 STORE_SCHEMA_VERSION = 1
+
+#: dimension -> index key -> epoch ids in commit order.
+_Indexes = Dict[str, Dict[str, List[str]]]
 
 EPOCHS_DIRNAME = "epochs"
 INDEXES_DIRNAME = "indexes"
@@ -207,11 +219,18 @@ class ResultsStore:
         self._epochs_dir.mkdir(parents=True, exist_ok=True)
         self._indexes_dir.mkdir(parents=True, exist_ok=True)
         self._manifest_cache: Dict[str, EpochManifest] = {}
-        # (log mtime_ns, log size) -> epoch order, so the read-heavy
-        # serving path does not re-parse the commit log per request.
+        # (log mtime_ns, log size) -> epoch order, so neither the
+        # read-heavy serving path nor a commit re-parses the commit log.
         # Any append or rewrite changes the stat token; only clean
-        # (non-dirty) reads are cached.
+        # (non-dirty) reads are cached, and a commit's own append
+        # refreshes the entry only if the log grew by exactly the bytes
+        # it wrote (otherwise another writer appended too: drop it).
         self._order_cache: Optional[Tuple[Tuple[int, int], List[str]]] = None
+        # (epoch order, dimension -> key -> epoch ids) as last written.
+        # Replaced whole, never changed in place, so a reader holding
+        # the old value keeps a consistent one.
+        self._indexes: Tuple[List[str], _Indexes] = ([], {})
+        self._index_lock = threading.Lock()
 
     # ------------------------------------------------------------- commits
     def commit(self, epoch: EpochData) -> CommitResult:
@@ -318,19 +337,32 @@ class ResultsStore:
         a retried commit is the oldest one still pending, so it
         precedes them.
         """
-        order, report = self._read_log()
-        if epoch_id in order:
-            return False
-        truncate_damaged_suffix(self._log_path, report)
+        token = self._log_stat_token()
+        cached = self._order_cache
+        if token is not None and cached is not None and cached[0] == token:
+            order, size = cached[1], token[1]
+            if epoch_id in order:
+                return False
+        else:
+            order, report = self._read_log()
+            if epoch_id in order:
+                return False
+            truncate_damaged_suffix(self._log_path, report)
+            size = report.bytes_kept
         orphans = self._orphaned_epochs(set(order) | {epoch_id})
         pending = orphans + [epoch_id] if created else [epoch_id] + orphans
-        append_frames(
+        written = append_frames(
             self._log_path,
             (
                 {"seq": seq, "v": STORE_SCHEMA_VERSION, "epoch": pending_id}
                 for seq, pending_id in enumerate(pending, start=len(order))
             ),
         )
+        token = self._log_stat_token()
+        if token is not None and token[1] == size + written:
+            self._order_cache = (token, order + pending)
+        else:
+            self._order_cache = None
         return True
 
     def _read_commit_log(self) -> List[str]:
@@ -366,15 +398,19 @@ class ResultsStore:
         )
 
     def _orphaned_epochs(self, known: set) -> List[str]:
-        """Committed epoch directories absent from ``known``, by name."""
-        return sorted(
-            path.name
-            for path in self._epochs_dir.iterdir()
-            if path.is_dir()
-            and not path.name.startswith(".")
-            and path.name not in known
-            and (path / MANIFEST_FILENAME).exists()
-        )
+        """Committed epoch directories absent from ``known``, by name.
+
+        Names are tested first, so only an unknown entry costs a stat.
+        """
+        with os.scandir(self._epochs_dir) as entries:
+            return sorted(
+                entry.name
+                for entry in entries
+                if not entry.name.startswith(".")
+                and entry.name not in known
+                and entry.is_dir()
+                and os.path.exists(os.path.join(entry.path, MANIFEST_FILENAME))
+            )
 
     # -------------------------------------------------------------- reading
     def epoch_ids(self) -> List[str]:
@@ -480,8 +516,8 @@ class ResultsStore:
         """key → epoch ids (commit order) for one index dimension.
 
         Reads the on-disk index when it is present and consistent with
-        the committed epoch set; otherwise rebuilds from manifests and
-        rewrites the file.
+        the committed epoch set; otherwise brings the indexes up to date
+        from manifests and rewrites every index file.
         """
         if dimension not in INDEX_DIMENSIONS:
             raise StoreError(
@@ -502,39 +538,60 @@ class ResultsStore:
                 and isinstance(document.get("keys"), dict)
             ):
                 return document["keys"]
-        self._write_indexes()
-        return self._build_index(dimension, epoch_ids)
+        keys = self._write_indexes()[dimension]
+        return {key: list(ids) for key, ids in keys.items()}
 
     def lookup(self, dimension: str, key: str) -> List[str]:
         """Epoch ids whose records mention ``key``, commit order."""
         return self.index(dimension).get(str(key), [])
 
-    def _build_index(
-        self, dimension: str, epoch_ids: List[str]
-    ) -> Dict[str, List[str]]:
-        keys: Dict[str, List[str]] = {}
-        for epoch_id in epoch_ids:
-            manifest = self.manifest(epoch_id)
-            for value in manifest.keys.get(dimension, ()):
-                keys.setdefault(value, []).append(epoch_id)
-        return {key: ids for key, ids in sorted(keys.items())}
+    def _fold_indexes(
+        self, epoch_ids: List[str], *, rebuild: bool
+    ) -> _Indexes:
+        """Every index over ``epoch_ids``: key -> epoch ids, commit order.
 
-    def _write_indexes(self) -> None:
-        epoch_ids = self.epoch_ids()
+        When ``epoch_ids`` extends the order the in-memory indexes were
+        built for, only the newer manifests are read and their keys
+        folded in; otherwise (or on ``rebuild``) every manifest is.
+        """
+        order, indexes = self._indexes
+        if rebuild or epoch_ids[: len(order)] != order:
+            order, indexes = [], {}
+        manifests = [
+            self.manifest(epoch_id) for epoch_id in epoch_ids[len(order) :]
+        ]
+        folded = {}
         for dimension in INDEX_DIMENSIONS:
-            document = {
-                "schema": STORE_SCHEMA_VERSION,
-                "epochs": epoch_ids,
-                "keys": self._build_index(dimension, epoch_ids),
-            }
-            data = (
-                json.dumps(document, indent=2, sort_keys=True) + "\n"
-            ).encode("utf-8")
-            atomic_write(self._indexes_dir / f"{dimension}.json", data)
+            keys = indexes.get(dimension, {})
+            grown: Dict[str, List[str]] = {}
+            for manifest in manifests:
+                for value in manifest.keys.get(dimension, ()):
+                    if value not in grown:
+                        grown[value] = list(keys.get(value, ()))
+                    grown[value].append(manifest.epoch_id)
+            folded[dimension] = dict(sorted({**keys, **grown}.items()))
+        self._indexes = (list(epoch_ids), folded)
+        return folded
+
+    def _write_indexes(self, *, rebuild: bool = False) -> _Indexes:
+        with self._index_lock:
+            epoch_ids = self.epoch_ids()
+            indexes = self._fold_indexes(epoch_ids, rebuild=rebuild)
+            for dimension in INDEX_DIMENSIONS:
+                document = {
+                    "schema": STORE_SCHEMA_VERSION,
+                    "epochs": epoch_ids,
+                    "keys": indexes[dimension],
+                }
+                data = (
+                    json.dumps(document, indent=2, sort_keys=True) + "\n"
+                ).encode("utf-8")
+                atomic_write(self._indexes_dir / f"{dimension}.json", data)
+            return indexes
 
     def rebuild_indexes(self) -> None:
         """Force a rebuild of every index file from manifests."""
-        self._write_indexes()
+        self._write_indexes(rebuild=True)
 
     # ------------------------------------------------------------- identity
     def content_state(self) -> str:

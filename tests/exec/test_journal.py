@@ -16,6 +16,7 @@ import pytest
 
 from repro.exec.checkpoint import (
     SNAPSHOT_SCHEMA_VERSION,
+    ListFrames,
     decode_state,
     encode_state,
     fingerprint,
@@ -39,6 +40,13 @@ def write_records(path, kinds):
         writer.append(kind, {"index": index})
     writer.close()
     return writer
+
+
+def flip_seq_key(data):
+    """One flipped bit that turns a snapshot's "seq" key into "req"."""
+    data = bytearray(data)
+    data[data.index(b'"seq"') + 1] ^= 0x01
+    return bytes(data)
 
 
 class DescribeJournalWriter:
@@ -202,6 +210,31 @@ class DescribeSnapshots:
             "version skew" in entry for entry in report.snapshots_rejected
         )
 
+    @pytest.mark.parametrize(
+        "damage",
+        [flip_seq_key, lambda data: b"[1, 2, 3]\n"],
+        ids=["seq-key-bit-flip", "json-array"],
+    )
+    def test_skips_a_malformed_envelope(self, tmp_path, damage):
+        for seq in (1, 2):
+            write_snapshot(
+                tmp_path,
+                seq=seq,
+                identity_fingerprint=self.FP,
+                state={"done": seq},
+            )
+        newest = snapshot_path(tmp_path, 2)
+        newest.write_bytes(damage(newest.read_bytes()))
+        report = RecoveryReport()
+        snapshot = load_latest_snapshot(
+            tmp_path, identity_fingerprint=self.FP, report=report
+        )
+        assert snapshot.seq == 1 and snapshot.state == {"done": 1}
+        assert len(report.snapshots_rejected) == 1
+        assert report.snapshots_rejected[0].startswith(
+            "snapshot-00000002.ckpt: malformed envelope"
+        )
+
     def test_ignores_leftover_temp_files(self, tmp_path):
         write_snapshot(
             tmp_path, seq=1, identity_fingerprint=self.FP, state={"done": 1}
@@ -217,6 +250,25 @@ class DescribeSnapshots:
         tampered["sha256"] = "0" * 64
         with pytest.raises(ValueError, match="SHA-256 mismatch"):
             decode_state(tampered)
+
+    def test_list_frames_pickle_each_item_once(self):
+        items = [[index] for index in range(5)]
+        frames = ListFrames()
+        assert decode_state(encode_state({"x": frames.encode(items[:2])})) == {
+            "x": items[:2]
+        }
+        encoded = frames.encode(items)
+        assert frames.frame_count == 2
+        assert decode_state(encode_state(encoded)) == items
+        # Nothing new: no new frame.
+        frames.encode(items)
+        assert frames.frame_count == 2
+        # A framed item replaced, or dropped: everything is framed again.
+        frames.encode([[0]] + items[1:])
+        assert frames.frame_count == 1
+        encoded = frames.encode(items[1:])
+        assert frames.frame_count == 1
+        assert decode_state(encode_state(encoded)) == items[1:]
 
     def test_fingerprints_identity_order_independently(self):
         a = fingerprint({"seed": 1, "products": ["x"]})

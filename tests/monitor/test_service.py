@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.exec.checkpoint import CheckpointError
+from repro.exec.checkpoint import CheckpointError, load_latest_snapshot
 from repro.exec.journal import JOURNAL_FILENAME, JournalError, read_journal
 from repro.monitor import (
     ALERTS_FILENAME,
@@ -261,6 +261,70 @@ class DescribeDegradedMode:
         assert (
             ResultsStore(tmp_path / "store2").epoch_ids() == direct_epochs
         )
+
+
+def campaign_domains(service):
+    return [
+        domain
+        for domain in service.scenario.world.websites
+        if domain not in service._baseline_domains
+    ]
+
+
+def drop_first_campaign_site(service, round_index, key):
+    """Before round 3, unregister a site earlier snapshots hold."""
+    if round_index == 3:
+        service.scenario.world.unregister_website(campaign_domains(service)[0])
+
+
+class DescribeSiteFrames:
+    def test_each_snapshot_frames_only_the_new_sites(self, tmp_path):
+        service = make_service(tmp_path)
+        service.run(rounds=3)
+        assert service._site_frames.frame_count == 3
+
+    def test_dropped_site_reframes_and_resumes_identically(self, tmp_path):
+        direct = make_service(
+            tmp_path, subdir="direct", before_round=drop_first_campaign_site
+        )
+        direct.store = ResultsStore(tmp_path / "store-direct")
+        direct.run(rounds=6)
+
+        stopped = make_service(
+            tmp_path, subdir="stopped", before_round=drop_first_campaign_site
+        )
+        stopped.store = ResultsStore(tmp_path / "store-stopped")
+        stopped.run(rounds=4)
+        # Rounds 0-2 each added a frame; round 3 dropped a framed site,
+        # so its snapshot pickled every site again as one frame.
+        assert stopped._site_frames.frame_count == 1
+        snapshot = load_latest_snapshot(
+            tmp_path / "stopped",
+            identity_fingerprint=stopped.config_fingerprint(),
+        )
+        assert snapshot.seq == 4
+        assert [
+            site.domain for site in snapshot.state["world"]["added_sites"]
+        ] == campaign_domains(stopped)
+
+        resumed = make_service(
+            tmp_path, subdir="stopped", before_round=drop_first_campaign_site
+        )
+        resumed.store = ResultsStore(tmp_path / "store-stopped")
+        resumed.run(rounds=6, resume=True)
+        assert resumed.last_recovery.snapshot_used == snapshot.path.name
+        assert (
+            ResultsStore(tmp_path / "store-stopped").epoch_ids()
+            == ResultsStore(tmp_path / "store-direct").epoch_ids()
+        )
+        assert (
+            read_status(tmp_path / "stopped")["timeline"]
+            == read_status(tmp_path / "direct")["timeline"]
+        )
+        assert (tmp_path / "stopped" / ALERTS_FILENAME).read_bytes() == (
+            tmp_path / "direct" / ALERTS_FILENAME
+        ).read_bytes()
+        assert campaign_domains(resumed) == campaign_domains(direct)
 
 
 class SimulatedKill(BaseException):

@@ -5,6 +5,9 @@ rebuilds."""
 from __future__ import annotations
 
 import json
+import shutil
+import sys
+import threading
 import zlib
 
 import pytest
@@ -17,7 +20,13 @@ from repro.store import (
     UnknownEpoch,
     build_epoch,
 )
-from repro.store.store import COMMIT_LOG_FILENAME, MANIFEST_FILENAME
+from repro.store import store as store_module
+from repro.store.records import INDEX_DIMENSIONS
+from repro.store.store import (
+    COMMIT_LOG_FILENAME,
+    MANIFEST_FILENAME,
+    STORE_SCHEMA_VERSION,
+)
 
 
 def tiny_epoch(seed: int = 1, *, isp: str = "testnet", confirmed: bool = True,
@@ -304,6 +313,168 @@ class DescribeIndexes:
         epoch_id = store.commit(tiny_epoch()).epoch_id
         (tmp_path / "indexes" / "country.json").write_text("{not json")
         assert ResultsStore(tmp_path).lookup("country", "tl") == [epoch_id]
+
+
+def varied_epoch(n: int) -> EpochData:
+    """Epoch ``n`` of a series whose index keys overlap and keep growing."""
+    return build_epoch(
+        identity={"n": n},
+        fingerprint=f"fp-{n}",
+        seed=n,
+        window=(n, n + 10),
+        records={
+            "confirmations": [
+                {
+                    "product": f"vendor-{n % 3}",
+                    "isp": f"isp-{n % 7}",
+                    "country": ("tl", "ae", "ye", "qa")[n % 4],
+                    "asn": 65000 + n // 4,
+                    "category": "Anonymizers",
+                    "confirmed": n % 2 == 0,
+                }
+            ]
+        },
+    )
+
+
+def index_bytes(root):
+    return {
+        dimension: (root / "indexes" / f"{dimension}.json").read_bytes()
+        for dimension in INDEX_DIMENSIONS
+    }
+
+
+def logged_records(root):
+    lines = (root / COMMIT_LOG_FILENAME).read_bytes().splitlines()
+    return [json.loads(line)["rec"] for line in lines]
+
+
+class DescribeCommitFastPath:
+    def test_folded_indexes_equal_a_rebuild(self, tmp_path):
+        store = ResultsStore(tmp_path)
+        for n in range(30):
+            store.commit(varied_epoch(n))
+        folded = index_bytes(tmp_path)
+        ResultsStore(tmp_path).rebuild_indexes()
+        assert index_bytes(tmp_path) == folded
+
+    def test_reordered_log_rebuilds_the_indexes(self, tmp_path):
+        store = ResultsStore(tmp_path)
+        ids = [store.commit(varied_epoch(n)).epoch_id for n in range(6)]
+        assert ids != sorted(ids)
+        # Losing the log re-adopts the epochs in name order, which no
+        # longer extends the order the in-memory indexes were built for.
+        (tmp_path / COMMIT_LOG_FILENAME).unlink()
+        last = store.commit(varied_epoch(6)).epoch_id
+        assert store.epoch_ids() == sorted(ids) + [last]
+        folded = index_bytes(tmp_path)
+        ResultsStore(tmp_path).rebuild_indexes()
+        assert index_bytes(tmp_path) == folded
+
+    def test_alternating_writers_keep_the_log_contiguous(self, tmp_path):
+        first, second = ResultsStore(tmp_path), ResultsStore(tmp_path)
+        ids = [
+            (first, second)[n % 2].commit(varied_epoch(n)).epoch_id
+            for n in range(12)
+        ]
+        records = logged_records(tmp_path)
+        assert [rec["seq"] for rec in records] == list(range(12))
+        assert [rec["epoch"] for rec in records] == ids
+        assert first.epoch_ids() == second.epoch_ids() == ids
+        assert ResultsStore(tmp_path).epoch_ids() == ids
+        folded = index_bytes(tmp_path)
+        ResultsStore(tmp_path).rebuild_indexes()
+        assert index_bytes(tmp_path) == folded
+
+    def test_orphan_is_logged_before_the_next_commit(self, tmp_path):
+        probe = ResultsStore(tmp_path / "probe")
+        orphan = probe.commit(varied_epoch(1)).epoch_id
+        store = ResultsStore(tmp_path / "store")
+        first = store.commit(varied_epoch(0)).epoch_id
+        store.epoch_ids()  # warm the order cache
+        shutil.copytree(
+            tmp_path / "probe" / "epochs" / orphan,
+            tmp_path / "store" / "epochs" / orphan,
+        )
+        last = store.commit(varied_epoch(2)).epoch_id
+        records = logged_records(tmp_path / "store")
+        assert [rec["epoch"] for rec in records] == [first, orphan, last]
+        assert [rec["seq"] for rec in records] == [0, 1, 2]
+        assert store.epoch_ids() == [first, orphan, last]
+        assert store.lookup("isp", "isp-1") == [orphan]
+
+    def test_append_racing_ours_drops_the_order_cache(
+        self, tmp_path, monkeypatch
+    ):
+        # Another writer publishes and logs an epoch right after this
+        # instance's append lands, before it looks at the log again.
+        probe = ResultsStore(tmp_path / "probe")
+        racer = probe.commit(varied_epoch(1)).epoch_id
+        store = ResultsStore(tmp_path / "store")
+        first = store.commit(varied_epoch(0)).epoch_id
+        append = store_module.append_frames
+
+        def raced_append(path, recs):
+            written = append(path, recs)
+            monkeypatch.undo()
+            shutil.copytree(
+                tmp_path / "probe" / "epochs" / racer,
+                tmp_path / "store" / "epochs" / racer,
+            )
+            append(path, [{"seq": 2, "v": STORE_SCHEMA_VERSION, "epoch": racer}])
+            return written
+
+        monkeypatch.setattr(store_module, "append_frames", raced_append)
+        second = store.commit(varied_epoch(2)).epoch_id
+        third = store.commit(varied_epoch(3)).epoch_id
+        records = logged_records(tmp_path / "store")
+        assert [rec["seq"] for rec in records] == [0, 1, 2, 3]
+        assert [rec["epoch"] for rec in records] == [first, second, racer, third]
+        assert store.epoch_ids() == [first, second, racer, third]
+
+    def test_concurrent_lookups_rebuild_missing_indexes(self, tmp_path):
+        store = ResultsStore(tmp_path)
+        for n in range(20):
+            store.commit(varied_epoch(n))
+        ResultsStore(tmp_path).rebuild_indexes()
+        serial_files = index_bytes(tmp_path)
+        queries = [
+            (dimension, key)
+            for dimension in INDEX_DIMENSIONS
+            for key in json.loads(serial_files[dimension])["keys"]
+        ] + [("isp", "elsewhere")]
+        serial = [ResultsStore(tmp_path).lookup(*query) for query in queries]
+        for path in (tmp_path / "indexes").glob("*.json"):
+            path.unlink()
+        fresh = ResultsStore(tmp_path)
+        start = threading.Barrier(8, timeout=30)
+        answers, errors = {}, []
+
+        def look_up(worker):
+            start.wait()
+            try:
+                answers[worker] = [fresh.lookup(*query) for query in queries]
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=look_up, args=(worker,))
+            for worker in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert answers == {worker: serial for worker in range(8)}
+        assert index_bytes(tmp_path) == serial_files
+        assert not list((tmp_path / "indexes").glob("*.tmp"))
 
 
 class DescribeEpochValidation:
