@@ -29,8 +29,9 @@ import time
 from pathlib import Path
 
 from repro import build_scenario
-from repro.cli import PAPER_TABLE3, config_for_row
+from repro.analysis.paper_data import PAPER_TABLE3
 from repro.core.monitor import LongitudinalMonitor
+from repro.core.pipeline import config_for_row
 from repro.monitor import (
     AlertConfig,
     AlertEngine,

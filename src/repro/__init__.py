@@ -33,7 +33,6 @@ from repro.core.identify import IdentificationPipeline, IdentificationReport
 from repro.core.pipeline import (
     FullStudy,
     StudyReport,
-    run_distributed_scan,
     run_full_study,
 )
 from repro.exec import Executor, MemoCache, Metrics, StudyCaches
@@ -82,6 +81,5 @@ __all__ = [
     "__version__",
     "build_scenario",
     "run_category_probe",
-    "run_distributed_scan",
     "run_full_study",
 ]

@@ -15,14 +15,22 @@ Subcommands mirror the methodology's stages::
 All measurement commands accept ``--seed``; the default seed reproduces
 the paper's published cells exactly. ``query`` and ``serve`` are pure
 readers over a results store written by ``study --store``.
+
+Every option value is checked once, when the command line is parsed;
+argparse reports a bad one and exits 2. A command that fails later
+raises :class:`CommandError`, and :func:`main` turns it into a message
+on stderr and an exit code.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
-from typing import List, Optional
+import time
+from pathlib import Path
+from typing import List, Optional, Tuple
 
 from repro.analysis.report import write_execution_summary, write_markdown_report
 from repro.analysis.tables import (
@@ -30,13 +38,65 @@ from repro.analysis.tables import (
     render_figure1,
     render_table3,
 )
-from repro.analysis.paper_data import PAPER_TABLE3
+from repro.analysis.paper_data import PAPER_TABLE3, Table3Row
 from repro.core.confirm import ConfirmationStudy, run_category_probe
 from repro.core.pipeline import FullStudy, PartialStudyResult, config_for_row
 from repro.measure.netalyzr import survey_isps
 from repro.products.registry import NETSWEEPER, default_registry
 from repro.world.faults import FaultPlan
 from repro.world.scenario import DEFAULT_SEED, build_scenario
+
+
+def _bounded(kind, bound, *, strict=False):
+    """An argparse ``type``: ``kind(text)``, refused below ``bound`` (and
+    at it when ``strict``)."""
+    relation = ">" if strict else ">="
+
+    def parse(text: str):
+        value = kind(text)
+        if value < bound or (strict and value == bound):
+            raise argparse.ArgumentTypeError(f"must be {relation} {bound}")
+        return value
+
+    # argparse names the type in its "invalid int value: 'x'" message.
+    parse.__name__ = kind.__name__
+    return parse
+
+
+_NON_NEGATIVE_INT = _bounded(int, 0)
+_POSITIVE_INT = _bounded(int, 1)
+_NON_NEGATIVE_FLOAT = _bounded(float, 0)
+_POSITIVE_FLOAT = _bounded(float, 0, strict=True)
+
+
+def _fault_plan(spec: str) -> Optional[FaultPlan]:
+    """``--fault-plan`` type. An empty spec means no plan: runs hash the
+    plan into their identity, so ``''`` must not become an empty plan."""
+    if not spec:
+        return None
+    try:
+        return FaultPlan.parse(spec)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad --fault-plan: {exc}") from exc
+
+
+def _product(name: str) -> str:
+    """``--products`` type: a name the product registry knows."""
+    registry = default_registry()
+    if name not in registry:
+        raise argparse.ArgumentTypeError(
+            f"unknown product {name!r}; registered: "
+            f"{', '.join(registry.names())}"
+        )
+    return name
+
+
+def _table3_pair(spec: str) -> Tuple[str, str]:
+    """``--target`` type: PRODUCT:ISP as a (product, isp) pair."""
+    product, sep, isp = spec.rpartition(":")
+    if not sep or not product or not isp:
+        raise argparse.ArgumentTypeError(f"expected PRODUCT:ISP, got {spec!r}")
+    return product, isp
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -62,12 +122,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="also export the raw results as JSON to this file",
     )
     study.add_argument(
-        "--workers", type=int, default=1,
+        "--workers", type=_POSITIVE_INT, default=1,
         help="parallel campaign workers (default 1; results are "
         "byte-identical at any worker count)",
     )
     study.add_argument(
-        "--latency", type=float, default=0.0, metavar="SECONDS",
+        "--latency", type=_NON_NEGATIVE_FLOAT, default=0.0, metavar="SECONDS",
         help="simulated field-link RTT per request (default 0; this is "
         "the cost --workers amortizes)",
     )
@@ -76,18 +136,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the execution summary (timings, fan-out, caches)",
     )
     study.add_argument(
-        "--products", action="append", metavar="NAME",
+        "--products", action="append", type=_product, metavar="NAME",
         help="repeatable: restrict the study to these registered "
         "products (default: the paper's four vendors)",
     )
     study.add_argument(
-        "--fault-plan", metavar="SPEC",
+        "--fault-plan", type=_fault_plan, metavar="SPEC",
         help="run under a seeded chaos plan, e.g. "
         "'seed=7,dns_timeout=0.05,reset=0.02,outage=yemennet:300:305'; "
         "the study degrades to a partial result instead of failing",
     )
     study.add_argument(
-        "--max-retries", type=int, default=2,
+        "--max-retries", type=_NON_NEGATIVE_INT, default=2,
         help="retry budget per probe for transient faults (default 2)",
     )
     study.add_argument(
@@ -105,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
         "snapshot (requires --journal)",
     )
     study.add_argument(
-        "--checkpoint-every", type=int, default=1, metavar="N",
+        "--checkpoint-every", type=_POSITIVE_INT, default=1, metavar="N",
         help="snapshot after every N completed study units (default 1)",
     )
     study.add_argument(
@@ -115,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
         "'repro query', serve it with 'repro serve')",
     )
     study.add_argument(
-        "--shards", type=int, metavar="N",
+        "--shards", type=_POSITIVE_INT, metavar="N",
         help="drive the §3 banner scan as N bounded-in-flight target "
         "chunks instead of one future per host (same records, flat "
         "memory; epoch ids are invariant to this)",
@@ -136,20 +196,20 @@ def build_parser() -> argparse.ArgumentParser:
         "into one immutable epoch",
     )
     scan.add_argument(
-        "--hosts", type=int, default=100_000, metavar="N",
+        "--hosts", type=_NON_NEGATIVE_INT, default=100_000, metavar="N",
         help="synthetic host population size (default 100000)",
     )
     scan.add_argument(
-        "--shards", type=int, default=16, metavar="N",
+        "--shards", type=_POSITIVE_INT, default=16, metavar="N",
         help="population shards; shard k regenerates from (seed, k) "
         "alone, and the epoch id is invariant to N (default 16)",
     )
     scan.add_argument(
-        "--batch-size", type=int, default=1000, metavar="N",
+        "--batch-size", type=_POSITIVE_INT, default=1000, metavar="N",
         help="hosts per scan batch (default 1000)",
     )
     scan.add_argument(
-        "--workers", type=int, default=1,
+        "--workers", type=_POSITIVE_INT, default=1,
         help="parallel batch workers (default 1; results are "
         "byte-identical at any worker count)",
     )
@@ -158,22 +218,22 @@ def build_parser() -> argparse.ArgumentParser:
         help="batch execution backend (default thread)",
     )
     scan.add_argument(
-        "--window", type=int, metavar="N",
+        "--window", type=_POSITIVE_INT, metavar="N",
         help="max in-flight batches (default 2x workers); the "
         "backpressure bound that keeps memory flat",
     )
     scan.add_argument(
-        "--latency", type=float, default=0.0, metavar="SECONDS",
+        "--latency", type=_NON_NEGATIVE_FLOAT, default=0.0, metavar="SECONDS",
         help="simulated network round-trip per batch (default 0)",
     )
     scan.add_argument(
-        "--fault-plan", metavar="SPEC",
+        "--fault-plan", type=_fault_plan, metavar="SPEC",
         help="scan under a seeded chaos plan (connection faults drop "
         "hosts, corruption degrades banners), e.g. "
         "'seed=7,reset=0.02,truncate=0.05'",
     )
     scan.add_argument(
-        "--products", action="append", metavar="NAME",
+        "--products", action="append", type=_product, metavar="NAME",
         help="repeatable: restrict the signature set to these "
         "registered products (default: the paper's four vendors)",
     )
@@ -186,24 +246,25 @@ def build_parser() -> argparse.ArgumentParser:
         "with nothing committed if retry budgets ran out",
     )
     scan.add_argument(
-        "--local-workers", type=int, default=3, metavar="N",
+        "--local-workers", type=_NON_NEGATIVE_INT, default=3, metavar="N",
         help="with --coordinator: also spawn N worker processes locally "
         "(default 3; 0 waits for externally started scan-workers)",
     )
     scan.add_argument(
-        "--lease-ttl", type=float, default=30.0, metavar="SECONDS",
+        "--lease-ttl", type=_POSITIVE_FLOAT, default=30.0, metavar="SECONDS",
         help="with --coordinator: heartbeat deadline per shard lease; a "
         "worker silent this long is presumed dead and its shard is "
         "re-leased (default 30)",
     )
     scan.add_argument(
-        "--straggler-after", type=float, default=None, metavar="SECONDS",
+        "--straggler-after", type=_POSITIVE_FLOAT, default=None,
+        metavar="SECONDS",
         help="with --coordinator: a lease held this long makes its "
         "shard eligible for speculative re-execution by an idle worker "
         "(default 4x the lease TTL)",
     )
     scan.add_argument(
-        "--max-attempts", type=int, default=3, metavar="N",
+        "--max-attempts", type=_POSITIVE_INT, default=3, metavar="N",
         help="with --coordinator: lease attempts per shard before it is "
         "dead-lettered and the scan degrades to explicit partiality "
         "(default 3)",
@@ -228,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: worker-<pid>)",
     )
     worker.add_argument(
-        "--poll", type=float, default=0.2, metavar="SECONDS",
+        "--poll", type=_POSITIVE_FLOAT, default=0.2, metavar="SECONDS",
         help="idle re-check interval when no shard is claimable "
         "(default 0.2)",
     )
@@ -318,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="listen port (default 8000; 0 picks an ephemeral port)",
     )
     serve.add_argument(
-        "--cache-size", type=int, default=128, metavar="N",
+        "--cache-size", type=_NON_NEGATIVE_INT, default=128, metavar="N",
         help="response-cache entries (default 128; 0 disables caching)",
     )
     serve.add_argument(
@@ -346,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="results store directory receiving round epochs",
     )
     m_run.add_argument(
-        "--rounds", type=int, default=12, metavar="N",
+        "--rounds", type=_POSITIVE_INT, default=12, metavar="N",
         help="total round budget, counting rounds already journaled — "
         "resuming with the same budget completes the original plan "
         "(default 12)",
@@ -357,12 +418,13 @@ def build_parser() -> argparse.ArgumentParser:
         "died (refused across identity changes)",
     )
     m_run.add_argument(
-        "--target", action="append", metavar="PRODUCT:ISP",
+        "--target", action="append", type=_table3_pair,
+        metavar="PRODUCT:ISP",
         help="repeatable: a Table 3 (product, isp) pair to monitor "
         "(default: every distinct pair)",
     )
     m_run.add_argument(
-        "--fault-plan", metavar="SPEC",
+        "--fault-plan", type=_fault_plan, metavar="SPEC",
         help="monitor under a seeded chaos plan (failed rounds degrade "
         "to timeline gaps, never to fabricated states)",
     )
@@ -375,7 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="wall-clock deadline per round attempt (default: none)",
     )
     m_run.add_argument(
-        "--round-delay", type=float, default=None, metavar="SECONDS",
+        "--round-delay", type=_NON_NEGATIVE_FLOAT, default=None,
+        metavar="SECONDS",
         help="wall-clock pause after each round-start journal record "
         "(kill-test and soak seam; results-invisible)",
     )
@@ -442,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="scanner coverage fraction (default 1.0)",
     )
     identify.add_argument(
-        "--products", action="append", metavar="NAME",
+        "--products", action="append", type=_product, metavar="NAME",
         help="repeatable: restrict identification to these registered "
         "products (default: the paper's four vendors)",
     )
@@ -477,15 +540,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="censored vantage to crawl from (default etisalat)",
     )
     discover.add_argument(
-        "--rounds", type=int, default=20,
+        "--rounds", type=_POSITIVE_INT, default=20,
         help="crawl-round budget; a zero-new-blocked round stops earlier",
     )
     discover.add_argument(
-        "--workers", type=int, default=1,
+        "--workers", type=_POSITIVE_INT, default=1,
         help="probe fan-out (results are byte-identical at any count)",
     )
     discover.add_argument(
-        "--latency", type=float, default=0.0,
+        "--latency", type=_NON_NEGATIVE_FLOAT, default=0.0,
         help="simulated per-probe link latency in seconds",
     )
     discover.add_argument(
@@ -494,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
         "from the static global+local lists)",
     )
     discover.add_argument(
-        "--population", type=int, default=None,
+        "--population", type=_POSITIVE_INT, default=None,
         help="override the scenario's website population size "
         "(small worlds for smoke runs)",
     )
@@ -502,11 +565,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--store", help="commit the run to this store as a discovery epoch"
     )
     discover.add_argument(
-        "--fault-plan", metavar="SPEC",
+        "--fault-plan", type=_fault_plan, metavar="SPEC",
         help="inject seeded faults (see `repro study --fault-plan`)",
     )
     discover.add_argument(
-        "--max-retries", type=int, default=2,
+        "--max-retries", type=_NON_NEGATIVE_INT, default=2,
         help="transient-failure retries per probe under a fault plan",
     )
     return parser
@@ -515,23 +578,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _seed(args) -> int:
     """The effective seed: what the user typed, or the paper default."""
     return DEFAULT_SEED if args.seed is None else args.seed
-
-
-def _validated_products(args) -> Optional[List[str]]:
-    """Check a --products selection against the registry (exit 2 style)."""
-    selection = getattr(args, "products", None)
-    if not selection:
-        return None
-    registry = default_registry()
-    unknown = [name for name in selection if name not in registry]
-    if unknown:
-        print(
-            f"unknown products {unknown}; registered: "
-            f"{', '.join(registry.names())}",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
-    return list(selection)
 
 
 #: Exit codes for ``repro study``: EXIT_OK on a clean, complete run;
@@ -545,85 +591,91 @@ EXIT_USAGE = 2
 EXIT_PARTIAL = 3
 
 
-def _cmd_study(args) -> int:
-    from pathlib import Path
+class CommandError(Exception):
+    """Ends a command: :func:`main` prints the message to stderr and
+    returns ``code``."""
 
-    from repro.analysis.export import to_json
-    from repro.analysis.validation import validate_report
+    def __init__(self, code: int, message: str) -> None:
+        super().__init__(message)
+        self.code = code
+
+
+def _table3_row(
+    product: str, isp: str, category: Optional[str] = None
+) -> Table3Row:
+    """The first Table 3 row for (product, isp), optionally one category."""
+    for row in PAPER_TABLE3:
+        if (row.product, row.isp_key) == (product, isp) and (
+            category is None or row.category == category
+        ):
+            return row
+    known = sorted({(row.product, row.isp_key) for row in PAPER_TABLE3})
+    raise CommandError(
+        EXIT_USAGE,
+        f"no such case study ({product!r}, {isp!r}); "
+        f"known (product, isp) pairs: {known}",
+    )
+
+
+@contextlib.contextmanager
+def _journal_errors(run):
+    """Exit codes for a journaled ``run`` (a study or a monitor): an
+    unusable journal is a usage error, a refused resume a hard failure."""
     from repro.exec.checkpoint import CheckpointError
     from repro.exec.journal import JournalError
+
+    try:
+        yield
+    except JournalError as exc:
+        raise CommandError(EXIT_USAGE, f"journal error: {exc}") from exc
+    except CheckpointError as exc:
+        lines = [f"resume refused: {exc}"]
+        if run.last_recovery is not None:
+            lines += [
+                f"recovery: {line}" for line in run.last_recovery.describe()
+            ]
+        raise CommandError(EXIT_HARD, "\n".join(lines)) from exc
+
+
+def _cmd_study(args) -> int:
+    from repro.analysis.export import to_json
+    from repro.analysis.validation import validate_report
     from repro.net.errors import NetError
 
-    if args.workers < 1:
-        print("--workers must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
-    if args.latency < 0:
-        print("--latency must be >= 0", file=sys.stderr)
-        return EXIT_USAGE
-    if args.max_retries < 0:
-        print("--max-retries must be >= 0", file=sys.stderr)
-        return EXIT_USAGE
-    if args.checkpoint_every < 1:
-        print("--checkpoint-every must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
     if args.resume and not args.journal:
-        print("--resume requires --journal DIR", file=sys.stderr)
-        return EXIT_USAGE
-    if args.shards is not None and args.shards < 1:
-        print("--shards must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
-    fault_plan = None
-    if args.fault_plan:
-        try:
-            fault_plan = FaultPlan.parse(args.fault_plan)
-        except ValueError as exc:
-            print(f"bad --fault-plan: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-    products = _validated_products(args)
-    scenario = build_scenario(seed=_seed(args))
+        raise CommandError(EXIT_USAGE, "--resume requires --journal DIR")
     study = FullStudy(
-        scenario,
-        products=products,
+        build_scenario(seed=_seed(args)),
+        products=args.products,
         workers=args.workers,
         link_latency=args.latency,
-        fault_plan=fault_plan,
+        fault_plan=args.fault_plan,
         max_retries=args.max_retries,
         fail_fast=args.fail_fast,
         scan_shards=args.shards,
         record_confidence=args.record_confidence,
     )
-    partial = None
-    try:
-        if args.journal:
-            journal_dir = Path(args.journal)
-            journal_dir.mkdir(parents=True, exist_ok=True)
-            outcome = study.run_journaled(
-                journal_dir,
-                resume=args.resume,
-                checkpoint_every=args.checkpoint_every,
-            )
-        elif study.resilience is not None:
-            outcome = study.run_partial()
-        else:
-            outcome = study.run()
-    except JournalError as exc:
-        print(f"journal error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except CheckpointError as exc:
-        print(f"resume refused: {exc}", file=sys.stderr)
-        if study.last_recovery is not None:
-            for line in study.last_recovery.describe():
-                print(f"recovery: {line}", file=sys.stderr)
-        return EXIT_HARD
-    except NetError as exc:
-        # Only --fail-fast lets a fault propagate out of the study.
-        print(f"aborted (fail-fast): {exc!r}", file=sys.stderr)
-        return EXIT_HARD
-    if isinstance(outcome, PartialStudyResult):
-        partial = outcome
-        report = partial.report
-    else:
-        report = outcome
+    with _journal_errors(study):
+        try:
+            if args.journal:
+                journal_dir = Path(args.journal)
+                journal_dir.mkdir(parents=True, exist_ok=True)
+                outcome = study.run_journaled(
+                    journal_dir,
+                    resume=args.resume,
+                    checkpoint_every=args.checkpoint_every,
+                )
+            elif study.resilience is not None:
+                outcome = study.run_partial()
+            else:
+                outcome = study.run()
+        except NetError as exc:
+            # Only --fail-fast lets a fault propagate out of the study.
+            raise CommandError(
+                EXIT_HARD, f"aborted (fail-fast): {exc!r}"
+            ) from exc
+    partial = outcome if isinstance(outcome, PartialStudyResult) else None
+    report = outcome if partial is None else partial.report
     if study.last_recovery is not None and not study.last_recovery.clean:
         for line in study.last_recovery.describe():
             print(f"recovery: {line}")
@@ -654,55 +706,26 @@ def _cmd_study(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    from pathlib import Path
-
     from repro.exec.executor import Executor, StreamStats
     from repro.scan.stream import StreamingScan
     from repro.store import ResultsStore
     from repro.world.population import ShardedPopulationConfig
 
-    if args.hosts < 0:
-        print("--hosts must be >= 0", file=sys.stderr)
-        return EXIT_USAGE
-    if args.shards < 1:
-        print("--shards must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
-    if args.batch_size < 1:
-        print("--batch-size must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
-    if args.workers < 1:
-        print("--workers must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
-    if args.window is not None and args.window < 1:
-        print("--window must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
-    if args.latency < 0:
-        print("--latency must be >= 0", file=sys.stderr)
-        return EXIT_USAGE
-    fault_plan = None
-    if args.fault_plan:
-        try:
-            fault_plan = FaultPlan.parse(args.fault_plan)
-        except ValueError as exc:
-            print(f"bad --fault-plan: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-    products = _validated_products(args)
     try:
         config = ShardedPopulationConfig(
             host_count=args.hosts,
             shard_count=args.shards,
-            products=None if products is None else tuple(products),
+            products=None if args.products is None else tuple(args.products),
         )
     except ValueError as exc:
-        print(f"bad population: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise CommandError(EXIT_USAGE, f"bad population: {exc}") from exc
     store = ResultsStore(Path(args.store))
     scan = StreamingScan(
         _seed(args),
         config,
         batch_size=args.batch_size,
         latency=args.latency,
-        fault_plan=fault_plan,
+        fault_plan=args.fault_plan,
     )
     if args.coordinator:
         return _run_coordinated_scan(args, scan, store)
@@ -729,8 +752,6 @@ def _cmd_scan(args) -> int:
 
 def _run_coordinated_scan(args, scan, store) -> int:
     """The --coordinator arm of ``repro scan``: fleet, wait, reconcile."""
-    from pathlib import Path
-
     from repro.coord import (
         CoordinationError,
         Coordinator,
@@ -740,18 +761,6 @@ def _run_coordinated_scan(args, scan, store) -> int:
     )
     from repro.store import StoreError
 
-    if args.local_workers < 0:
-        print("--local-workers must be >= 0", file=sys.stderr)
-        return EXIT_USAGE
-    if args.lease_ttl <= 0:
-        print("--lease-ttl must be > 0", file=sys.stderr)
-        return EXIT_USAGE
-    if args.straggler_after is not None and args.straggler_after <= 0:
-        print("--straggler-after must be > 0", file=sys.stderr)
-        return EXIT_USAGE
-    if args.max_attempts < 1:
-        print("--max-attempts must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
     try:
         coordinator = Coordinator(
             Path(args.coordinator),
@@ -761,27 +770,26 @@ def _run_coordinated_scan(args, scan, store) -> int:
             max_attempts=args.max_attempts,
         )
     except IdentityMismatch as exc:
-        print(f"coordinator refused: {exc}", file=sys.stderr)
-        return EXIT_HARD
+        raise CommandError(EXIT_HARD, f"coordinator refused: {exc}") from exc
     fleet = spawn_workers(args.coordinator, args.local_workers)
     try:
         try:
             coordinator.wait(timeout=args.wait_timeout)
         except CoordinationError as exc:
-            print(f"scan did not finish: {exc}", file=sys.stderr)
-            print(
+            raise CommandError(
+                EXIT_HARD,
+                f"scan did not finish: {exc}\n"
                 f"queue kept at {args.coordinator}; start more "
                 "scan-workers and re-run this command to resume",
-                file=sys.stderr,
-            )
-            return EXIT_HARD
+            ) from exc
         try:
             outcome = coordinator.reconcile(store)
         except StoreError as exc:
             # Conflicting duplicates or damaged shard files: a typed
             # reconciliation error, nothing committed.
-            print(f"reconciliation failed: {exc}", file=sys.stderr)
-            return EXIT_HARD
+            raise CommandError(
+                EXIT_HARD, f"reconciliation failed: {exc}"
+            ) from exc
     finally:
         for process in fleet:
             process.join(timeout=5.0)
@@ -810,17 +818,12 @@ def _run_coordinated_scan(args, scan, store) -> int:
 
 
 def _cmd_scan_worker(args) -> int:
-    from pathlib import Path
-
     from repro.coord import (
         CoordinationError,
         IdentityMismatch,
         ScanWorker,
     )
 
-    if args.poll <= 0:
-        print("--poll must be > 0", file=sys.stderr)
-        return EXIT_USAGE
     try:
         worker = ScanWorker(
             Path(args.coordinator),
@@ -828,20 +831,17 @@ def _cmd_scan_worker(args) -> int:
             poll=args.poll,
         )
     except IdentityMismatch as exc:
-        print(f"refusing to join: {exc}", file=sys.stderr)
-        return EXIT_HARD
+        raise CommandError(EXIT_HARD, f"refusing to join: {exc}") from exc
     except CoordinationError as exc:
-        print(f"cannot join: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise CommandError(EXIT_USAGE, f"cannot join: {exc}") from exc
     if args.seed is not None and args.seed != worker.queue.seed:
-        print(
+        raise CommandError(
+            EXIT_HARD,
             f"refusing to join: coordinator at {args.coordinator} was "
             f"created for seed {worker.queue.seed}, not --seed "
             f"{args.seed} — a cross-seed worker would scan a different "
             "world",
-            file=sys.stderr,
         )
-        return EXIT_HARD
     summary = worker.run()
     print(
         f"{summary.worker}: {summary.shards_won} shard(s) won, "
@@ -858,26 +858,22 @@ def _cmd_scan_worker(args) -> int:
 
 
 def _cmd_coord(args) -> int:
-    from pathlib import Path
-
     from repro.coord import CoordinationError, Coordinator
 
     try:
         coordinator = Coordinator.attach(Path(args.coordinator))
         snapshot = coordinator.status()
     except CoordinationError as exc:
-        print(f"coord status failed: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise CommandError(EXIT_USAGE, f"coord status failed: {exc}") from exc
     for line in snapshot.describe():
         print(line)
     return EXIT_OK
 
 
 def _cmd_identify(args) -> int:
-    products = _validated_products(args)
     scenario = build_scenario(seed=_seed(args))
     report = FullStudy(
-        scenario, products=products, shodan_coverage=args.coverage
+        scenario, products=args.products, shodan_coverage=args.coverage
     ).run_identification()
     print(render_figure1(report))
     print(
@@ -889,27 +885,15 @@ def _cmd_identify(args) -> int:
 
 
 def _cmd_confirm(args) -> int:
-    rows = [
-        row
-        for row in PAPER_TABLE3
-        if row.product == args.product and row.isp_key == args.isp
-        and (args.category is None or row.category == args.category)
-    ]
-    if not rows:
-        known = sorted({(r.product, r.isp_key) for r in PAPER_TABLE3})
-        print(
-            f"no such case study; known (product, isp) pairs: {known}",
-            file=sys.stderr,
-        )
-        return 2
+    row = _table3_row(args.product, args.isp, args.category)
     scenario = build_scenario(seed=_seed(args))
     study = ConfirmationStudy(
         scenario.world,
         scenario.products[args.product],
         scenario.hosting_asns[0],
     )
-    result = study.run(config_for_row(rows[0]))
-    print(render_table3([result], paper_rows=rows[:1]))
+    result = study.run(config_for_row(row))
+    print(render_table3([result], paper_rows=[row]))
     print(f"\nverdict: {'CONFIRMED' if result.confirmed else 'not confirmed'}")
     for note in result.notes:
         print(f"note: {note}")
@@ -919,27 +903,24 @@ def _cmd_confirm(args) -> int:
 def _cmd_probe(args) -> int:
     scenario = build_scenario(seed=_seed(args))
     if args.isp not in scenario.world.isps:
-        print(f"unknown ISP {args.isp!r}", file=sys.stderr)
-        return 2
+        raise CommandError(EXIT_USAGE, f"unknown ISP {args.isp!r}")
     probe = run_category_probe(scenario.world, args.isp)
     print(render_category_probe(probe))
     return 0
 
 
-def _open_store(args):
-    """A ResultsStore for --store DIR, or None (usage error, printed)."""
-    from pathlib import Path
-
+def _open_store(directory: str):
+    """The ResultsStore at ``directory``, which must hold an epoch."""
     from repro.store import ResultsStore
 
-    path = Path(args.store)
+    path = Path(directory)
     if not path.is_dir():
-        print(f"no results store at {path}", file=sys.stderr)
-        return None
+        raise CommandError(EXIT_USAGE, f"no results store at {path}")
     store = ResultsStore(path)
     if not store.epoch_ids():
-        print(f"results store {path} has no committed epochs", file=sys.stderr)
-        return None
+        raise CommandError(
+            EXIT_USAGE, f"results store {path} has no committed epochs"
+        )
     return store
 
 
@@ -962,10 +943,7 @@ def _cmd_query(args) -> int:
     from repro.query import QueryEngine
     from repro.store import StoreError
 
-    store = _open_store(args)
-    if store is None:
-        return EXIT_USAGE
-    engine = QueryEngine(store)
+    engine = QueryEngine(_open_store(args.store))
     try:
         if args.query_command == "epochs":
             for manifest in engine.epochs(_cli_record_filter(args)):
@@ -999,8 +977,7 @@ def _cmd_query(args) -> int:
                 for line in diff.summary_lines():
                     print(line)
     except (StoreError, ValueError) as exc:
-        print(f"query failed: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise CommandError(EXIT_USAGE, f"query failed: {exc}") from exc
     return EXIT_OK
 
 
@@ -1013,14 +990,8 @@ def _calendar(minutes: int):
 def _cmd_serve(args) -> int:
     from repro.serve import ResultsServer
 
-    if args.cache_size < 0:
-        print("--cache-size must be >= 0", file=sys.stderr)
-        return EXIT_USAGE
-    store = _open_store(args)
-    if store is None:
-        return EXIT_USAGE
     server = ResultsServer(
-        store,
+        _open_store(args.store),
         host=args.host,
         port=args.port,
         monitor_dir=args.monitor,
@@ -1037,74 +1008,24 @@ def _cmd_serve(args) -> int:
     return EXIT_OK
 
 
-def _monitor_targets_from_args(args):
-    """Resolve --target PRODUCT:ISP selections against PAPER_TABLE3."""
-    from repro.monitor import MonitorTarget
-
-    pairs: List = []
-    if args.target:
-        for spec in args.target:
-            product, sep, isp = spec.rpartition(":")
-            if not sep or not product or not isp:
-                print(
-                    f"bad --target {spec!r}; expected PRODUCT:ISP",
-                    file=sys.stderr,
-                )
-                return None
-            pairs.append((product, isp))
-    else:
-        seen = set()
-        for row in PAPER_TABLE3:
-            if (row.product, row.isp_key) not in seen:
-                seen.add((row.product, row.isp_key))
-                pairs.append((row.product, row.isp_key))
-    targets = []
-    for product, isp in pairs:
-        rows = [
-            row
-            for row in PAPER_TABLE3
-            if row.product == product and row.isp_key == isp
-        ]
-        if not rows:
-            known = sorted({(r.product, r.isp_key) for r in PAPER_TABLE3})
-            print(
-                f"no such monitoring target ({product!r}, {isp!r}); "
-                f"known (product, isp) pairs: {known}",
-                file=sys.stderr,
-            )
-            return None
-        targets.append(MonitorTarget(config_for_row(rows[0])))
-    return targets
-
-
 def _cmd_monitor_run(args) -> int:
-    from pathlib import Path
-
-    from repro.exec.checkpoint import CheckpointError
-    from repro.exec.journal import JournalError
     from repro.exec.resilience import ResilienceConfig
     from repro.monitor import (
-        ROUND_DELAY_ENV,
         AlertConfig,
         MonitorConfig,
         MonitorService,
+        MonitorTarget,
         ScheduleConfig,
         SupervisorConfig,
     )
 
-    if args.rounds < 1:
-        print("--rounds must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
-    fault_plan = None
-    if args.fault_plan:
-        try:
-            fault_plan = FaultPlan.parse(args.fault_plan)
-        except ValueError as exc:
-            print(f"bad --fault-plan: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-    targets = _monitor_targets_from_args(args)
-    if targets is None:
-        return EXIT_USAGE
+    # Default: every distinct (product, isp) pair, in Table 3 order.
+    pairs = args.target or dict.fromkeys(
+        (row.product, row.isp_key) for row in PAPER_TABLE3
+    )
+    targets = [
+        MonitorTarget(config_for_row(_table3_row(*pair))) for pair in pairs
+    ]
     try:
         config = MonitorConfig(
             schedule=ScheduleConfig(
@@ -1127,33 +1048,22 @@ def _cmd_monitor_run(args) -> int:
             checkpoint_every=args.checkpoint_every,
         )
     except ValueError as exc:
-        print(f"bad monitor configuration: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.round_delay is not None:
-        if args.round_delay < 0:
-            print("--round-delay must be >= 0", file=sys.stderr)
-            return EXIT_USAGE
-        os.environ[ROUND_DELAY_ENV] = str(args.round_delay)
+        raise CommandError(
+            EXIT_USAGE, f"bad monitor configuration: {exc}"
+        ) from exc
     seed = _seed(args)
+    pause = args.round_delay
     service = MonitorService(
         Path(args.dir),
         Path(args.store),
         scenario_factory=lambda: build_scenario(seed=seed),
         targets=targets,
         config=config,
-        fault_plan=fault_plan,
+        fault_plan=args.fault_plan,
+        before_round=(lambda *_: time.sleep(pause)) if pause else None,
     )
-    try:
+    with _journal_errors(service):
         summary = service.run(args.rounds, resume=args.resume)
-    except JournalError as exc:
-        print(f"journal error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except CheckpointError as exc:
-        print(f"resume refused: {exc}", file=sys.stderr)
-        if service.last_recovery is not None:
-            for line in service.last_recovery.describe():
-                print(f"recovery: {line}", file=sys.stderr)
-        return EXIT_HARD
     if args.resume and summary.recovery is not None:
         for line in summary.recovery.describe():
             print(f"recovery: {line}")
@@ -1164,14 +1074,12 @@ def _cmd_monitor_run(args) -> int:
 
 def _cmd_monitor_status(args) -> int:
     import json
-    from pathlib import Path
 
     from repro.monitor import describe_status, describe_targets, read_status
 
     status = read_status(Path(args.dir))
     if status is None:
-        print(f"no monitor journal in {args.dir}", file=sys.stderr)
-        return EXIT_USAGE
+        raise CommandError(EXIT_USAGE, f"no monitor journal in {args.dir}")
     if args.as_json:
         print(json.dumps(status, indent=2, sort_keys=True))
     elif args.monitor_command == "status":
@@ -1193,8 +1101,7 @@ def _cmd_netalyzr(args) -> int:
     scenario = build_scenario(seed=_seed(args))
     unknown = [name for name in args.isp if name not in scenario.world.isps]
     if unknown:
-        print(f"unknown ISPs: {unknown}", file=sys.stderr)
-        return 2
+        raise CommandError(EXIT_USAGE, f"unknown ISPs: {unknown}")
     for name, report in survey_isps(scenario.world, args.isp).items():
         attribution = (
             ", ".join(report.attributed_products)
@@ -1215,8 +1122,6 @@ def _cmd_discover(args) -> int:
     (insufficient probes under a fault plan, or the round budget ran
     out before convergence), 2 on bad invocations.
     """
-    from pathlib import Path
-
     from repro.discover import (
         CoverageReport,
         DiscoveryConfig,
@@ -1230,43 +1135,19 @@ def _cmd_discover(args) -> int:
     from repro.store import ResultsStore, discovery_epoch
     from repro.world.scenario import ScenarioConfig
 
-    if args.workers < 1:
-        print("--workers must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
-    if args.latency < 0:
-        print("--latency must be >= 0", file=sys.stderr)
-        return EXIT_USAGE
-    if args.max_retries < 0:
-        print("--max-retries must be >= 0", file=sys.stderr)
-        return EXIT_USAGE
-    if args.population is not None and args.population < 1:
-        print("--population must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        config = DiscoveryConfig(max_rounds=args.rounds)
-    except ValueError as exc:
-        print(f"bad --rounds: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    fault_plan = None
-    if args.fault_plan:
-        try:
-            fault_plan = FaultPlan.parse(args.fault_plan)
-        except ValueError as exc:
-            print(f"bad --fault-plan: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-
+    config = DiscoveryConfig(max_rounds=args.rounds)
+    fault_plan = args.fault_plan
     scenario_config = None
     if args.population is not None:
         scenario_config = ScenarioConfig(population_size=args.population)
     scenario = build_scenario(seed=_seed(args), config=scenario_config)
     world = scenario.world
     if args.isp not in world.isps:
-        print(
+        raise CommandError(
+            EXIT_USAGE,
             f"unknown ISP {args.isp!r}; known: "
             f"{', '.join(sorted(world.isps))}",
-            file=sys.stderr,
         )
-        return EXIT_USAGE
 
     resilience = None
     if fault_plan is not None and fault_plan.active:
@@ -1289,12 +1170,11 @@ def _cmd_discover(args) -> int:
     )
     seeds = args.seed_urls or baseline[:5]
     if not seeds:
-        print(
+        raise CommandError(
+            EXIT_HARD,
             f"the static lists found no blocked URLs at {args.isp}; "
             "pass --seed-url to seed discovery explicitly",
-            file=sys.stderr,
         )
-        return EXIT_HARD
     engine = DiscoveryEngine(
         world,
         args.isp,
@@ -1306,8 +1186,7 @@ def _cmd_discover(args) -> int:
     try:
         result = engine.run(seeds)
     except (UrlError, ValueError) as exc:
-        print(f"bad seed URL: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise CommandError(EXIT_USAGE, f"bad seed URL: {exc}") from exc
 
     coverage = CoverageReport.evaluate(result, baseline)
     print(f"discovery from {args.isp} ({len(seeds)} seed URLs):")
@@ -1368,9 +1247,16 @@ _COMMANDS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed a usage error (2) or the --help text (0).
+        return exc.code
     try:
         return _COMMANDS[args.command](args)
+    except CommandError as exc:
+        print(exc, file=sys.stderr)
+        return exc.code
     except BrokenPipeError:
         # A downstream reader (``repro query ... | head``) closed the
         # pipe early; that is not an error. Point stdout at devnull so

@@ -11,7 +11,7 @@ incomplete epoch.
 See :mod:`repro.coord.queue` for the durable leased work-queue,
 :mod:`repro.coord.worker` for the scanner loop,
 :mod:`repro.coord.coordinator` for wait/reconcile, and
-:mod:`repro.coord.runner` for the local-fleet convenience entry point.
+:mod:`repro.coord.runner` for spawning a local worker fleet.
 """
 
 from repro.coord.coordinator import (
@@ -29,7 +29,7 @@ from repro.coord.queue import (
     ShardGrant,
     WorkQueue,
 )
-from repro.coord.runner import run_distributed_scan, run_worker, spawn_workers
+from repro.coord.runner import run_worker, spawn_workers
 from repro.coord.worker import ScanWorker, WorkerSummary, scan_from_coordinator
 
 __all__ = [
@@ -46,7 +46,6 @@ __all__ = [
     "ShardGrant",
     "WorkQueue",
     "WorkerSummary",
-    "run_distributed_scan",
     "run_worker",
     "scan_from_coordinator",
     "spawn_workers",

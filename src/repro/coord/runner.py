@@ -1,29 +1,20 @@
-"""Convenience fleet runner: coordinator + N local worker processes.
+"""Local worker fleets for the distributed scan.
 
 The production shape is one ``repro scan --coordinator DIR`` process
 plus any number of ``repro scan-worker DIR`` processes, started and
-killed independently. This module packages that shape for library
-callers, pipelines, benchmarks and tests: spawn ``workers`` genuine OS
-processes (so a SIGKILL in a test kills a real worker, not a thread),
-wait, reconcile, and always reap the fleet on the way out.
+killed independently. :func:`spawn_workers` starts genuine OS worker
+processes against a coordinator directory (so a SIGKILL in a test kills
+a real worker, not a thread); the caller waits, reconciles and reaps
+them. :func:`run_worker` runs one worker in the calling process.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import time
 from pathlib import Path
 from typing import List, Optional, Union
 
-from repro.coord.coordinator import (
-    Coordinator,
-    DistributedScanSummary,
-    PartialScanResult,
-)
 from repro.coord.worker import ScanWorker
-from repro.scan.stream import DEFAULT_BATCH_SIZE, StreamingScan
-from repro.world.faults import FaultPlan
-from repro.world.population import ShardedPopulationConfig
 
 
 def run_worker(
@@ -62,54 +53,3 @@ def spawn_workers(
         process.start()
         processes.append(process)
     return processes
-
-
-def run_distributed_scan(
-    coordinator_dir: Union[str, Path],
-    store,
-    *,
-    seed: int,
-    config: Optional[ShardedPopulationConfig] = None,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-    latency: float = 0.0,
-    fault_plan: Optional[FaultPlan] = None,
-    workers: int = 3,
-    lease_ttl: float = 30.0,
-    straggler_after: Optional[float] = None,
-    max_attempts: int = 3,
-    poll: float = 0.05,
-    timeout: Optional[float] = None,
-) -> Union[DistributedScanSummary, PartialScanResult]:
-    """Full distributed identify pass with a local worker fleet.
-
-    Equivalent in outcome to ``StreamingScan(...).run(store, ...)`` —
-    same epoch id, byte-identical segments — but executed by ``workers``
-    independent OS processes leasing shards through a crash-tolerant
-    queue at ``coordinator_dir``.
-    """
-    scan = StreamingScan(
-        seed,
-        config,
-        batch_size=batch_size,
-        latency=latency,
-        fault_plan=fault_plan,
-    )
-    coordinator = Coordinator(
-        Path(coordinator_dir),
-        scan,
-        lease_ttl=lease_ttl,
-        straggler_after=straggler_after,
-        max_attempts=max_attempts,
-    )
-    fleet = spawn_workers(coordinator_dir, workers, poll=poll)
-    try:
-        outcome = coordinator.run(store, poll=poll, timeout=timeout)
-    finally:
-        deadline = time.monotonic() + 5.0
-        for process in fleet:
-            process.join(timeout=max(0.0, deadline - time.monotonic()))
-        for process in fleet:
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=1.0)
-    return outcome

@@ -863,68 +863,6 @@ def run_full_study(
     return outcome
 
 
-def run_distributed_scan(
-    coordinator_dir: Path,
-    store_dir: Path,
-    *,
-    seed: int = DEFAULT_SEED,
-    host_count: int = 100_000,
-    shard_count: int = 16,
-    products: Optional[Sequence[str]] = None,
-    batch_size: int = 1000,
-    latency: float = 0.0,
-    fault_plan: Optional[FaultPlan] = None,
-    workers: int = 3,
-    lease_ttl: float = 30.0,
-    straggler_after: Optional[float] = None,
-    max_attempts: int = 3,
-    timeout: Optional[float] = None,
-):
-    """:func:`run_full_study`'s sibling for the internet-scale identify pass.
-
-    Runs the streaming §3 sweep distributed across ``workers``
-    independent OS processes coordinated through a crash-tolerant
-    work-queue at ``coordinator_dir`` (see :mod:`repro.coord`), and
-    commits the result to the store at ``store_dir``. The committed
-    epoch id is byte-identical to a single-machine
-    :class:`~repro.scan.stream.StreamingScan` run of the same identity;
-    a scan whose retry budgets ran out returns an explicit
-    :class:`~repro.coord.coordinator.PartialScanResult` with nothing
-    committed. Like the study entry point, the outcome is a pure
-    function of ``(seed, population identity, fault plan)`` — worker
-    count, lease policy and shard count never change it.
-    """
-    from repro.coord.runner import run_distributed_scan as _run
-    from repro.world.population import ShardedPopulationConfig
-
-    resolved = (
-        None
-        if products is None
-        else tuple(
-            spec.name for spec in default_registry().resolve(list(products))
-        )
-    )
-    config = ShardedPopulationConfig(
-        host_count=host_count,
-        shard_count=shard_count,
-        products=resolved,
-    )
-    return _run(
-        coordinator_dir,
-        ResultsStore(store_dir),
-        seed=seed,
-        config=config,
-        batch_size=batch_size,
-        latency=latency,
-        fault_plan=fault_plan,
-        workers=workers,
-        lease_ttl=lease_ttl,
-        straggler_after=straggler_after,
-        max_attempts=max_attempts,
-        timeout=timeout,
-    )
-
-
 def _row_order(row: Optional[Table3Row]) -> int:
     if row is None:
         return -1

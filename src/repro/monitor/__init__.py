@@ -25,7 +25,6 @@ from repro.monitor.schedule import (
     ScheduledTarget,
 )
 from repro.monitor.service import (
-    ROUND_DELAY_ENV,
     MonitorConfig,
     MonitorRunSummary,
     MonitorService,
@@ -41,7 +40,6 @@ from repro.monitor.supervisor import (
 
 __all__ = [
     "ALERTS_FILENAME",
-    "ROUND_DELAY_ENV",
     "Alert",
     "AlertConfig",
     "AlertEngine",

@@ -30,17 +30,15 @@ Determinism notes: the measurement world is a pure function of (seed,
 scenario config), fault decisions re-roll per attempt through
 :func:`fault_attempt`, and nothing here reads the wall clock into any
 durable record — which is what makes kill/resume byte-identity provable
-rather than aspirational. ``REPRO_MONITOR_ROUND_DELAY`` (seconds) is a
-wall-clock-only pause after each round-start record, widening the
-mid-round window for kill tests and chaos soaks without touching
-results.
+rather than aspirational. The ``before_round`` hook runs right after
+each round-start record; ``repro monitor run --round-delay`` uses it
+for a wall-clock-only pause that widens the mid-round window for kill
+tests and chaos soaks without touching results.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -68,11 +66,6 @@ from repro.store import ResultsStore, StoreError, confirmation_epoch
 from repro.world.clock import MINUTES_PER_DAY
 from repro.world.faults import FaultPlan
 from repro.world.scenario import Scenario
-
-#: Wall-clock pause (seconds) after each round-start record — a test
-#: seam for kill-mid-round tests and chaos soaks; results-invisible.
-ROUND_DELAY_ENV = "REPRO_MONITOR_ROUND_DELAY"
-
 
 @dataclass(frozen=True)
 class MonitorTarget:
@@ -548,9 +541,6 @@ class MonitorService:
             },
             durable=False,
         )
-        delay = float(os.environ.get(ROUND_DELAY_ENV, "0") or "0")
-        if delay > 0:
-            time.sleep(delay)
         if self.before_round is not None:
             self.before_round(self, round_index, key)
         base = self._capture_measurement()

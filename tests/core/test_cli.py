@@ -387,3 +387,49 @@ class DescribeCoordinatedScanCommands:
         # scan-worker on the dead queue also reports partiality.
         code = main(["scan-worker", str(tmp_path / "c")])
         assert code == 3
+
+
+class DescribeMainContract:
+    """``main()`` returns an exit code for every outcome and leaves no
+    process state behind."""
+
+    def test_parse_failures_and_help_return_their_exit_code(self, capsys):
+        assert main(["--help"]) == 0
+        assert "usage: repro" in capsys.readouterr().out
+        assert main(["study", "--workers", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "repro study: error: argument --workers: must be >= 1" in err
+
+    def test_coordinator_flags_are_checked_without_a_coordinator(
+        self, tmp_path, capsys
+    ):
+        store_dir = tmp_path / "s"
+        code = main(
+            ["scan", "--store", str(store_dir), "--hosts", "100",
+             "--lease-ttl", "0"]
+        )
+        assert code == 2
+        assert "--lease-ttl" in capsys.readouterr().err
+        assert not store_dir.exists()
+
+    def test_round_delay_pauses_without_touching_the_environment(
+        self, tmp_path, capsys
+    ):
+        import os
+        import time
+
+        before = dict(os.environ)
+        started = time.monotonic()
+        code = main(
+            [
+                "monitor", "run",
+                "--dir", str(tmp_path / "mon"),
+                "--store", str(tmp_path / "store"),
+                "--rounds", "1",
+                "--target", "McAfee SmartFilter:etisalat",
+                "--round-delay", "0.3",
+            ]
+        )
+        assert code == 0
+        assert time.monotonic() - started >= 0.3
+        assert dict(os.environ) == before

@@ -89,7 +89,8 @@ def commit_discovery(store) -> None:
 
 def build_monitor(root: Path) -> Path:
     """A short real monitor run so /monitor/* has state to serve."""
-    from repro.cli import PAPER_TABLE3, config_for_row
+    from repro.analysis.paper_data import PAPER_TABLE3
+    from repro.core.pipeline import config_for_row
     from repro.monitor import MonitorService, MonitorTarget
     from repro.products.registry import SMARTFILTER
     from repro.world.scenario import build_scenario
