@@ -20,8 +20,17 @@ from repro.net.errors import AddressError, AllocationExhausted
 _MAX_IPV4 = 0xFFFFFFFF
 
 
+def is_ascii_number(text: str) -> bool:
+    """True for a non-empty run of ASCII digits.
+
+    ``str.isdigit`` alone also accepts ``²``, which ``int`` rejects, and
+    ``٣``, which ``int`` reads as 3.
+    """
+    return text.isascii() and text.isdigit()
+
+
 def _check_octet(text: str) -> int:
-    if not text.isdigit() or (len(text) > 1 and text[0] == "0"):
+    if not is_ascii_number(text) or (len(text) > 1 and text[0] == "0"):
         raise AddressError(f"bad IPv4 octet {text!r}")
     value = int(text)
     if value > 255:
@@ -88,7 +97,7 @@ class Ipv4Prefix:
         if "/" not in text:
             raise AddressError(f"missing prefix length in {text!r}")
         addr_text, _, len_text = text.partition("/")
-        if not len_text.isdigit():
+        if not is_ascii_number(len_text):
             raise AddressError(f"bad prefix length in {text!r}")
         return cls(Ipv4Address.parse(addr_text), int(len_text))
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.net.errors import UrlError
+from repro.net.ip import is_ascii_number
 
 DEFAULT_PORTS = {"http": 80, "https": 443}
 
@@ -87,7 +88,7 @@ class Url:
             raise UrlError(f"userinfo not supported: {text!r}")
         host, _, port_text = authority.partition(":")
         if port_text:
-            if not port_text.isdigit():
+            if not is_ascii_number(port_text):
                 raise UrlError(f"bad port in {text!r}")
             port = int(port_text)
             if not 1 <= port <= 65535:
@@ -127,9 +128,11 @@ class Url:
         """Best-effort registrable domain, e.g. ``a.b.example.com`` -> ``example.com``.
 
         Handles the common two-level ccTLD pattern (``example.co.uk``).
+        An IP-literal host is its own domain: ``10.0.0.1`` and
+        ``192.168.0.1`` are two domains, not one ``0.1``.
         """
         labels = self.host.split(".")
-        if len(labels) <= 2:
+        if len(labels) <= 2 or not self.tld:
             return self.host
         if labels[-1] in COUNTRY_CODE_TLDS and labels[-2] in (
             "co",
@@ -177,6 +180,6 @@ def split_host_port(authority: str) -> Tuple[str, Optional[int]]:
     host, _, port_text = authority.partition(":")
     if not port_text:
         return host, None
-    if not port_text.isdigit():
+    if not is_ascii_number(port_text):
         raise UrlError(f"bad port in authority {authority!r}")
     return host, int(port_text)

@@ -17,7 +17,13 @@ from repro.net.dns import DnsZone, Resolver
 from repro.net.errors import NxDomain
 from repro.net.fetch import FetchOutcome, FetchResult, Hop
 from repro.net.http import HttpRequest
-from repro.net.ip import AddressPool, Ipv4Address, Ipv4Prefix, PrefixTable
+from repro.net.ip import (
+    AddressPool,
+    Ipv4Address,
+    Ipv4Prefix,
+    PrefixTable,
+    is_ascii_number,
+)
 from repro.net.url import Url
 from repro.world.clock import SimClock, SimTime
 from repro.world.content import ContentClass
@@ -47,7 +53,7 @@ HOP_BASE_MS = 40.0
 
 def _is_ip_literal(host: str) -> bool:
     parts = host.split(".")
-    return len(parts) == 4 and all(p.isdigit() for p in parts)
+    return len(parts) == 4 and all(is_ascii_number(p) for p in parts)
 
 
 class World:

@@ -27,6 +27,14 @@ def filtered_world(mini_world):
     return mini_world
 
 
+def test_non_ascii_digit_ip_host_is_probed_not_raised(filtered_world):
+    client = MeasurementClient(
+        filtered_world.vantage("testnet"), filtered_world.lab_vantage()
+    )
+    run = client.run_list([Url.parse("http://1.2.3.\u00b2/")])
+    assert not run.tests[0].blocked
+
+
 class DescribeClientConstruction:
     def test_rejects_lab_as_field(self, filtered_world):
         with pytest.raises(ValueError):

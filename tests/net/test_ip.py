@@ -34,6 +34,12 @@ class DescribeAddressParsing:
         with pytest.raises(AddressError):
             Ipv4Address.parse(bad)
 
+    @pytest.mark.parametrize("bad", ["1.2.3.\u0663", "1.2.3.\u00b2"])
+    def test_rejects_non_ascii_digits(self, bad):
+        # str.isdigit accepts both; int() reads "٣" as 3 and rejects "²".
+        with pytest.raises(AddressError):
+            Ipv4Address.parse(bad)
+
     def test_rejects_out_of_range_value(self):
         with pytest.raises(AddressError):
             Ipv4Address(1 << 32)
@@ -79,6 +85,11 @@ class DescribePrefixes:
     def test_rejects_host_bits_set(self):
         with pytest.raises(AddressError):
             Ipv4Prefix.parse("192.0.2.1/24")
+
+    def test_rejects_non_ascii_prefix_length(self):
+        # int() reads "٨" as 8, which would make this a valid /8.
+        with pytest.raises(AddressError):
+            Ipv4Prefix.parse("10.0.0.0/\u0668")
 
     @pytest.mark.parametrize("bad", ["192.0.2.0", "192.0.2.0/33", "192.0.2.0/x"])
     def test_rejects_malformed(self, bad):

@@ -107,10 +107,28 @@ class DescribeClassification:
             ("example.co.gb", "example.co.gb"),
             ("www.example.co.gb", "example.co.gb"),
             ("deep.www.example.ac.jp", "example.ac.jp"),
+            ("10.0.0.1", "10.0.0.1"),
+            ("192.168.0.1", "192.168.0.1"),
         ],
     )
     def test_registered_domain(self, host, expected):
         assert Url.for_host(host).registered_domain == expected
+
+
+class DescribeAsciiDigits:
+    """``str.isdigit`` also accepts ``²`` and ``٨``; a port takes ASCII only."""
+
+    @pytest.mark.parametrize(
+        "text", ["http://a.com:\u00b2/", "http://a.com:\u0668\u0660/x"]
+    )
+    def test_port_with_non_ascii_digit_rejected(self, text):
+        with pytest.raises(UrlError):
+            Url.parse(text)
+
+    @pytest.mark.parametrize("authority", ["a.com:\u00b2", "a.com:\u0668\u0660"])
+    def test_split_host_port_rejects_non_ascii_digit(self, authority):
+        with pytest.raises(UrlError):
+            split_host_port(authority)
 
 
 class DescribeManipulation:

@@ -74,6 +74,13 @@ class DescribeFetchRouting:
         result = mini_world.lab_vantage().fetch(Url.parse("http://203.0.113.1/"))
         assert result.outcome is FetchOutcome.UNREACHABLE
 
+    @pytest.mark.parametrize("last", ["\u00b2", "\u0663"])
+    def test_non_ascii_digit_host_is_a_name(self, mini_world, last):
+        # Not an IP literal: int() rejects "²" and reads "٣" as 3.
+        url = Url.parse(f"http://1.2.3.{last}/")
+        result = mini_world.lab_vantage().fetch(url)
+        assert result.outcome is FetchOutcome.DNS_FAILURE
+
     def test_ip_literal_fetch(self, mini_world):
         site = mini_world.websites["daily-news.example.com"]
         result = mini_world.lab_vantage().fetch(Url.parse(f"http://{site.ip}/"))
