@@ -57,6 +57,9 @@ __all__ = [
 
 _HREF = re.compile(r'href="([^"]+)"')
 
+#: A frontier entry: the URL text, its source, and the text parsed once.
+_Entry = Tuple[str, str, Url]
+
 
 @dataclass(frozen=True)
 class DiscoveryConfig:
@@ -201,14 +204,45 @@ def _canonical_url(url: Url) -> str:
     return f"http://{url.host}{path}"
 
 
-def _extract_links(base: Url, body: str) -> List[str]:
-    """Canonical absolute URLs referenced by ``body``, in page order."""
+def _parse(urls: Dict[str, Optional[Url]], text: str) -> Optional[Url]:
+    """``Url.parse(text)``, or None if it does not parse.
+
+    ``urls`` memoizes every text one crawl parses, so a link or search
+    result that recurs across pages and queries is parsed once.
+    """
+    try:
+        return urls[text]
+    except KeyError:
+        pass
+    try:
+        url: Optional[Url] = Url.parse(text)
+    except (UrlError, ValueError):
+        url = None
+    urls[text] = url
+    return url
+
+
+def _entry(urls: Dict[str, Optional[Url]], text: str, source: str) -> _Entry:
+    """A frontier entry; raises :class:`UrlError` if ``text`` does not parse."""
+    url = _parse(urls, text)
+    if url is None:
+        url = Url.parse(text)  # raises the parse error
+    return text, source, url
+
+
+def _extract_links(
+    base: Url, body: str, urls: Dict[str, Optional[Url]]
+) -> List[str]:
+    """Canonical absolute URLs referenced by ``body``, in page order.
+
+    ``base`` is the probed page's URL; absolute hrefs are parsed through
+    the crawl's ``urls`` memo (see :func:`_parse`).
+    """
     links: List[str] = []
     for href in _HREF.findall(body):
         if href.startswith("http://") or href.startswith("https://"):
-            try:
-                target = Url.parse(href)
-            except (UrlError, ValueError):
+            target = _parse(urls, href)
+            if target is None:
                 continue
         elif href.startswith("/"):
             try:
@@ -267,6 +301,7 @@ class DiscoveryEngine:
         if not seeds:
             raise ValueError("discovery needs at least one seed URL")
 
+        urls: Dict[str, Optional[Url]] = {}
         tested: Set[str] = set()
         domain_spend: Dict[str, int] = {}
         keywords_seen: Set[str] = set()
@@ -274,21 +309,19 @@ class DiscoveryEngine:
         blocked: Set[str] = set()
         candidates: List[Candidate] = []
         rounds: List[RoundTrace] = []
-        frontier: List[Tuple[str, str]] = [(u, "seed") for u in seeds]
+        frontier: List[_Entry] = [_entry(urls, u, "seed") for u in seeds]
         converged = False
 
         for round_index in range(1, config.max_rounds + 1):
             batch = self._select_batch(frontier, tested, domain_spend)
             queries_left = config.queries_per_round
             queries_issued = 0
-            next_frontier: List[Tuple[str, str]] = []
+            next_frontier: List[_Entry] = []
             new_blocked = 0
             insufficient = 0
 
-            run = self._client.run_list(
-                [Url.parse(url) for url, _source in batch]
-            )
-            for (url_text, source), test in zip(batch, run.tests):
+            run = self._client.run_list([url for _text, _source, url in batch])
+            for (url_text, source, url), test in zip(batch, run.tests):
                 candidates.append(_candidate(url_text, source, round_index, test))
                 if test.insufficient:
                     insufficient += 1
@@ -304,8 +337,8 @@ class DiscoveryEngine:
                 )
                 if lab_page is None:
                     continue
-                for link in _extract_links(Url.parse(url_text), lab_page.body):
-                    next_frontier.append((link, "link"))
+                for link in _extract_links(url, lab_page.body, urls):
+                    next_frontier.append(_entry(urls, link, "link"))
                 for term in _extract_keywords(
                     lab_page.body, config.keywords_per_page
                 ):
@@ -325,7 +358,7 @@ class DiscoveryEngine:
                     break
                 queries_issued += 1
                 for result_url in page.results:
-                    next_frontier.append((result_url, "search"))
+                    next_frontier.append(_entry(urls, result_url, "search"))
 
             enqueued = len(next_frontier)
             rounds.append(
@@ -345,9 +378,10 @@ class DiscoveryEngine:
             # Unprobed frontier overflow carries forward ahead of the
             # newly discovered candidates.
             leftovers = [
-                (u, s)
-                for u, s in frontier
-                if u not in tested and not _spent(u, domain_spend, config)
+                entry
+                for entry in frontier
+                if entry[0] not in tested
+                and not _spent(entry[2], domain_spend, config)
             ]
             frontier = leftovers + next_frontier
             if not frontier and not keyword_queue:
@@ -367,32 +401,32 @@ class DiscoveryEngine:
     # --------------------------------------------------------- helpers
     def _select_batch(
         self,
-        frontier: Sequence[Tuple[str, str]],
+        frontier: Sequence[_Entry],
         tested: Set[str],
         domain_spend: Dict[str, int],
-    ) -> List[Tuple[str, str]]:
+    ) -> List[_Entry]:
         """Dedup + politeness: the URLs this round actually probes."""
         config = self.config
-        batch: List[Tuple[str, str]] = []
-        for url_text, source in frontier:
+        batch: List[_Entry] = []
+        for entry in frontier:
             if len(batch) >= config.max_probes_per_round:
                 break
+            url_text, _source, url = entry
             if url_text in tested:
                 continue
-            domain = Url.parse(url_text).registered_domain
+            domain = url.registered_domain
             if domain_spend.get(domain, 0) >= config.per_domain_budget:
                 continue
             tested.add(url_text)
             domain_spend[domain] = domain_spend.get(domain, 0) + 1
-            batch.append((url_text, source))
+            batch.append(entry)
         return batch
 
 
 def _spent(
-    url_text: str, domain_spend: Dict[str, int], config: DiscoveryConfig
+    url: Url, domain_spend: Dict[str, int], config: DiscoveryConfig
 ) -> bool:
-    domain = Url.parse(url_text).registered_domain
-    return domain_spend.get(domain, 0) >= config.per_domain_budget
+    return domain_spend.get(url.registered_domain, 0) >= config.per_domain_budget
 
 
 def _candidate(
