@@ -14,7 +14,9 @@ from repro.core.monitor import LongitudinalMonitor, TransitionKind, UsageState
 from repro.world.content import ContentClass
 
 
-def test_stable_use_reconfirms_across_quarters(benchmark, fresh_scenario):
+def test_stable_use_reconfirms_across_quarters(
+    benchmark, fresh_scenario, tmp_path
+):
     scenario = fresh_scenario
     monitor = LongitudinalMonitor(
         scenario.world,
@@ -27,6 +29,7 @@ def test_stable_use_reconfirms_across_quarters(benchmark, fresh_scenario):
             category_label="Anonymizers",
             requested_category="Anonymizers",
         ),
+        store=str(tmp_path),
     )
     series = benchmark.pedantic(
         monitor.run, args=(3, 90.0), rounds=1, iterations=1
@@ -36,7 +39,7 @@ def test_stable_use_reconfirms_across_quarters(benchmark, fresh_scenario):
     assert series.transitions() == []
 
 
-def test_vendor_withdrawal_flips_confirmation(benchmark):
+def test_vendor_withdrawal_flips_confirmation(benchmark, tmp_path):
     def run_arc():
         scenario = build_scenario()
         world = scenario.world
@@ -52,6 +55,7 @@ def test_vendor_withdrawal_flips_confirmation(benchmark):
                 category_label="Proxy Avoidance",
                 requested_category="Proxy Avoidance",
             ),
+            store=str(tmp_path),
         )
         monitor.run_round()
         box.subscription.withdraw(world.now)

@@ -96,10 +96,6 @@ class WorkerSummary:
     speculative: int = 0
     errors: List[str] = field(default_factory=list)
 
-    @property
-    def shards_completed(self) -> int:
-        return self.shards_won + self.shards_duplicate
-
 
 class ScanWorker:
     """The claim/scan/commit loop over one coordinator directory."""

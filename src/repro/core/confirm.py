@@ -97,11 +97,6 @@ class DomainOutcome:
         return self.blocked_rounds > 0
 
     @property
-    def measured_rounds(self) -> int:
-        """Rounds that actually produced a field/lab comparison."""
-        return self.total_rounds - self.insufficient_rounds
-
-    @property
     def mean_confidence(self) -> float:
         """Average fused confidence across rounds (1.0 when untested)."""
         if not self.confidences:

@@ -8,8 +8,8 @@ module turns the §4 methodology into a repeatable monitor: run the same
 confirmation at intervals and detect transitions — a product appearing,
 persisting, or going stale after a vendor withdraws update support.
 
-Rounds are no longer process-lifetime state: given a results store,
-each round commits an immutable epoch (one confirmation record, indexed
+Rounds are not process-lifetime state: each round commits an
+immutable epoch to a results store (one confirmation record, indexed
 by product/ISP/country), and the transition logic itself lives in
 :mod:`repro.query.diff` — the same APPEARED/WITHDRAWN/PERSISTED rule
 the epoch diff applies — so a monitor restarted months later recovers
@@ -19,40 +19,16 @@ its full timeline from the store instead of starting blind.
 from __future__ import annotations
 
 import enum
-import warnings
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, Union
 
 from repro.core.confirm import ConfirmationConfig, ConfirmationResult, ConfirmationStudy
-from repro.exec.checkpoint import fingerprint
 from repro.products.base import UrlFilterProduct
 from repro.query.diff import TransitionKind as EpochTransitionKind
 from repro.query.diff import sequence_transitions, stored_states
 from repro.store import ResultsStore, confirmation_epoch
 from repro.world.clock import SimTime
 from repro.world.world import World
-
-
-# The store-less legacy path resolves once per monitor, but a process
-# can construct many monitors; warn once per name per process so logs
-# stay readable (same latch the measure-layer shims use).
-_warned: set = set()
-
-
-def _reset_deprecation_warnings() -> None:
-    """Re-arm the warn-once latch (test helper)."""
-    _warned.clear()
-
-
-def _warn_once(name: str, replacement: str) -> None:
-    if name in _warned:
-        return
-    _warned.add(name)
-    warnings.warn(
-        f"repro.core.monitor.{name} is deprecated; use {replacement}",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 class UsageState(enum.Enum):
@@ -163,8 +139,8 @@ class LongitudinalMonitor:
 
     Each round registers fresh domains (the §4.4 caveat: previously
     accessed sites may already be queued/categorized), so rounds are
-    independent measurements of the *current* deployment state. With a
-    ``store``, every round is also committed as one durable epoch, and
+    independent measurements of the *current* deployment state. Every
+    round is also committed to ``store`` as one durable epoch, and
     :func:`stored_transitions` can rebuild the timeline after restart.
     """
 
@@ -175,62 +151,31 @@ class LongitudinalMonitor:
         hosting_asn: int,
         config: ConfirmationConfig,
         *,
-        store: Optional[Union[ResultsStore, str]] = None,
+        store: Union[ResultsStore, str],
     ) -> None:
         self._study = ConfirmationStudy(world, product, hosting_asn)
         self._world = world
         self._config = config
-        self.store: Optional[ResultsStore] = None
-        if store is not None:
-            self.store = (
-                store if isinstance(store, ResultsStore) else ResultsStore(store)
-            )
-        else:
-            # Legacy in-process flow: rounds live only in this object's
-            # MonitoringSeries and die with the process — no durable
-            # epochs, no recoverable timeline, no monitor service.
-            _warn_once(
-                "LongitudinalMonitor(store=None)",
-                "LongitudinalMonitor(..., store=...) or "
-                "repro.monitor.MonitorService for a durable timeline",
-            )
+        self.store = (
+            store if isinstance(store, ResultsStore) else ResultsStore(store)
+        )
         self.series = MonitoringSeries(
             product_name=config.product_name, isp_name=config.isp_name
         )
-
-    def _round_identity(self, started: SimTime) -> dict:
-        """What one monitoring-round epoch is a function of.
-
-        The round index and start instant are part of the identity:
-        unlike study epochs, two monitoring rounds are distinct
-        observations even when their results happen to be identical.
-        """
-        return {
-            "kind": "monitoring-round",
-            "seed": self._world.seed,
-            "product": self._config.product_name,
-            "isp": self._config.isp_name,
-            "category": self._config.category_label,
-            "round": len(self.series.rounds),
-            "started_minutes": started.minutes,
-        }
 
     def run_round(self) -> MonitoringRound:
         """One monitoring round at the current simulated time."""
         started = self._world.now
         result = self._study.run(self._config)
         round_ = MonitoringRound(started_at=started, result=result)
-        if self.store is not None:
-            identity = self._round_identity(started)
-            self.store.commit(
-                confirmation_epoch(
-                    result,
-                    identity=identity,
-                    fingerprint=fingerprint(identity),
-                    world=self._world,
-                    window=(started.minutes, self._world.now.minutes),
-                )
+        self.store.commit(
+            confirmation_epoch(
+                result,
+                world=self._world,
+                round_index=len(self.series.rounds),
+                started_minutes=started.minutes,
             )
+        )
         self.series.rounds.append(round_)
         return round_
 

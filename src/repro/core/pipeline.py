@@ -479,41 +479,6 @@ class FullStudy:
             return self._characterization.run(isp, product)
 
     # ------------------------------------------------------- stage drivers
-    def run_confirmations(
-        self,
-    ) -> Tuple[List[ConfirmationResult], Optional[CategoryProbeResult]]:
-        """§4: replay the Table 3 case studies chronologically.
-
-        The schedule itself stays sequential — every case study advances
-        the shared clock — but each study's URL batches fan out through
-        the executor. With a product selection, only that selection's
-        published rows are replayed; the §4.4 category probe runs only
-        when Netsweeper is part of the study.
-        """
-        results: List[ConfirmationResult] = []
-        probe: Optional[CategoryProbeResult] = None
-        for unit in self._confirm_units():
-            outcome = self._results[unit.key] = unit.runner()
-            if unit.stage == "probe":
-                probe = outcome
-            else:
-                results.append(outcome)
-        if NETSWEEPER in self._selection():
-            assert probe is not None
-        return results, probe
-
-    def run_characterizations(self) -> Dict[str, CharacterizationResult]:
-        """§5: test lists in each confirmed ISP (within 30 days).
-
-        Runs stay in pair order (filter RNG state is shared between
-        deployments of one product) while each run's URL list fans out.
-        """
-        results: Dict[str, CharacterizationResult] = {}
-        for unit in self._characterize_units():
-            outcome = self._results[unit.key] = unit.runner()
-            results[unit.key.partition(":")[2]] = outcome
-        return results
-
     def _assemble(self) -> StudyReport:
         confirmations: List[ConfirmationResult] = []
         probe: Optional[CategoryProbeResult] = None

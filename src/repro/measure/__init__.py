@@ -1,11 +1,5 @@
 """Measurement layer: field/lab clients, verdicts, test lists, domains."""
 
-from repro.measure.blockpage_detect import (
-    BlockPageDetector,
-    BlockPagePattern,
-    DEFAULT_PATTERNS,
-    Detection,
-)
 from repro.measure.classifiers import (
     BlockPagePatternMatcher,
     FusionPolicy,
@@ -15,11 +9,10 @@ from repro.measure.classifiers import (
     default_classifiers,
     default_filters,
     fuse,
-    legacy_compare,
 )
+from repro.measure.classifiers.blockpage import BlockPagePattern
 from repro.measure.client import MeasurementClient, MeasurementRun, UrlTest
-from repro.measure.compare import compare
-from repro.measure.verdict import Comparison, Signal, Verdict
+from repro.measure.verdict import Comparison, Detection, Signal, Verdict
 from repro.measure.domains import (
     ADULT_IMAGE_PATH,
     BENIGN_IMAGE_PATH,
@@ -50,12 +43,10 @@ from repro.measure.testlists import (
 __all__ = [
     "ADULT_IMAGE_PATH",
     "BENIGN_IMAGE_PATH",
-    "BlockPageDetector",
     "BlockPagePattern",
     "BlockPagePatternMatcher",
     "CATEGORY_BY_NAME",
     "Comparison",
-    "DEFAULT_PATTERNS",
     "Detection",
     "FusionPolicy",
     "PageRecord",
@@ -83,10 +74,8 @@ __all__ = [
     "Verdict",
     "build_global_list",
     "build_local_list",
-    "compare",
     "default_classifiers",
     "default_filters",
     "fuse",
     "glype_index_page",
-    "legacy_compare",
 ]

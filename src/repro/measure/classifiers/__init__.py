@@ -10,8 +10,7 @@ weighted-fusion stage (:func:`~repro.measure.classifiers.fusion.fuse`)
 produces the final :class:`~repro.measure.verdict.Comparison` with a
 confidence score and the full per-signal breakdown.
 
-:class:`VerdictEngine` is the front door; ``legacy_compare`` preserves
-the old if-chain for the deprecation shims and baseline tests.
+:class:`VerdictEngine` is the front door.
 """
 
 from repro.measure.classifiers.blockpage import (
@@ -39,7 +38,6 @@ from repro.measure.classifiers.fusion import (
     default_classifiers,
     fuse,
 )
-from repro.measure.classifiers.legacy import legacy_compare
 from repro.measure.classifiers.network import (
     DnsTamperingClassifier,
     ResetTimeoutClassifier,
@@ -85,6 +83,5 @@ __all__ = [
     "default_filters",
     "default_patterns",
     "fuse",
-    "legacy_compare",
     "severity_rank",
 ]

@@ -8,10 +8,9 @@ structural signals, so detection degrades gracefully as vendors strip
 branding (§2.2) — the structural patterns (deny-page paths, the 15871
 port, cfauth redirects) survive cosmetic changes.
 
-The matching engine lived in :mod:`repro.measure.blockpage_detect`
-(which now shims onto this module); the classifier wraps it to emit a
-fusion :class:`~repro.measure.verdict.Signal` instead of deciding the
-verdict alone.
+The classifier wraps the matcher to emit a fusion
+:class:`~repro.measure.verdict.Signal` instead of deciding the verdict
+alone.
 """
 
 from __future__ import annotations

@@ -198,7 +198,6 @@ def default_classifiers(
 class VerdictEngine:
     """The evidence-based verdict path: record → classifiers → fusion.
 
-    Replaces the legacy one-shot if-chain in ``measure/compare.py``.
     Two gates run before any classifier, mirroring the §4.1 preconditions:
 
     - an INFRA_FAILURE field result means the measurement itself failed

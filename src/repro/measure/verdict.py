@@ -1,17 +1,11 @@
 """The verdict model: accessibility verdicts, signals, and comparisons.
 
-This is the canonical home of the types the whole measurement layer
-speaks: :class:`Verdict` (one URL's accessibility from one field
-vantage), :class:`Signal` (one classifier's weighted opinion about a
-page record), :class:`Detection` (a positive vendor attribution) and
-:class:`Comparison` (the fused final answer, with a confidence score
-and the per-signal breakdown that produced it).
-
-Historically these lived in :mod:`repro.measure.compare`, which decided
-verdicts with a one-shot if-chain; they moved here when the verdict path
-was restructured around pluggable classifiers with confidence fusion
-(:mod:`repro.measure.classifiers`). The old module re-exports them, so
-existing imports keep working.
+The types the whole measurement layer speaks: :class:`Verdict` (one
+URL's accessibility from one field vantage), :class:`Signal` (one
+classifier's weighted opinion about a page record), :class:`Detection`
+(a positive vendor attribution) and :class:`Comparison` (the fused final
+answer, with a confidence score and the per-signal breakdown that
+produced it).
 """
 
 from __future__ import annotations

@@ -310,21 +310,6 @@ class MonitorService:
                 + int(target.first_due_days * MINUTES_PER_DAY),
             )
 
-    def _round_identity(self, key: str, started_minutes: int) -> Dict[str, Any]:
-        """Same shape as ``LongitudinalMonitor._round_identity`` — the
-        monitor service and the legacy in-process monitor produce
-        interchangeable round epochs."""
-        config = self._configs[key]
-        return {
-            "kind": "monitoring-round",
-            "seed": self.scenario.world.seed,
-            "product": config.product_name,
-            "isp": config.isp_name,
-            "category": config.category_label,
-            "round": self._rounds_by_target.get(key, 0),
-            "started_minutes": started_minutes,
-        }
-
     def _round_body(self, key: str) -> Any:
         scenario = self.scenario
         config = self._configs[key]
@@ -571,13 +556,11 @@ class MonitorService:
         result = outcome.value
         confirmed = bool(result.confirmed)
         world = self.scenario.world
-        identity = self._round_identity(key, started_minutes)
         epoch = confirmation_epoch(
             result,
-            identity=identity,
-            fingerprint=fingerprint(identity),
             world=world,
-            window=(started_minutes, world.now.minutes),
+            round_index=self._rounds_by_target.get(key, 0),
+            started_minutes=started_minutes,
         )
         epoch_id, flushed = self._commit_or_buffer(epoch)
         if flushed:

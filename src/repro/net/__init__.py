@@ -7,7 +7,6 @@ from repro.net.errors import (
     ConnectionTimeout,
     DnsError,
     DnsTimeout,
-    HostUnreachable,
     NetError,
     NxDomain,
     UrlError,
@@ -55,7 +54,6 @@ __all__ = [
     "GENERIC_TLDS",
     "Headers",
     "Hop",
-    "HostUnreachable",
     "HttpRequest",
     "HttpResponse",
     "Ipv4Address",

@@ -66,13 +66,5 @@ class ConnectionTimeout(NetError):
     transient = True
 
 
-class HostUnreachable(NetError):
-    """No route to the destination host exists in the simulated world."""
-
-    def __init__(self, ip: object) -> None:
-        super().__init__(f"no route to host {ip}")
-        self.ip = ip
-
-
 class AllocationExhausted(NetError):
     """An address pool has no free addresses or prefixes left."""

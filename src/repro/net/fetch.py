@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Protocol
+from typing import List, Optional, Protocol
 
 from repro.net.http import HttpRequest, HttpResponse
 from repro.net.url import Url
@@ -115,26 +115,3 @@ class Fetcher(Protocol):
     def fetch(self, url: Url, *, follow_redirects: bool = True) -> FetchResult:
         """Fetch ``url`` and return the observed result."""
         ...  # pragma: no cover
-
-
-@dataclass
-class FaultInjectingFetcher:
-    """A :class:`Fetcher` decorator that consults a fault hook first.
-
-    ``fault_hook`` receives the URL's host and may return an exception
-    (e.g. a chaos plan's injected reset) which this wrapper raises before
-    delegating; None lets the fetch through untouched. Lets tests and
-    alternative substrates inject faults around any fetcher without the
-    world's cooperation.
-    """
-
-    inner: Fetcher
-    fault_hook: Optional[Callable[[str], Optional[Exception]]] = None
-
-    def fetch(self, url: Url, *, follow_redirects: bool = True) -> FetchResult:
-        hook = self.fault_hook
-        if hook is not None:
-            fault = hook(url.host)
-            if fault is not None:
-                raise fault
-        return self.inner.fetch(url, follow_redirects=follow_redirects)

@@ -117,7 +117,7 @@ class Url:
     def tld(self) -> str:
         """The final DNS label of the host (empty for IP-literal hosts)."""
         label = self.host.rsplit(".", 1)[-1]
-        return "" if label.isdigit() else label
+        return "" if is_ascii_number(label) else label
 
     @property
     def is_cctld(self) -> bool:

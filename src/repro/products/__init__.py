@@ -30,7 +30,6 @@ from repro.products.registry import (
     ProductRegistry,
     ProductSpec,
     default_registry,
-    iter_specs,
 )
 from repro.products.signatures import (
     Evidence,
@@ -108,7 +107,6 @@ __all__ = [
     "default_registry",
     "header_contains",
     "header_present",
-    "iter_specs",
     "location_matches",
     "make_bluecoat",
     "make_netsweeper",

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.net.http import Headers, HttpRequest, HttpResponse, html_page, ok_response
+from repro.net.ip import is_ascii_number
 from repro.net.url import Url
 from repro.products.base import DeploymentContext, UrlFilterProduct
 from repro.products.categories import NETSWEEPER_TAXONOMY, VendorCategory
@@ -140,7 +141,7 @@ class Netsweeper(UrlFilterProduct):
         parts = [p for p in url.path.split("/") if p]
         # Expected: category/catno/<N>
         if len(parts) == 3 and parts[0] == "category" and parts[1] == "catno":
-            if parts[2].isdigit():
+            if is_ascii_number(parts[2]):
                 return self.taxonomy.by_number(int(parts[2]))
         return None
 
@@ -171,7 +172,9 @@ class Netsweeper(UrlFilterProduct):
         params = request.url.query_params()
         catno = params.get("cat", "")
         category = (
-            self.taxonomy.by_number(int(catno)) if catno.isdigit() else None
+            self.taxonomy.by_number(int(catno))
+            if is_ascii_number(catno)
+            else None
         )
         category_line = (
             f"<p>Category: {category.name} ({category.number})</p>"
@@ -233,7 +236,7 @@ class Netsweeper(UrlFilterProduct):
                 len(parts) == 3
                 and parts[0] == "category"
                 and parts[1] == "catno"
-                and parts[2].isdigit()
+                and is_ascii_number(parts[2])
             ):
                 category = taxonomy.by_number(int(parts[2]))
                 if category is not None:

@@ -23,7 +23,6 @@ from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
-    Iterable,
     Iterator,
     List,
     Mapping,
@@ -40,8 +39,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.products.base import UrlFilterProduct
     from repro.products.categories import Taxonomy
 
-#: Canonical vendor display names.  These are THE constants — every other
-#: module re-exports (or deprecates) its copy in favour of these.
+#: Canonical vendor display names, defined only here. Other modules
+#: import them; ``tools/check_vendor_literals.py`` rejects a vendor-name
+#: literal outside ``repro.products``.
 BLUE_COAT = "Blue Coat"
 SMARTFILTER = "McAfee SmartFilter"
 NETSWEEPER = "Netsweeper"
@@ -414,8 +414,3 @@ def default_registry() -> ProductRegistry:
 
         REGISTRY.discover()
     return REGISTRY
-
-
-def iter_specs(products: Optional[Sequence[str]] = None) -> Iterable[ProductSpec]:
-    """Convenience: resolved specs from the bootstrapped registry."""
-    return default_registry().resolve(products)

@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.net.http import Headers, HttpRequest, HttpResponse, html_page
+from repro.net.ip import is_ascii_number
 from repro.products.base import DeploymentContext, UrlFilterProduct
 from repro.products.categories import WEBSENSE_TAXONOMY, VendorCategory
 from repro.products.registry import (
@@ -77,7 +78,9 @@ class Websense(UrlFilterProduct):
         params = request.url.query_params()
         catno = params.get("cat", "")
         category = (
-            self.taxonomy.by_number(int(catno)) if catno.isdigit() else None
+            self.taxonomy.by_number(int(catno))
+            if is_ascii_number(catno)
+            else None
         )
         branded = context.config.show_branding
         title = (

@@ -25,6 +25,7 @@ from repro.analysis.export import (
     confirmations_rows,
     installations_rows,
 )
+from repro.exec import checkpoint
 
 if TYPE_CHECKING:  # avoid runtime cycles: records are built *from* these
     from repro.core.confirm import CategoryProbeResult, ConfirmationResult
@@ -55,22 +56,6 @@ class EpochData:
     window: Tuple[int, int]  # (start, end) in sim-clock minutes
     records: Dict[str, List[Dict[str, Any]]] = field(default_factory=dict)
     partial: Tuple[str, ...] = ()
-
-    def keys(self) -> Dict[str, List[str]]:
-        """Every index key this epoch's rows mention, per dimension.
-
-        Stored in the manifest so a missing or damaged index can be
-        rebuilt from manifests alone, without decompressing segments.
-        """
-        found: Dict[str, set] = {dim: set() for dim in INDEX_DIMENSIONS}
-        for rows in self.records.values():
-            for row in rows:
-                for dim in INDEX_DIMENSIONS:
-                    value = row.get(dim)
-                    if value is None:
-                        continue
-                    found[dim].add(str(value))
-        return {dim: sorted(values) for dim, values in found.items()}
 
 
 def _isp_geography(world: "World", isp_name: str) -> Dict[str, Any]:
@@ -198,17 +183,32 @@ def study_epoch(
 def confirmation_epoch(
     result: "ConfirmationResult",
     *,
-    identity: Dict[str, Any],
-    fingerprint: str,
     world: "World",
-    window: Tuple[int, int],
+    round_index: int,
+    started_minutes: int,
 ) -> EpochData:
-    """A single-confirmation epoch (one monitoring round)."""
+    """A single-confirmation epoch (one monitoring round).
+
+    The round index and start instant are part of the identity: unlike
+    study epochs, two monitoring rounds are distinct observations even
+    when their results happen to be identical. The window closes at the
+    world's current instant.
+    """
+    config = result.config
+    identity = {
+        "kind": "monitoring-round",
+        "seed": world.seed,
+        "product": config.product_name,
+        "isp": config.isp_name,
+        "category": config.category_label,
+        "round": round_index,
+        "started_minutes": started_minutes,
+    }
     return build_epoch(
         identity=identity,
-        fingerprint=fingerprint,
-        seed=report_seed(identity),
-        window=window,
+        fingerprint=checkpoint.fingerprint(identity),
+        seed=world.seed,
+        window=(started_minutes, world.now.minutes),
         records={"confirmations": [confirmation_record(result, world)]},
     )
 

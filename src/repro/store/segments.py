@@ -171,10 +171,6 @@ class EpochStream:
     def write(self, kind: str, row: Dict[str, Any]) -> None:
         self.writer(kind).write(row)
 
-    @property
-    def rows_written(self) -> int:
-        return sum(writer.count for writer in self._writers.values())
-
     # ----------------------------------------------------------- lifecycle
     def finalize(
         self,

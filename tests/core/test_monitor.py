@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
 from repro.core.confirm import ConfirmationConfig
@@ -40,30 +38,36 @@ def build(accepting=True):
 
 
 class DescribeMonitoring:
-    def test_stable_confirmed_series(self):
+    def test_stable_confirmed_series(self, tmp_path):
         world, product, _box, config = build()
-        monitor = LongitudinalMonitor(world, product, 65002, config)
+        monitor = LongitudinalMonitor(
+            world, product, 65002, config, store=str(tmp_path)
+        )
         series = monitor.run(rounds=3, interval_days=30)
         assert series.states() == [UsageState.CONFIRMED] * 3
         assert series.transitions() == []
         assert series.ever_confirmed()
         assert series.currently_confirmed()
 
-    def test_each_round_uses_fresh_domains(self):
+    def test_each_round_uses_fresh_domains(self, tmp_path):
         world, product, _box, config = build()
-        monitor = LongitudinalMonitor(world, product, 65002, config)
+        monitor = LongitudinalMonitor(
+            world, product, 65002, config, store=str(tmp_path)
+        )
         series = monitor.run(rounds=2, interval_days=10)
         first = {o.domain for o in series.rounds[0].result.outcomes}
         second = {o.domain for o in series.rounds[1].result.outcomes}
         assert first.isdisjoint(second)
 
-    def test_withdrawal_detected(self):
+    def test_withdrawal_detected(self, tmp_path):
         """The Websense-Yemen arc (§2.2): after the vendor cuts update
         support, the deployment keeps its old database but the monitor's
         freshly submitted sites never reach it — confirmed flips to
         not-confirmed."""
         world, product, box, config = build()
-        monitor = LongitudinalMonitor(world, product, 65002, config)
+        monitor = LongitudinalMonitor(
+            world, product, 65002, config, store=str(tmp_path)
+        )
         monitor.run_round()
         # Vendor withdraws support between rounds.
         box.subscription.withdraw(world.now)
@@ -78,10 +82,12 @@ class DescribeMonitoring:
         assert len(transitions) == 1
         assert transitions[0].kind is TransitionKind.WITHDRAWN
 
-    def test_appearance_detected(self):
+    def test_appearance_detected(self, tmp_path):
         world, product, box, config = build()
         box.enabled = False  # no filtering yet
-        monitor = LongitudinalMonitor(world, product, 65002, config)
+        monitor = LongitudinalMonitor(
+            world, product, 65002, config, store=str(tmp_path)
+        )
         monitor.run_round()
         box.enabled = True  # censorship begins
         world.advance_days(30)
@@ -89,44 +95,23 @@ class DescribeMonitoring:
         transitions = monitor.series.transitions()
         assert [t.kind for t in transitions] == [TransitionKind.APPEARED]
 
-    def test_validation(self):
+    def test_validation(self, tmp_path):
         world, product, _box, config = build()
-        monitor = LongitudinalMonitor(world, product, 65002, config)
+        monitor = LongitudinalMonitor(
+            world, product, 65002, config, store=str(tmp_path)
+        )
         with pytest.raises(ValueError):
             monitor.run(rounds=0, interval_days=10)
         with pytest.raises(ValueError):
             monitor.run(rounds=2, interval_days=-1)
 
-    def test_empty_series_state(self):
+    def test_empty_series_state(self, tmp_path):
         world, product, _box, config = build()
-        monitor = LongitudinalMonitor(world, product, 65002, config)
+        monitor = LongitudinalMonitor(
+            world, product, 65002, config, store=str(tmp_path)
+        )
         assert monitor.series.currently_confirmed() is None
         assert not monitor.series.ever_confirmed()
-
-
-class DescribeLegacyPathDeprecation:
-    def test_store_less_monitor_warns_exactly_once(self):
-        from repro.core.monitor import _reset_deprecation_warnings
-
-        _reset_deprecation_warnings()
-        world, product, _box, config = build()
-        with pytest.warns(DeprecationWarning, match="store=None"):
-            LongitudinalMonitor(world, product, 65002, config)
-        # The second store-less monitor stays silent: once per process.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            LongitudinalMonitor(world, product, 65002, config)
-
-    def test_store_backed_monitor_does_not_warn(self, tmp_path):
-        from repro.core.monitor import _reset_deprecation_warnings
-
-        _reset_deprecation_warnings()
-        world, product, _box, config = build()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            LongitudinalMonitor(
-                world, product, 65002, config, store=str(tmp_path)
-            )
 
 
 class DescribeStoreBackedMonitoring:
@@ -196,3 +181,39 @@ class DescribeStoreBackedMonitoring:
         store = ResultsStore(tmp_path)
         assert store.lookup("isp", config.isp_name) == store.epoch_ids()
         assert store.lookup("product", config.product_name) == store.epoch_ids()
+
+    def test_round_epoch_matches_the_monitor_service(self, tmp_path):
+        """Both monitors build round epochs with ``confirmation_epoch``,
+        so the same first round of the same Table 3 row commits the same
+        epoch id through either one."""
+        from repro.analysis.paper_data import PAPER_TABLE3
+        from repro.core.pipeline import config_for_row
+        from repro.monitor import MonitorConfig, MonitorService, MonitorTarget
+        from repro.store import ResultsStore
+        from repro.world.scenario import build_scenario
+
+        row = next(
+            row
+            for row in PAPER_TABLE3
+            if (row.product, row.isp_key) == ("Blue Coat", "etisalat")
+        )
+        scenario = build_scenario(seed=2013)
+        LongitudinalMonitor(
+            scenario.world,
+            scenario.products[row.product],
+            scenario.hosting_asns[0],
+            config_for_row(row),
+            store=str(tmp_path / "monitor"),
+        ).run_round()
+        MonitorService(
+            tmp_path / "service",
+            tmp_path / "service-store",
+            scenario_factory=lambda: build_scenario(seed=2013),
+            targets=[MonitorTarget(config_for_row(row))],
+            config=MonitorConfig(),
+        ).run(rounds=1)
+        expected = [
+            "e8aa93b23f2bf175c0dbca3511cacc11a0385148065556c15d61ed8f7fd6097c"
+        ]
+        assert ResultsStore(tmp_path / "monitor").epoch_ids() == expected
+        assert ResultsStore(tmp_path / "service-store").epoch_ids() == expected

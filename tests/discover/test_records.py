@@ -65,7 +65,7 @@ class DescribeDiscoveryEpoch:
         assert summary["blocked_urls"] == result.blocked_urls
         assert summary["gain_ratio"] == round(coverage.gain_ratio, 4)
 
-    def test_rows_carry_index_geography(self, run):
+    def test_rows_carry_index_geography(self, run, tmp_path):
         world, _result, _coverage, _window = run
         epoch = _epoch(run)
         isp = world.isps["etisalat"]
@@ -73,7 +73,8 @@ class DescribeDiscoveryEpoch:
             for row in epoch.records[kind]:
                 assert row["country"] == isp.country.code
                 assert row["asn"] == isp.asn
-        keys = epoch.keys()
+        store = ResultsStore(tmp_path)
+        keys = store.manifest(store.commit(epoch).epoch_id).keys
         assert isp.country.code in keys["country"]
         assert "etisalat" in keys["isp"]
 

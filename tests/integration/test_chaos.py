@@ -25,7 +25,7 @@ from repro.core.pipeline import PartialStudyResult, run_full_study
 from repro.exec.metrics import Metrics
 from repro.exec.resilience import ResilienceConfig, ResilientRunner
 from repro.measure.client import MeasurementClient
-from repro.measure.compare import Verdict
+from repro.measure.verdict import Verdict
 from repro.net.url import Url
 from repro.world.faults import FaultPlan
 

@@ -9,8 +9,13 @@ from repro.analysis.report import write_markdown_report
 
 def _fingerprint(seed: int):
     scenario = build_scenario(seed=seed)
-    study = FullStudy(scenario)
-    confirmations, probe = study.run_confirmations()
+    confirmations = []
+    probe = None
+    for unit in FullStudy(scenario).plan():
+        if unit.stage == "confirm":
+            confirmations.append(unit.runner())
+        elif unit.stage == "probe":
+            probe = unit.runner()
     return (
         tuple(
             (

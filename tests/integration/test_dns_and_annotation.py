@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.measure.client import MeasurementClient
-from repro.measure.compare import Verdict
+from repro.measure.verdict import Verdict
 from repro.middlebox.deploy import deploy
 from repro.net.fetch import FetchOutcome
 from repro.net.url import Url

@@ -14,7 +14,7 @@ from repro.core.identify import IdentificationPipeline
 from repro.geo.cymru import WhoisService
 from repro.geo.maxmind import GeoDatabase
 from repro.measure.client import MeasurementClient
-from repro.measure.compare import Verdict
+from repro.measure.verdict import Verdict
 from repro.middlebox.deploy import deploy
 from repro.net.url import Url
 from repro.products.smartfilter import make_smartfilter

@@ -17,7 +17,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.pipeline import run_full_study
-from repro.measure.classifiers import VerdictEngine, legacy_compare
+from repro.measure.classifiers import VerdictEngine
 from repro.measure.verdict import Verdict
 from repro.middlebox.deploy import deploy
 from repro.middlebox.policy import BlockMode
@@ -28,6 +28,7 @@ from repro.store import ResultsStore
 from repro.world.rng import derive_rng
 
 from tests.conftest import make_content_oracle, make_mini_world
+from tests.integration.legacy_compare import legacy_compare
 
 PROXY_HTTP = "http://free-proxy.example.com/"
 PROXY_HTTPS = "https://free-proxy.example.com/"

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.confirm import DEFAULT_SUBMITTER
 from repro.measure.client import MeasurementClient
-from repro.measure.compare import Verdict
+from repro.measure.verdict import Verdict
 from repro.middlebox.deploy import deploy
 from repro.middlebox.policy import BlockMode, FilterPolicy
 from repro.net.url import Url

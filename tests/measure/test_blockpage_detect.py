@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.measure.blockpage_detect import BlockPageDetector
+from repro.measure.classifiers import BlockPagePatternMatcher
 from repro.middlebox.deploy import deploy
 from repro.net.fetch import FetchOutcome, FetchResult, Hop
 from repro.net.http import HttpRequest, ok_response
@@ -54,7 +54,7 @@ def blocked_fetch(vendor: str, *, branding=True, strip=False) -> FetchResult:
 class DescribeVendorDetection:
     @pytest.mark.parametrize("vendor", sorted(FACTORIES))
     def test_detects_branded_block_flow(self, vendor):
-        detection = BlockPageDetector().detect(blocked_fetch(vendor))
+        detection = BlockPagePatternMatcher().detect(blocked_fetch(vendor))
         assert detection is not None
         assert detection.vendor == vendor
         assert detection.matched
@@ -63,7 +63,7 @@ class DescribeVendorDetection:
     def test_detects_unbranded_block_flow_structurally(self, vendor):
         """Branding off: the structural patterns still attribute."""
         result = blocked_fetch(vendor, branding=False)
-        detection = BlockPageDetector().detect(result)
+        detection = BlockPagePatternMatcher().detect(result)
         assert detection is not None and detection.vendor == vendor
 
     def test_plain_page_not_detected(self):
@@ -71,7 +71,7 @@ class DescribeVendorDetection:
         result = world.lab_vantage().fetch(
             Url.parse("http://daily-news.example.com/")
         )
-        assert BlockPageDetector().detect(result) is None
+        assert BlockPagePatternMatcher().detect(result) is None
 
     def test_vendor_hostname_in_request_url_not_evidence(self):
         """A 200 page fetched FROM a vendor-named host must not count."""
@@ -81,10 +81,10 @@ class DescribeVendorDetection:
             FetchOutcome.OK,
             [Hop(HttpRequest.get(url), ok_response("Deny Page Test - Alcohol", "x"))],
         )
-        assert BlockPageDetector().detect(result) is None
+        assert BlockPagePatternMatcher().detect(result) is None
 
     def test_without_branded_patterns(self):
-        structural = BlockPageDetector().without_branded_patterns()
+        structural = BlockPagePatternMatcher().without_branded_patterns()
         result = blocked_fetch("Netsweeper", branding=False)
         detection = structural.detect(result)
         assert detection is not None
@@ -120,8 +120,8 @@ def fortiguard_unbranded_fetch() -> FetchResult:
 class DescribeTieBreak:
     """Vote ties must resolve deterministically, never by corpus order."""
 
-    def all_products_detector(self) -> BlockPageDetector:
-        return BlockPageDetector.for_products(default_registry().names())
+    def all_products_detector(self) -> BlockPagePatternMatcher:
+        return BlockPagePatternMatcher.for_products(default_registry().names())
 
     def test_tie_resolves_lexicographically(self):
         detection = self.all_products_detector().detect(
@@ -135,8 +135,10 @@ class DescribeTieBreak:
         result = fortiguard_unbranded_fetch()
         registry = default_registry()
         patterns = registry.block_page_patterns(registry.names())
-        forward = BlockPageDetector(patterns).detect(result)
-        backward = BlockPageDetector(tuple(reversed(patterns))).detect(result)
+        forward = BlockPagePatternMatcher(patterns).detect(result)
+        backward = BlockPagePatternMatcher(
+            tuple(reversed(patterns))
+        ).detect(result)
         assert forward is not None and backward is not None
         assert forward.vendor == backward.vendor == "FortiGuard"
 

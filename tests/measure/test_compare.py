@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.measure.compare import Verdict, compare
+from repro.measure.classifiers import VerdictEngine
+from repro.measure.verdict import Verdict
 from repro.net.fetch import FetchOutcome, FetchResult, Hop
 from repro.net.http import HttpRequest, HttpResponse, Headers, ok_response
 from repro.net.url import Url
@@ -19,6 +20,10 @@ def ok_result(title="Site", body="<h1>Site</h1><p>welcome visitors</p>") -> Fetc
 
 def failed(outcome: FetchOutcome) -> FetchResult:
     return FetchResult.failure(URL, outcome, "boom")
+
+
+def compare(field: FetchResult, lab: FetchResult):
+    return VerdictEngine().compare(field, lab)
 
 
 class DescribeVerdicts:

@@ -91,6 +91,10 @@ class DescribeClassification:
     def test_tld(self):
         assert Url.parse("http://site.example.ae/").tld == "ae"
 
+    def test_non_ascii_digit_label_is_a_tld(self):
+        """Only an all-ASCII-digit label marks an IP literal."""
+        assert Url.parse("http://x.example.\u00b2/").tld == "\u00b2"
+
     def test_cctld_detection(self):
         assert Url.parse("http://site.qa/").is_cctld
         assert not Url.parse("http://site.com/").is_cctld

@@ -16,7 +16,7 @@ from repro.core.confirm import ConfirmationConfig, ConfirmationStudy
 from repro.core.identify import IdentificationPipeline
 from repro.geo.cymru import WhoisService
 from repro.geo.maxmind import GeoDatabase
-from repro.measure.blockpage_detect import BlockPageDetector
+from repro.measure.classifiers import BlockPagePatternMatcher
 from repro.net.url import Url
 from repro.products.fortiguard import FORTIGUARD_TAXONOMY, FortiGuard
 from repro.products.registry import FORTIGUARD, default_registry
@@ -117,7 +117,7 @@ class DescribeCharacterization:
         world = fortiguard_scenario.world
         characterization = ContentCharacterization(
             world,
-            detector=BlockPageDetector.for_products(
+            detector=BlockPagePatternMatcher.for_products(
                 default_registry().names()
             ),
         )

@@ -84,7 +84,9 @@ class DescribeCategoryTestPages:
 
     @pytest.mark.parametrize(
         "path", ["/", "/category/", "/category/catno/", "/category/catno/abc",
-                 "/category/catno/999", "/other/catno/23"]
+                 "/category/catno/999", "/other/catno/23",
+                 # int() rejects "²" and reads "٣" as 3.
+                 "/category/catno/\u00b2", "/category/catno/\u0663"]
     )
     def test_decide_ignores_malformed_probe_paths(self, path):
         product = make_product()
@@ -115,3 +117,16 @@ class DescribeCategoryTestPages:
             )
         )
         assert "Proxy Anonymizer" in page.body
+
+    @pytest.mark.parametrize("catno", ["\u00b2", "\u0663"])
+    def test_infrastructure_page_ignores_non_ascii_digits(self, catno):
+        product = make_product()
+        from repro.net.http import HttpRequest
+
+        app = product.infrastructure_apps()[CATEGORY_TEST_HOST]
+        page = app(
+            HttpRequest.get(
+                Url("http", CATEGORY_TEST_HOST, 80, f"/category/catno/{catno}")
+            )
+        )
+        assert page.html_title() == "Netsweeper Deny Page Tests"

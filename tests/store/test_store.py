@@ -498,9 +498,9 @@ class DescribeEpochValidation:
                 records={},
             )
 
-    def test_keys_derived_from_rows(self):
-        epoch = tiny_epoch()
-        keys = epoch.keys()
-        assert keys["isp"] == ["testnet"]
-        assert keys["asn"] == ["65001"]
-        assert keys["country"] == ["tl"]
+    def test_keys_derived_from_rows(self, tmp_path):
+        store = ResultsStore(tmp_path)
+        keys = store.manifest(store.commit(tiny_epoch()).epoch_id).keys
+        assert keys["isp"] == ("testnet",)
+        assert keys["asn"] == ("65001",)
+        assert keys["country"] == ("tl",)

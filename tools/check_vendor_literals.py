@@ -67,7 +67,6 @@ REQUIRED_COVERED = (
     "src/repro/measure/classifiers/content.py",
     "src/repro/measure/classifiers/filters.py",
     "src/repro/measure/classifiers/fusion.py",
-    "src/repro/measure/classifiers/legacy.py",
     "src/repro/measure/classifiers/network.py",
     "src/repro/measure/classifiers/record.py",
     "src/repro/measure/classifiers/throttle.py",
