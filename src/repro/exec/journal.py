@@ -95,16 +95,20 @@ def _fsync_path(path: Path) -> None:
 def atomic_write(path: Path, data: bytes) -> None:
     """Replace ``path`` with ``data`` so that a crash leaves either file.
 
-    Writes ``<name>.tmp`` beside it, fsyncs it, renames it over
-    ``path`` (atomic on POSIX) and fsyncs the directory so the rename
-    itself is durable. A leftover ``.tmp`` is only ever a write that
-    never happened; on any failure here it is removed before the error
-    propagates.
+    Writes a temp file ending in ``.tmp`` beside it, one per call,
+    fsyncs it, renames it over ``path`` (atomic on POSIX) and fsyncs
+    the directory so the rename itself is durable. A leftover ``.tmp``
+    is only ever a write that never happened; on any failure here it is
+    removed before the error propagates.
     """
     path = Path(path)
-    temp = path.with_name(path.name + ".tmp")
+    # A temp file of its own per call, so concurrent writers of one
+    # path never truncate or rename each other's; O_EXCL refuses a name
+    # already taken, and 0o666 less the umask is what open() would give.
+    temp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
+    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with open(temp, "wb") as handle:
+        with open(fd, "wb") as handle:
             handle.write(data)
             handle.flush()
             os.fsync(handle.fileno())

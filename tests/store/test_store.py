@@ -476,6 +476,54 @@ class DescribeCommitFastPath:
         assert index_bytes(tmp_path) == serial_files
         assert not list((tmp_path / "indexes").glob("*.tmp"))
 
+    def test_instances_rebuild_indexes_concurrently(self, tmp_path):
+        # Each instance's index lock guards only itself: writers of one
+        # index file from separate instances must not share a temp file.
+        store = ResultsStore(tmp_path)
+        for n in range(12):
+            store.commit(varied_epoch(n))
+        ResultsStore(tmp_path).rebuild_indexes()
+        serial_files = index_bytes(tmp_path)
+        instances = [ResultsStore(tmp_path) for _ in range(4)]
+        start = threading.Barrier(8, timeout=30)
+        errors = []
+
+        def rebuild_and_look_up(instance):
+            start.wait()
+            try:
+                for _ in range(10):
+                    instance.rebuild_indexes()
+                    assert instance.lookup("isp", "isp-1")
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(
+                target=rebuild_and_look_up, args=(instances[worker % 4],)
+            )
+            for worker in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert index_bytes(tmp_path) == serial_files
+        assert not list((tmp_path / "indexes").glob("*.tmp"))
+        # Index files keep the mode a plain open() gives (umask applied).
+        probe = tmp_path / "probe"
+        probe.write_bytes(b"")
+        assert {
+            (tmp_path / "indexes" / f"{dimension}.json").stat().st_mode
+            for dimension in INDEX_DIMENSIONS
+        } == {probe.stat().st_mode}
+
 
 class DescribeEpochValidation:
     def test_unknown_record_kind_rejected(self):
