@@ -77,13 +77,15 @@ class TestDomainFactory:
         self._hosting_asn = hosting_asn
         self._tld = tld
         self._synthesizer = DomainSynthesizer(derive_rng(world.seed, rng_label))
-        for domain in world.websites:
-            self._synthesizer.reserve(domain)
         self.created: List[TestDomain] = []
 
     def create(self, content_class: ContentClass) -> TestDomain:
         """Register one fresh two-word domain hosting the given content."""
+        # Draw past names the world already holds; checking each draw
+        # spares every new factory a walk over all world domains.
         domain = self._synthesizer.two_word(self._tld)
+        while domain in self._world.websites:
+            domain = self._synthesizer.two_word(self._tld)
         site = self._world.register_website(
             domain, content_class, self._hosting_asn
         )

@@ -39,6 +39,7 @@ tests and chaos soaks without touching results.
 from __future__ import annotations
 
 import dataclasses
+from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -192,9 +193,14 @@ class MonitorService:
         self._rounds_by_target: Dict[str, int] = {}
         self._scenario: Optional[Scenario] = None
         self._baseline_domains: frozenset = frozenset()
-        # The campaign sites earlier snapshots pickled. A campaign site
-        # is final once a snapshot holds it: no round changes it later.
+        # The lists a snapshot only appends to, as the frames earlier
+        # snapshots pickled: the campaign sites, each product's database
+        # delta and decided submissions, and the timeline. An item is
+        # final once a snapshot holds it: no round changes it later.
         self._site_frames = ListFrames()
+        self._database_frames: Dict[str, ListFrames] = defaultdict(ListFrames)
+        self._decided_frames: Dict[str, ListFrames] = defaultdict(ListFrames)
+        self._timeline_frames = ListFrames()
         self.last_recovery: Optional[RecoveryReport] = None
         self.last_store_error: Optional[str] = None
 
@@ -279,7 +285,7 @@ class MonitorService:
             {
                 "round_index": self._round_index,
                 "rounds_by_target": dict(self._rounds_by_target),
-                "timeline": [dict(entry) for entry in self.timeline],
+                "timeline": list(self.timeline),
                 "buffer": list(self._buffer),
                 "scheduler": self.scheduler.capture_state(),
                 "alerts": self.alert_engine.capture_state(),
@@ -289,6 +295,9 @@ class MonitorService:
 
     def restore_state(self, state: Dict[str, Any]) -> None:
         self._site_frames.clear()
+        self._database_frames.clear()
+        self._decided_frames.clear()
+        self._timeline_frames.clear()
         self._restore_measurement(state)
         self.scheduler.restore_state(state["scheduler"])
         self.alert_engine.restore_state(state["alerts"])
@@ -481,6 +490,15 @@ class MonitorService:
         state = self.capture_state()
         world = state["world"]
         world["added_sites"] = self._site_frames.encode(world["added_sites"])
+        for name, product in state["products"].items():
+            product["database"] = self._database_frames[name].encode(
+                product["database"]
+            )
+            portal = product["portal"]
+            portal["decided"] = self._decided_frames[name].encode(
+                portal["decided"]
+            )
+        state["timeline"] = self._timeline_frames.encode(state["timeline"])
         path = write_snapshot(
             self.monitor_dir,
             seq=self._round_index,

@@ -42,6 +42,7 @@ class UrlDatabase:
     def __init__(self, vendor: str) -> None:
         self.vendor = vendor
         self._entries: Dict[str, List[DbEntry]] = {}
+        self._delta: List[DbEntry] = []  # non-seed entries, add order
 
     def add(
         self,
@@ -55,6 +56,8 @@ class UrlDatabase:
         bucket = self._entries.setdefault(entry.host, [])
         bucket.append(entry)
         bucket.sort(key=lambda e: e.effective_at)
+        if source != "seed":
+            self._delta.append(entry)
         return entry
 
     def lookup(
@@ -91,23 +94,26 @@ class UrlDatabase:
         return iter(self._entries)
 
     def capture_delta(self) -> List[DbEntry]:
-        """Every non-seed entry, in bucket order, for study checkpoints.
+        """Every non-seed entry, in add order, for study checkpoints.
 
         Seed entries are a pure function of the scenario seed and are
         rebuilt by ``build_scenario`` on resume; only campaign-era facts
         (submissions, Netsweeper's auto queue, analyst actions) need to
-        travel. Bucket order is preserved so equal ``effective_at`` ties
-        re-sort identically under the stable per-add sort.
+        travel. Replaying them in add order re-sorts equal
+        ``effective_at`` ties identically under the stable per-add sort
+        and re-creates new hosts in the same order. The list only grows:
+        a captured entry is never changed or reordered later.
         """
-        return [
-            entry
-            for bucket in self._entries.values()
-            for entry in bucket
-            if entry.source != "seed"
-        ]
+        return list(self._delta)
 
     def restore_delta(self, delta: List[DbEntry]) -> None:
-        """Re-apply a captured delta onto a freshly seeded database."""
+        """Re-apply a captured delta onto a freshly seeded database.
+
+        Replays the entries' adds in order. A bucket's order depends
+        only on the add order of its host's entries with equal
+        ``effective_at``, which older bucket-order captures keep too, so
+        they rebuild the same buckets and host order.
+        """
         for entry in delta:
             self.add(entry.host, entry.category, entry.effective_at, entry.source)
 

@@ -5,9 +5,17 @@ invariant, degraded-mode buffering, and the in-process kill matrix
 
 from __future__ import annotations
 
+import json
+import pickle
+
 import pytest
 
-from repro.exec.checkpoint import CheckpointError, load_latest_snapshot
+from repro.exec.checkpoint import (
+    CheckpointError,
+    decode_state,
+    list_snapshots,
+    load_latest_snapshot,
+)
 from repro.exec.journal import JOURNAL_FILENAME, JournalError, read_journal
 from repro.monitor import (
     ALERTS_FILENAME,
@@ -26,6 +34,7 @@ from repro.world.faults import FaultPlan
 from tests.monitor.conftest import (
     HOSTING_ASN,
     ISP,
+    PRODUCT,
     TARGET_KEY,
     mini_config,
     mini_scenario,
@@ -325,6 +334,99 @@ class DescribeSiteFrames:
             tmp_path / "direct" / ALERTS_FILENAME
         ).read_bytes()
         assert campaign_domains(resumed) == campaign_domains(direct)
+
+
+def framed_lists(state):
+    """Each list a monitor snapshot frames, by name, from a state."""
+    product = state["products"][PRODUCT]
+    return {
+        "sites": state["world"]["added_sites"],
+        "database": product["database"],
+        "decided": product["portal"]["decided"],
+        "timeline": state["timeline"],
+    }
+
+
+def live_lists(service):
+    return framed_lists(service.capture_state())
+
+
+def frame_counts(service):
+    return {
+        "sites": service._site_frames.frame_count,
+        "database": service._database_frames[PRODUCT].frame_count,
+        "decided": service._decided_frames[PRODUCT].frame_count,
+        "timeline": service._timeline_frames.frame_count,
+    }
+
+
+def pickled_items(items):
+    return [pickle.dumps(item) for item in items]
+
+
+class DescribeListFrames:
+    """Every list a snapshot only appends to is framed, not just sites.
+
+    The services run with no fault plan: a retried round rebuilds the
+    vendor database, and the next snapshot frames its delta anew.
+    """
+
+    def test_each_list_frames_once_per_snapshot_it_grew_in(self, tmp_path):
+        service = make_service(tmp_path)
+        service.run(rounds=3)
+        states = [
+            framed_lists(decode_state(json.loads(path.read_text())))
+            for path in list_snapshots(tmp_path / "mon")
+        ]
+        assert len(states) == 3
+        for name, frames in frame_counts(service).items():
+            # Each round here adds sites, accepted submissions and a
+            # timeline entry, so every list grew in every snapshot.
+            sizes = [len(state[name]) for state in states]
+            assert 0 < sizes[0] < sizes[1] < sizes[2], name
+            assert frames == 3, name
+
+    def test_newest_snapshot_decodes_to_the_live_lists(self, tmp_path):
+        service = make_service(tmp_path)
+        service.run(rounds=3)
+        snapshot = load_latest_snapshot(
+            tmp_path / "mon", identity_fingerprint=service.config_fingerprint()
+        )
+        assert snapshot.seq == 3
+        saved = framed_lists(snapshot.state)
+        for name, items in live_lists(service).items():
+            assert len(items) > 0, name
+            assert pickled_items(saved[name]) == pickled_items(items), name
+
+    def test_resume_from_round_two_equals_the_uninterrupted_run(
+        self, tmp_path
+    ):
+        direct = make_service(tmp_path, subdir="direct")
+        direct.store = ResultsStore(tmp_path / "store-direct")
+        direct.run(rounds=4)
+
+        make_service(tmp_path, subdir="stopped").run(rounds=2)
+        resumed = make_service(tmp_path, subdir="stopped")
+        resumed.run(rounds=4, resume=True)
+        assert resumed.last_recovery.snapshot_used == list_snapshots(
+            tmp_path / "stopped"
+        )[1].name
+        assert (
+            ResultsStore(tmp_path / "store").epoch_ids()
+            == ResultsStore(tmp_path / "store-direct").epoch_ids()
+        )
+        assert (
+            read_status(tmp_path / "stopped")["timeline"]
+            == read_status(tmp_path / "direct")["timeline"]
+        )
+        assert (tmp_path / "stopped" / ALERTS_FILENAME).read_bytes() == (
+            tmp_path / "direct" / ALERTS_FILENAME
+        ).read_bytes()
+        resumed_lists = live_lists(resumed)
+        for name, items in live_lists(direct).items():
+            assert pickled_items(resumed_lists[name]) == pickled_items(
+                items
+            ), name
 
 
 class SimulatedKill(BaseException):

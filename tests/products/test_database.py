@@ -79,6 +79,72 @@ class DescribeLookups:
         assert database.lookup("h.com", query) == categories[expected_index % 2]
 
 
+HOSTS = ("a.com", "b.com", "c.com", "d.com", "e.com")
+#: (host, category, day); few hosts and days, so ties and shared hosts
+#: are common.
+ADDS = st.tuples(
+    st.sampled_from(HOSTS), st.sampled_from([PORN, PROXY]), st.integers(0, 3)
+)
+CAMPAIGN_SOURCES = st.sampled_from(["submission", "auto_queue", "analyst"])
+
+
+def seeded(seed_adds):
+    database = UrlDatabase("delta")
+    for host, category, day in seed_adds:
+        database.add(host, category, SimTime.from_days(day))
+    return database
+
+
+def bucket_order_capture(database):
+    """The older capture: every non-seed entry, in bucket order."""
+    return [
+        entry
+        for host in database.hosts()
+        for entry in database.entries_for(host)
+        if entry.source != "seed"
+    ]
+
+
+def layout(database):
+    """Every bucket, entry for entry, in host order."""
+    return [(host, database.entries_for(host)) for host in database.hosts()]
+
+
+class DescribeDelta:
+    @given(
+        st.lists(ADDS, max_size=8),
+        st.lists(st.tuples(ADDS, CAMPAIGN_SOURCES), max_size=12),
+    )
+    def test_restored_delta_rebuilds_the_live_database(
+        self, seed_adds, campaign_adds
+    ):
+        live = seeded(seed_adds)
+        added = [
+            live.add(host, category, SimTime.from_days(day), source)
+            for (host, category, day), source in campaign_adds
+        ]
+        delta = live.capture_delta()
+        assert delta == added
+        restored = seeded(seed_adds)
+        restored.restore_delta(delta)
+        assert layout(restored) == layout(live)
+        assert restored.capture_delta() == delta
+        reference = seeded(seed_adds)
+        reference.restore_delta(bucket_order_capture(live))
+        assert layout(reference) == layout(restored)
+
+    def test_delta_only_grows(self, database):
+        database.add("x.com", PORN, SimTime(0))
+        first = database.add("x.com", PROXY, SimTime(20), source="submission")
+        head = database.capture_delta()
+        second = database.add("x.com", PORN, SimTime(10), source="analyst")
+        assert head == [first]
+        assert database.capture_delta() == [first, second]
+        assert [e.effective_at for e in database.entries_for("x.com")] == [
+            SimTime(0), SimTime(10), SimTime(20)
+        ]
+
+
 class DescribeSubscriptions:
     def test_active_subscription_tracks_master(self, database):
         subscription = DatabaseSubscription(database)
