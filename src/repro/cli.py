@@ -618,8 +618,8 @@ def _table3_row(
 
 
 @contextlib.contextmanager
-def _journal_errors(run):
-    """Exit codes for a journaled ``run`` (a study or a monitor): an
+def _journal_errors():
+    """Exit codes for a journaled run (a study or a monitor): an
     unusable journal is a usage error, a refused resume a hard failure."""
     from repro.exec.checkpoint import CheckpointError
     from repro.exec.journal import JournalError
@@ -630,10 +630,8 @@ def _journal_errors(run):
         raise CommandError(EXIT_USAGE, f"journal error: {exc}") from exc
     except CheckpointError as exc:
         lines = [f"resume refused: {exc}"]
-        if run.last_recovery is not None:
-            lines += [
-                f"recovery: {line}" for line in run.last_recovery.describe()
-            ]
+        if exc.report is not None:
+            lines += [f"recovery: {line}" for line in exc.report.describe()]
         raise CommandError(EXIT_HARD, "\n".join(lines)) from exc
 
 
@@ -655,7 +653,7 @@ def _cmd_study(args) -> int:
         scan_shards=args.shards,
         record_confidence=args.record_confidence,
     )
-    with _journal_errors(study):
+    with _journal_errors():
         try:
             if args.journal:
                 journal_dir = Path(args.journal)
@@ -665,8 +663,6 @@ def _cmd_study(args) -> int:
                     resume=args.resume,
                     checkpoint_every=args.checkpoint_every,
                 )
-            elif study.resilience is not None:
-                outcome = study.run_partial()
             else:
                 outcome = study.run()
         except NetError as exc:
@@ -1009,7 +1005,6 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_monitor_run(args) -> int:
-    from repro.exec.resilience import ResilienceConfig
     from repro.monitor import (
         AlertConfig,
         MonitorConfig,
@@ -1037,7 +1032,6 @@ def _cmd_monitor_run(args) -> int:
             ),
             supervisor=SupervisorConfig(
                 max_retries=args.max_retries,
-                resilience=ResilienceConfig(max_retries=args.max_retries),
                 watchdog_seconds=args.watchdog,
             ),
             alerts=AlertConfig(
@@ -1062,7 +1056,7 @@ def _cmd_monitor_run(args) -> int:
         fault_plan=args.fault_plan,
         before_round=(lambda *_: time.sleep(pause)) if pause else None,
     )
-    with _journal_errors(service):
+    with _journal_errors():
         summary = service.run(args.rounds, resume=args.resume)
     if args.resume and summary.recovery is not None:
         for line in summary.recovery.describe():
@@ -1153,9 +1147,7 @@ def _cmd_discover(args) -> int:
     if fault_plan is not None and fault_plan.active:
         world.install_faults(fault_plan)
         resilience = ResilientRunner(
-            ResilienceConfig(
-                max_retries=args.max_retries, jitter_seed=fault_plan.seed
-            ),
+            ResilienceConfig(max_retries=args.max_retries),
             clock=lambda: world.now,
         )
     executor = Executor(workers=args.workers) if args.workers > 1 else None

@@ -40,18 +40,13 @@ and discarded idempotently at reconcile time.
 
 from __future__ import annotations
 
+import fcntl
 import json
-import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
-
-try:  # POSIX; the O_EXCL spin below covers platforms without it
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX fallback
-    fcntl = None  # type: ignore[assignment]
 
 from repro.exec.journal import (
     JournalRecord,
@@ -423,44 +418,12 @@ class WorkQueue:
     @contextmanager
     def _locked(self) -> Iterator[None]:
         self.directory.mkdir(parents=True, exist_ok=True)
-        if fcntl is not None:
-            handle = open(self.lock_path, "a+b")
+        with open(self.lock_path, "a+b") as handle:
+            fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
             try:
-                fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
-                try:
-                    yield
-                finally:
-                    fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
+                yield
             finally:
-                handle.close()
-            return
-        # Portability fallback: O_EXCL spin lock with stale takeover.
-        excl = self.lock_path.with_suffix(".excl")
-        acquired_at = self.clock()
-        while True:
-            try:
-                fd = os.open(excl, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-                os.close(fd)
-                break
-            except FileExistsError:
-                try:
-                    if self.clock() - excl.stat().st_mtime > 60.0:
-                        excl.unlink()
-                        continue
-                except OSError:
-                    continue
-                if self.clock() - acquired_at > 120.0:
-                    raise CoordinationError(
-                        f"could not acquire queue lock at {excl}"
-                    )
-                time.sleep(0.01)
-        try:
-            yield
-        finally:
-            try:
-                excl.unlink()
-            except OSError:
-                pass
+                fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
 
     # ------------------------------------------------------------- journal
     def _read(self) -> Tuple[JournalWriter, List[JournalRecord]]:

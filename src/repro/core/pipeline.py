@@ -21,7 +21,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.paper_data import PAPER_TABLE3, Table3Row
 from repro.core.characterize import CharacterizationResult, ContentCharacterization
@@ -36,18 +36,12 @@ from repro.core.identify import IdentificationPipeline, IdentificationReport
 from repro.exec.cache import StudyCaches
 from repro.exec.checkpoint import (
     SNAPSHOT_SCHEMA_VERSION,
-    CheckpointError,
     fingerprint,
-    load_latest_snapshot,
+    open_journal,
     write_snapshot,
 )
 from repro.exec.executor import Executor
-from repro.exec.journal import (
-    JOURNAL_FILENAME,
-    JournalError,
-    JournalWriter,
-    RecoveryReport,
-)
+from repro.exec.journal import RecoveryReport
 from repro.exec.metrics import Metrics
 from repro.exec.resilience import (
     QuarantineRecord,
@@ -308,11 +302,7 @@ class FullStudy:
         if fault_plan is not None and fault_plan.active:
             scenario.world.install_faults(fault_plan)
             self.resilience = ResilientRunner(
-                ResilienceConfig(
-                    max_retries=max_retries,
-                    jitter_seed=fault_plan.seed,
-                    fail_fast=fail_fast,
-                ),
+                ResilienceConfig(max_retries=max_retries, fail_fast=fail_fast),
                 clock=lambda: scenario.world.now,
                 metrics=self.metrics,
             )
@@ -504,31 +494,24 @@ class FullStudy:
             self.metrics.incr(f"cache.{cache.name}.hits", stats.hits)
             self.metrics.incr(f"cache.{cache.name}.misses", stats.misses)
 
-    def run(self) -> StudyReport:
-        """The full campaign in paper order."""
+    def run(self) -> Union[StudyReport, PartialStudyResult]:
+        """The full campaign in paper order.
+
+        Under an active fault plan the report comes wrapped in a
+        :class:`PartialStudyResult` with the resilience layer's account
+        of it: a study degrades rather than raises, so every table that
+        can still be derived is, and the gaps are reported alongside.
+        """
         with self.metrics.timer("study"):
             for unit in self.plan():
                 self._results[unit.key] = unit.runner()
+        return self._outcome()
+
+    def _outcome(self) -> Union[StudyReport, PartialStudyResult]:
         self._record_cache_metrics()
-        return self._assemble()
-
-    def run_partial(self) -> PartialStudyResult:
-        """The full campaign plus the resilience layer's account of it.
-
-        Valid only when the study was constructed with an active fault
-        plan; a study degrades rather than raises — every table that can
-        still be derived is, and the gaps are reported alongside.
-        """
-        if self.resilience is None or self.fault_plan is None:
-            raise ValueError(
-                "run_partial() requires an active fault plan; "
-                "use run() for fault-free studies"
-            )
-        report = self.run()
-        return self._wrap_partial(report)
-
-    def _wrap_partial(self, report: StudyReport) -> PartialStudyResult:
-        assert self.resilience is not None and self.fault_plan is not None
+        report = self._assemble()
+        if self.resilience is None:
+            return report
         return PartialStudyResult(
             report=report,
             fault_plan=self.fault_plan,
@@ -621,18 +604,9 @@ class FullStudy:
         The executor needs no entry: between units it is quiescent (its
         sequencer is created per campaign and has no cross-unit state).
         """
-        scenario = self._scenario
         return {
             "results": dict(self._results),
-            "world": scenario.world.capture_state(self._baseline_domains),
-            "products": {
-                name: product.capture_state()
-                for name, product in sorted(scenario.products.items())
-            },
-            "deployments": {
-                name: box.capture_state()
-                for name, box in sorted(scenario.deployments.items())
-            },
+            **self._scenario.capture_state(self._baseline_domains),
             "caches": self.caches.capture_state(),
             "resilience": (
                 None if self.resilience is None else self.resilience.capture_state()
@@ -642,18 +616,11 @@ class FullStudy:
     def restore_state(self, state: Dict[str, Any]) -> Dict[str, Any]:
         """Re-apply a captured state onto this freshly built study.
 
-        Returns the completed unit results. Component order: products
-        and deployments first (queues, RNGs, counters), then the world
-        delta — whose clock restore deliberately fires no tick
-        callbacks, since every queue a tick would mature was just set
-        to its exact captured state.
+        Returns the completed unit results. The measurement world goes
+        first (:meth:`Scenario.restore_state`), then the caches and the
+        resilience layer.
         """
-        scenario = self._scenario
-        for name, product_state in state["products"].items():
-            scenario.products[name].restore_state(product_state)
-        for name, box_state in state["deployments"].items():
-            scenario.deployments[name].restore_state(box_state)
-        scenario.world.restore_state(state["world"])
+        self._scenario.restore_state(state)
         self.caches.restore_state(state["caches"])
         if state["resilience"] is not None and self.resilience is not None:
             self.resilience.restore_state(state["resilience"])
@@ -673,11 +640,12 @@ class FullStudy:
         Fresh runs create ``journal.jsonl`` in ``journal_dir`` and
         snapshot after every ``checkpoint_every``-th completed unit
         (always after the last). With ``resume=True`` a prior run's
-        durable state is recovered first: the journal's valid prefix is
-        read (torn/corrupt/skewed suffixes truncated and reported), the
-        newest verifying snapshot is restored, and only the remaining
-        units execute. Output is byte-identical to an uninterrupted
-        run; ``self.last_recovery`` records what recovery did.
+        durable state is recovered first (:func:`open_journal`): the
+        journal's valid prefix is kept (torn/corrupt/skewed suffixes
+        truncated and reported), the newest verifying snapshot is
+        restored, and only the remaining units execute. Output is
+        byte-identical to an uninterrupted run; ``self.last_recovery``
+        records what recovery did.
 
         ``after_write`` is the crash-matrix test seam, forwarded to
         :class:`JournalWriter` — a hook that raises after the Nth
@@ -685,35 +653,15 @@ class FullStudy:
         """
         if checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
-        journal_dir = Path(journal_dir)
-        journal_path = journal_dir / JOURNAL_FILENAME
         identity_fp = self.config_fingerprint()
-        report = RecoveryReport()
-        if resume:
-            writer, records, report = JournalWriter.resume(
-                journal_path, after_write=after_write
-            )
-            self.last_recovery = report
-            begin = next((r for r in records if r.kind == "begin"), None)
-            if begin is not None and begin.payload.get("fingerprint") != identity_fp:
-                writer.close()
-                raise CheckpointError(
-                    f"journal {journal_path} was written by a different "
-                    "study (seed/products/scenario/fault plan differ); "
-                    "refusing to resume across identities"
-                )
-            snapshot = load_latest_snapshot(
-                journal_dir, identity_fingerprint=identity_fp, report=report
-            )
-            if snapshot is not None:
-                self.restore_state(snapshot.state)
-        else:
-            if journal_path.exists():
-                raise JournalError(
-                    f"journal already exists at {journal_path}; "
-                    "pass resume=True (--resume) to continue it"
-                )
-            writer = JournalWriter.create(journal_path, after_write=after_write)
+        writer, snapshot, report = open_journal(
+            journal_dir,
+            identity_fingerprint=identity_fp,
+            resume=resume,
+            after_write=after_write,
+        )
+        if snapshot is not None:
+            self.restore_state(snapshot.state)
         self.last_recovery = report
         try:
             if writer.next_seq == 0:
@@ -751,11 +699,7 @@ class FullStudy:
             writer.append("final", {"units": len(units)})
         finally:
             writer.close()
-        self._record_cache_metrics()
-        study_report = self._assemble()
-        if self.resilience is not None:
-            return self._wrap_partial(study_report)
-        return study_report
+        return self._outcome()
 
 
 def run_full_study(
@@ -819,8 +763,6 @@ def run_full_study(
         outcome = study.run_journaled(
             journal_dir, resume=resume, checkpoint_every=checkpoint_every
         )
-    elif study.resilience is not None:
-        outcome = study.run_partial()
     else:
         outcome = study.run()
     if store_dir is not None:

@@ -28,6 +28,9 @@ A list that only grows between snapshots can go through
 :class:`ListFrames`, which pickles each item once: a snapshot embeds
 the frames earlier snapshots already pickled plus one frame for the
 items added since, and decodes to the plain list again.
+
+:func:`open_journal` is the one resume protocol: the study and the
+monitor both open their journal and find their snapshot through it.
 """
 
 from __future__ import annotations
@@ -39,9 +42,16 @@ import pickle
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.exec.journal import RecoveryReport, atomic_write, canonical
+from repro.exec.journal import (
+    JOURNAL_FILENAME,
+    JournalRecord,
+    JournalWriter,
+    RecoveryReport,
+    atomic_write,
+    canonical,
+)
 
 #: Bump on any incompatible change to the snapshot layout.
 SNAPSHOT_SCHEMA_VERSION = 1
@@ -51,7 +61,19 @@ _SNAPSHOT_SUFFIX = ".ckpt"
 
 
 class CheckpointError(Exception):
-    """A snapshot could not be written (never raised for read damage)."""
+    """A snapshot could not be written, or a resume was refused because
+    the journal was begun under another identity (never raised for read
+    damage).
+
+    ``report`` is the refused resume's :class:`RecoveryReport`; None
+    when a write failed.
+    """
+
+    def __init__(
+        self, message: str, report: Optional[RecoveryReport] = None
+    ) -> None:
+        super().__init__(message)
+        self.report = report
 
 
 def fingerprint(identity: Dict[str, Any]) -> str:
@@ -255,3 +277,47 @@ def _load_snapshot(
     except ValueError as exc:
         return str(exc)
     return Snapshot(path=path, seq=seq, state=state)
+
+
+# -------------------------------------------------------------------- resume
+def open_journal(
+    directory: Path,
+    *,
+    identity_fingerprint: str,
+    resume: bool,
+    after_write: Optional[Callable[[JournalRecord], None]] = None,
+) -> Tuple[JournalWriter, Optional[Snapshot], RecoveryReport]:
+    """Open the journal in ``directory`` for a run of this identity.
+
+    A fresh run creates the journal, which :meth:`JournalWriter.create`
+    refuses when one exists. A resume cuts the journal back to its
+    valid prefix, refuses a ``begin`` record written under another
+    identity with a :class:`CheckpointError` that carries the report,
+    and loads the newest snapshot that verifies. Returns the writer,
+    that snapshot (None on a fresh run or when none verifies) and the
+    recovery report. ``after_write`` goes to the writer (the
+    crash-matrix test seam).
+    """
+    path = Path(directory) / JOURNAL_FILENAME
+    if not resume:
+        writer = JournalWriter.create(path, after_write=after_write)
+        return writer, None, RecoveryReport()
+    writer, records, report = JournalWriter.resume(
+        path, after_write=after_write
+    )
+    begin = next((r for r in records if r.kind == "begin"), None)
+    if (
+        begin is not None
+        and begin.payload.get("fingerprint") != identity_fingerprint
+    ):
+        writer.close()
+        raise CheckpointError(
+            f"journal {path} was written by a different run (seed, "
+            "products, targets, scenario, schedule or fault plan differ); "
+            "refusing to resume across identities",
+            report,
+        )
+    snapshot = load_latest_snapshot(
+        directory, identity_fingerprint=identity_fingerprint, report=report
+    )
+    return writer, snapshot, report

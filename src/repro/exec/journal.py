@@ -357,7 +357,10 @@ class JournalWriter:
         """Start a fresh journal (refuses to clobber an existing one)."""
         path = Path(path)
         if path.exists():
-            raise JournalError(f"journal already exists: {path}")
+            raise JournalError(
+                f"journal already exists: {path}; "
+                "pass resume=True (--resume) to continue it"
+            )
         path.parent.mkdir(parents=True, exist_ok=True)
         return cls(path, **kwargs)
 

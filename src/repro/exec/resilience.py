@@ -8,11 +8,10 @@ transient noise must be retried and filtered out before any blocking
 verdict is trustworthy. The :class:`ResilientRunner` is where that
 policy lives:
 
-- **Retry with backoff.** Transient :class:`~repro.net.errors.NetError`
-  failures (the ``transient`` flag) are re-attempted up to a budget,
-  each attempt scoped via :func:`repro.world.faults.fault_attempt` so a
-  seeded fault plan re-rolls its dice, with exponential backoff and
-  seeded jitter between attempts.
+- **Retry.** Transient :class:`~repro.net.errors.NetError` failures
+  (the ``transient`` flag) are re-attempted up to a budget, each
+  attempt scoped via :func:`repro.world.faults.fault_attempt` so a
+  seeded fault plan re-rolls its dice.
 - **Permanent failures quarantine immediately.** An NXDOMAIN is an
   answer, not noise; retrying it wastes budget and masks signal.
 - **Circuit breakers per endpoint.** A (vantage x product) endpoint that
@@ -36,7 +35,6 @@ from __future__ import annotations
 
 import enum
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple, TypeVar
 
@@ -44,7 +42,6 @@ from repro.exec.metrics import Metrics
 from repro.net.errors import NetError
 from repro.world.clock import MINUTES_PER_DAY, SimTime
 from repro.world.faults import fault_attempt
-from repro.world.rng import derive_rng
 
 T = TypeVar("T")
 
@@ -55,12 +52,6 @@ class ResilienceConfig:
 
     #: Retries *after* the first attempt for transient failures.
     max_retries: int = 2
-    #: Base wall-clock backoff before retry ``n`` (0 disables sleeping).
-    backoff_base: float = 0.0
-    backoff_factor: float = 2.0
-    backoff_max: float = 0.05
-    #: Seed for the jitter stream (0.5x-1.5x multiplier per retry).
-    jitter_seed: int = 0
     #: Consecutive endpoint failures before the breaker opens.
     breaker_threshold: int = 3
     #: Sim-clock cooldown before an open breaker half-opens.
@@ -71,28 +62,10 @@ class ResilienceConfig:
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.backoff_base < 0 or self.backoff_max < 0:
-            raise ValueError("backoff must be >= 0")
         if self.breaker_threshold < 1:
             raise ValueError("breaker_threshold must be >= 1")
         if self.breaker_cooldown_days <= 0:
             raise ValueError("breaker_cooldown_days must be > 0")
-
-    def backoff_delay(self, key: str, attempt: int) -> float:
-        """Wall-clock delay before retry ``attempt`` (1-based), jittered.
-
-        Jitter is drawn from a stream addressed by (seed, key, attempt)
-        so the schedule is reproducible and two endpoints never thunder
-        in lockstep.
-        """
-        if self.backoff_base <= 0:
-            return 0.0
-        delay = min(
-            self.backoff_max,
-            self.backoff_base * (self.backoff_factor ** (attempt - 1)),
-        )
-        rng = derive_rng(self.jitter_seed, "backoff", key, str(attempt))
-        return delay * (0.5 + rng.random())
 
 
 class BreakerState(enum.Enum):
@@ -239,7 +212,7 @@ class CallOutcome:
 
 
 class ResilientRunner:
-    """Retry/backoff/breaker/quarantine wrapper for probe callables.
+    """Retry/breaker/quarantine wrapper for probe callables.
 
     One runner serves a whole study; per-stage counters and the
     dead-letter list aggregate across stages. Counter updates are sums
@@ -299,7 +272,7 @@ class ResilientRunner:
 
         ``endpoint`` attaches a circuit breaker — pass it only from
         submission-ordered call sites (see class docstring). ``key``
-        names the probe for quarantine records and jitter addressing.
+        names the probe for quarantine records.
         """
         coverage = self._stage(stage)
         with self._lock:
@@ -333,9 +306,6 @@ class ResilientRunner:
                         with self._lock:
                             coverage.retried += 1
                         self.metrics.incr(f"resilience.{stage}.retries")
-                        delay = self.config.backoff_delay(key, attempt)
-                        if delay:
-                            time.sleep(delay)
                         continue
                     now = self._clock()
                     if breaker is not None and breaker.record_failure(now):

@@ -47,18 +47,12 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 from repro.core.confirm import ConfirmationConfig, ConfirmationStudy
 from repro.exec.checkpoint import (
     SNAPSHOT_SCHEMA_VERSION,
-    CheckpointError,
     ListFrames,
     fingerprint,
-    load_latest_snapshot,
+    open_journal,
     write_snapshot,
 )
-from repro.exec.journal import (
-    JOURNAL_FILENAME,
-    JournalError,
-    JournalWriter,
-    RecoveryReport,
-)
+from repro.exec.journal import JournalWriter, RecoveryReport
 from repro.exec.metrics import Metrics
 from repro.monitor.alerts import ALERTS_FILENAME, AlertConfig, AlertEngine, AlertLedger
 from repro.monitor.schedule import PriorityScheduler, ScheduleConfig
@@ -222,10 +216,10 @@ class MonitorService:
     def identity(self) -> Dict[str, Any]:
         """Everything the monitor's durable output is a function of.
 
-        Wall-clock-only knobs (watchdog deadline, backoff schedule,
-        checkpoint cadence, the round budget) are excluded for the same
-        reason FullStudy excludes worker count: a resumed monitor may
-        change them and must still produce byte-identical output.
+        Wall-clock-only knobs (watchdog deadline, checkpoint cadence,
+        the round budget) are excluded for the same reason FullStudy
+        excludes worker count: a resumed monitor may change them and
+        must still produce byte-identical output.
         ``max_retries`` is included — fault plans re-roll per attempt,
         so the retry budget is output-visible under chaos.
         """
@@ -247,21 +241,6 @@ class MonitorService:
         return fingerprint(self.identity())
 
     # ----------------------------------------------------------- durability
-    def _capture_measurement(self) -> Dict[str, Any]:
-        """The measurement world alone (pre-round state for retries)."""
-        scenario = self.scenario
-        return {
-            "world": scenario.world.capture_state(self._baseline_domains),
-            "products": {
-                name: product.capture_state()
-                for name, product in sorted(scenario.products.items())
-            },
-            "deployments": {
-                name: box.capture_state()
-                for name, box in sorted(scenario.deployments.items())
-            },
-        }
-
     def _restore_measurement(self, state: Dict[str, Any]) -> None:
         """Fresh scenario + captured state = the pre-round world.
 
@@ -272,15 +251,11 @@ class MonitorService:
         round thread keeps mutating objects nothing references anymore.
         """
         self._scenario = self._build_scenario()
-        for name, product_state in state["products"].items():
-            self._scenario.products[name].restore_state(product_state)
-        for name, box_state in state["deployments"].items():
-            self._scenario.deployments[name].restore_state(box_state)
-        self._scenario.world.restore_state(state["world"])
+        self._scenario.restore_state(state)
 
     def capture_state(self) -> Dict[str, Any]:
         """Full plain-data service state at a round boundary."""
-        state = self._capture_measurement()
+        state = self.scenario.capture_state(self._baseline_domains)
         state.update(
             {
                 "round_index": self._round_index,
@@ -388,40 +363,16 @@ class MonitorService:
         """
         if rounds < 1:
             raise ValueError("need at least one round")
-        journal_path = self.monitor_dir / JOURNAL_FILENAME
         identity_fp = self.config_fingerprint()
-        report = RecoveryReport()
-        if resume:
-            writer, records, report = JournalWriter.resume(
-                journal_path, after_write=self.after_write
-            )
-            begin = next((r for r in records if r.kind == "begin"), None)
-            if (
-                begin is not None
-                and begin.payload.get("fingerprint") != identity_fp
-            ):
-                writer.close()
-                raise CheckpointError(
-                    f"monitor journal {journal_path} was written by a "
-                    "different monitor (seed/targets/schedule/fault plan "
-                    "differ); refusing to resume across identities"
-                )
-            snapshot = load_latest_snapshot(
-                self.monitor_dir, identity_fingerprint=identity_fp, report=report
-            )
-            if snapshot is not None:
-                self.restore_state(snapshot.state)
-            else:
-                self._init_targets()
+        writer, snapshot, report = open_journal(
+            self.monitor_dir,
+            identity_fingerprint=identity_fp,
+            resume=resume,
+            after_write=self.after_write,
+        )
+        if snapshot is not None:
+            self.restore_state(snapshot.state)
         else:
-            if journal_path.exists():
-                raise JournalError(
-                    f"monitor journal already exists at {journal_path}; "
-                    "pass resume=True (--resume) to continue it"
-                )
-            writer = JournalWriter.create(
-                journal_path, after_write=self.after_write
-            )
             self._init_targets()
         self.last_recovery = report
 
@@ -546,7 +497,7 @@ class MonitorService:
         )
         if self.before_round is not None:
             self.before_round(self, round_index, key)
-        base = self._capture_measurement()
+        base = self.scenario.capture_state(self._baseline_domains)
         with self.metrics.timer("monitor.round"):
             outcome = self.supervisor.run(
                 key,

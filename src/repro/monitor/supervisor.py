@@ -13,10 +13,10 @@ Failure policy, reusing the PR 3 taxonomy:
 
 - :class:`~repro.net.errors.NetError` with ``transient=True`` (DNS
   timeouts, resets, and the watchdog's own expiry) → retried up to
-  ``max_retries`` with the :class:`ResilienceConfig` backoff schedule.
-  Each attempt runs under :func:`repro.world.faults.fault_attempt`, so a
-  seeded fault plan re-rolls its dice per attempt — which is also what
-  makes the retry ladder deterministic and resumable.
+  ``max_retries``. Each attempt runs under
+  :func:`repro.world.faults.fault_attempt`, so a seeded fault plan
+  re-rolls its dice per attempt — which is also what makes the retry
+  ladder deterministic and resumable.
 - Permanent ``NetError`` → no retry; the round fails immediately.
 - Anything else (a programming error) propagates: the supervisor
   contains infrastructure failures, not bugs.
@@ -30,12 +30,10 @@ NOT_CONFIRMED state fabricated from a broken measurement.
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, TypeVar
 
 from repro.exec.metrics import Metrics
-from repro.exec.resilience import ResilienceConfig
 from repro.net.errors import NetError
 from repro.world.faults import fault_attempt
 
@@ -59,8 +57,6 @@ class SupervisorConfig:
 
     #: Retries *after* the first attempt, for transient failures only.
     max_retries: int = 2
-    #: Backoff schedule between attempts (wall-clock; output-invisible).
-    resilience: ResilienceConfig = ResilienceConfig()
     #: Wall-clock deadline per attempt; None disables the watchdog.
     watchdog_seconds: Optional[float] = None
 
@@ -135,9 +131,6 @@ class RoundSupervisor:
                     attempt += 1
                     retried += 1
                     self.metrics.incr("monitor.round.retries")
-                    delay = self.config.resilience.backoff_delay(key, attempt)
-                    if delay:
-                        time.sleep(delay)
                     continue
                 self.metrics.incr("monitor.round.failed")
                 return RoundOutcome(

@@ -139,6 +139,40 @@ class Scenario:
         owner = self.world.owner_of(site.ip)
         return owner.name if owner else None
 
+    def capture_state(self, baseline_domains: frozenset) -> Dict[str, Dict]:
+        """Plain-data measurement state: the world delta against
+        ``baseline_domains``, every product and every deployment.
+
+        The three keys are part of the snapshot format: the study's and
+        the monitor's snapshots hold them at their top level.
+        """
+        return {
+            "world": self.world.capture_state(baseline_domains),
+            "products": {
+                name: product.capture_state()
+                for name, product in sorted(self.products.items())
+            },
+            "deployments": {
+                name: box.capture_state()
+                for name, box in sorted(self.deployments.items())
+            },
+        }
+
+    def restore_state(self, state: Dict[str, Dict]) -> None:
+        """Re-apply a :meth:`capture_state` onto this freshly built
+        scenario; other keys of ``state`` are ignored.
+
+        Products and deployments come first (queues, RNGs, counters),
+        then the world delta, whose clock restore deliberately fires no
+        tick callbacks: every queue a tick would mature was just set to
+        its exact captured state.
+        """
+        for name, product_state in state["products"].items():
+            self.products[name].restore_state(product_state)
+        for name, box_state in state["deployments"].items():
+            self.deployments[name].restore_state(box_state)
+        self.world.restore_state(state["world"])
+
 
 # ---------------------------------------------------------------------------
 # Static ground-truth tables

@@ -156,6 +156,24 @@ class DescribeStudyExitCodes:
         assert code == 1
         assert "resume refused" in capsys.readouterr().err
 
+    def test_monitor_resume_under_a_different_seed_reports_recovery(
+        self, tmp_path, capsys
+    ):
+        args = [
+            "monitor", "run",
+            "--dir", str(tmp_path / "mon"),
+            "--store", str(tmp_path / "store"),
+            "--rounds", "1",
+            "--target", "McAfee SmartFilter:etisalat",
+        ]
+        assert main(args) == 0
+        capsys.readouterr()
+        assert main(["--seed", "999"] + args + ["--resume"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("resume refused:")
+        assert len(err) > 1
+        assert all(line.startswith("recovery: ") for line in err[1:])
+
 
 class DescribeStoreCommands:
     """``repro study --store`` plus the ``query`` read side."""

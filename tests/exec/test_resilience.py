@@ -96,27 +96,6 @@ class DescribeRetries:
             runner.call(lambda: 1 // 0, stage="s", key="k")
 
 
-class DescribeBackoff:
-    def test_jitter_is_deterministic_and_bounded(self):
-        config = ResilienceConfig(
-            backoff_base=0.01, backoff_factor=2.0, backoff_max=0.05, jitter_seed=4
-        )
-        first = [config.backoff_delay("k", n) for n in (1, 2, 3)]
-        again = [config.backoff_delay("k", n) for n in (1, 2, 3)]
-        assert first == again
-        for attempt, delay in enumerate(first, start=1):
-            cap = min(0.05, 0.01 * 2.0 ** (attempt - 1))
-            assert 0.5 * cap <= delay <= 1.5 * cap
-
-    def test_distinct_keys_do_not_thunder_in_lockstep(self):
-        config = ResilienceConfig(backoff_base=0.01, jitter_seed=4)
-        delays = {config.backoff_delay(f"key{i}", 1) for i in range(8)}
-        assert len(delays) > 1
-
-    def test_zero_base_disables_sleeping(self):
-        assert ResilienceConfig().backoff_delay("k", 1) == 0.0
-
-
 class DescribeCircuitBreaker:
     def test_full_state_cycle(self):
         # closed → open (threshold) → half-open (cooldown) → closed.
@@ -239,8 +218,6 @@ class DescribeConfigValidation:
     def test_bad_values_rejected(self):
         with pytest.raises(ValueError):
             ResilienceConfig(max_retries=-1)
-        with pytest.raises(ValueError):
-            ResilienceConfig(backoff_base=-0.1)
         with pytest.raises(ValueError):
             ResilienceConfig(breaker_threshold=0)
         with pytest.raises(ValueError):

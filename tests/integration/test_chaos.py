@@ -71,7 +71,7 @@ def mini_verdicts(plan=None, max_retries=1):
     if plan is not None:
         world.install_faults(plan)
         runner = ResilientRunner(
-            ResilienceConfig(max_retries=max_retries, jitter_seed=plan.seed),
+            ResilienceConfig(max_retries=max_retries),
             clock=lambda: world.now,
             metrics=Metrics(),
         )

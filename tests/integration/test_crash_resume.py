@@ -224,7 +224,7 @@ class DescribeChaosCrashResume:
     def chaos_golden(self):
         seed = _seeds()[0]
         study = make_study(seed, fault_plan=FaultPlan.parse(_CHAOS))
-        outcome = study.run_partial()
+        outcome = study.run()
         return seed, fingerprint_output(outcome, seed), outcome
 
     @pytest.mark.parametrize("kill_at", [2, 8, 14])

@@ -38,7 +38,7 @@ def _chaos_run(fault_seed: int):
     plan = FaultPlan(seed=fault_seed, **CHAOS_RATES)
     world.install_faults(plan)
     resilience = ResilientRunner(
-        ResilienceConfig(max_retries=1, jitter_seed=plan.seed),
+        ResilienceConfig(max_retries=1),
         clock=lambda: world.now,
     )
     baseline = static_baseline(world, VANTAGE, resilience=resilience)

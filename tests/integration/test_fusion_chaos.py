@@ -56,7 +56,7 @@ def fusion_verdicts(block_mode: BlockMode, plan=None):
     if plan is not None:
         world.install_faults(plan)
         runner = ResilientRunner(
-            ResilienceConfig(max_retries=1, jitter_seed=plan.seed),
+            ResilienceConfig(max_retries=1),
             clock=lambda: world.now,
             metrics=Metrics(),
         )

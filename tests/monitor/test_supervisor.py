@@ -8,7 +8,6 @@ import time
 import pytest
 
 from repro.exec.metrics import Metrics
-from repro.exec.resilience import ResilienceConfig
 from repro.monitor.supervisor import (
     RoundSupervisor,
     SupervisorConfig,
@@ -16,14 +15,11 @@ from repro.monitor.supervisor import (
 )
 from repro.net.errors import DnsTimeout, NxDomain
 
-FAST = ResilienceConfig(max_retries=2, backoff_base=0.0)
-
 
 def make(max_retries=2, watchdog=None, metrics=None):
     return RoundSupervisor(
         SupervisorConfig(
             max_retries=max_retries,
-            resilience=FAST,
             watchdog_seconds=watchdog,
         ),
         metrics=metrics,
