@@ -7,7 +7,7 @@ paper's published values where applicable.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, Optional, Sequence, Set
 
 from repro.analysis.paper_data import (
     PAPER_FIGURE1,
@@ -95,16 +95,11 @@ def render_figure1(report: IdentificationReport) -> str:
 def render_table3(
     confirmations: Iterable[ConfirmationResult],
     paper_rows: Optional[Sequence[Table3Row]] = None,
-    *,
-    show_confidence: bool = False,
 ) -> str:
     """Table 3: case studies, measured vs paper.
 
     ``paper_rows`` restricts rendering to a subset of published rows
     (the CLI's single-case view); default is the whole table.
-    ``show_confidence`` appends a fused-confidence column plus one
-    annotation line per case study summarizing which classifiers fired;
-    off by default so the paper-default rendering stays byte-identical.
     """
     results = list(confirmations)
 
@@ -120,79 +115,44 @@ def render_table3(
         return None
 
     rows = []
-    annotations: List[str] = []
     for paper_row in (paper_rows if paper_rows is not None else PAPER_TABLE3):
         result = find(paper_row)
         if result is None:
             measured_blocked = "n/a"
             measured_confirmed = "n/a"
-            confidence = "n/a"
         else:
             measured_blocked = (
                 f"{result.blocked_submitted}/{len(result.submitted_outcomes)}"
             )
             measured_confirmed = "yes" if result.confirmed else "no"
-            if show_confidence:
-                confidence = f"{getattr(result, 'confidence', 1.0):.2f}"
-                signals = result.signal_summary()
-                fired = (
-                    ", ".join(
-                        f"{name}x{count}"
-                        for name, count in signals.items()
-                    )
-                    if signals
-                    else "none"
-                )
-                annotations.append(
-                    f"  {paper_row.product} @ {paper_row.isp_label}"
-                    f" [{paper_row.category}]: signals {fired}"
-                )
-        row = [
-            paper_row.product,
-            paper_row.country_code.upper(),
-            f"{paper_row.isp_label} (AS {paper_row.asn})",
-            f"{paper_row.date[1]}/{paper_row.date[0]}",
-            f"{paper_row.submitted}/{paper_row.total}",
-            paper_row.category,
-            f"{paper_row.blocked}/{paper_row.submitted}",
-            measured_blocked,
-            "yes" if paper_row.confirmed else "no",
-            measured_confirmed,
-        ]
-        if show_confidence:
-            row.append(confidence)
-        rows.append(tuple(row))
-    header = [
-        "Product", "Country", "ISP", "Date", "Submitted", "Category",
-        "Paper blocked", "Measured blocked", "Paper ok", "Measured ok",
-    ]
-    if show_confidence:
-        header.append("Confidence")
-    rendered = _grid(rows, tuple(header))
-    if show_confidence and annotations:
-        rendered += "\n\nFused signals per case study:\n" + "\n".join(
-            annotations
+        rows.append(
+            (
+                paper_row.product,
+                paper_row.country_code.upper(),
+                f"{paper_row.isp_label} (AS {paper_row.asn})",
+                f"{paper_row.date[1]}/{paper_row.date[0]}",
+                f"{paper_row.submitted}/{paper_row.total}",
+                paper_row.category,
+                f"{paper_row.blocked}/{paper_row.submitted}",
+                measured_blocked,
+                "yes" if paper_row.confirmed else "no",
+                measured_confirmed,
+            )
         )
-    return rendered
+    return _grid(
+        rows,
+        (
+            "Product", "Country", "ISP", "Date", "Submitted", "Category",
+            "Paper blocked", "Measured blocked", "Paper ok", "Measured ok",
+        ),
+    )
 
 
-def render_table4(
-    characterizations: Dict[str, CharacterizationResult],
-    *,
-    show_confidence: bool = False,
-) -> str:
-    """Table 4: blocked rights-protected content, measured vs paper.
-
-    ``show_confidence`` appends a mean fused-confidence column plus one
-    annotation line per deployment summarizing the classifiers that
-    fired; off by default to keep the paper rendering byte-identical.
-    """
+def render_table4(characterizations: Dict[str, CharacterizationResult]) -> str:
+    """Table 4: blocked rights-protected content, measured vs paper."""
     columns = list(Table4Column)
     header = ["Product", "Where"] + [c.value for c in columns] + [""]
-    if show_confidence:
-        header.append("Confidence")
     rows = []
-    annotations: List[str] = []
     for paper_row in PAPER_TABLE4:
         result = characterizations.get(paper_row.isp_key)
         measured: Set[Table4Column] = (
@@ -206,7 +166,7 @@ def render_table4(
                 paper_mark if paper_mark == measured_mark else
                 f"{measured_mark}(paper {paper_mark})"
             )
-        row = (
+        rows.append(
             [
                 paper_row.product,
                 f"{paper_row.country_code.upper()} (AS {paper_row.asn})",
@@ -214,33 +174,7 @@ def render_table4(
             + cells
             + ["match" if measured == set(paper_row.columns) else "DIFFERS"]
         )
-        if show_confidence:
-            row.append(
-                f"{getattr(result, 'confidence', 1.0):.2f}"
-                if result
-                else "n/a"
-            )
-            if result is not None:
-                signals = result.signal_summary()
-                fired = (
-                    ", ".join(
-                        f"{name}x{count}"
-                        for name, count in signals.items()
-                    )
-                    if signals
-                    else "none"
-                )
-                annotations.append(
-                    f"  {paper_row.product} @ {paper_row.isp_key}:"
-                    f" signals {fired}"
-                )
-        rows.append(row)
-    rendered = _grid(rows, header)
-    if show_confidence and annotations:
-        rendered += "\n\nFused signals per deployment:\n" + "\n".join(
-            annotations
-        )
-    return rendered
+    return _grid(rows, header)
 
 
 def render_category_probe(probe: CategoryProbeResult) -> str:

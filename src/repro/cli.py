@@ -620,7 +620,8 @@ def _table3_row(
 @contextlib.contextmanager
 def _journal_errors():
     """Exit codes for a journaled run (a study or a monitor): an
-    unusable journal is a usage error, a refused resume a hard failure."""
+    unusable journal is a usage error; a refused resume or an unwritable
+    snapshot is a hard failure."""
     from repro.exec.checkpoint import CheckpointError
     from repro.exec.journal import JournalError
 
@@ -629,9 +630,11 @@ def _journal_errors():
     except JournalError as exc:
         raise CommandError(EXIT_USAGE, f"journal error: {exc}") from exc
     except CheckpointError as exc:
-        lines = [f"resume refused: {exc}"]
-        if exc.report is not None:
-            lines += [f"recovery: {line}" for line in exc.report.describe()]
+        if exc.report is None:
+            raise CommandError(EXIT_HARD, f"checkpoint failed: {exc}") from exc
+        lines = [f"resume refused: {exc}"] + [
+            f"recovery: {line}" for line in exc.report.describe_journal()
+        ]
         raise CommandError(EXIT_HARD, "\n".join(lines)) from exc
 
 
@@ -1150,7 +1153,7 @@ def _cmd_discover(args) -> int:
             ResilienceConfig(max_retries=args.max_retries),
             clock=lambda: world.now,
         )
-    executor = Executor(workers=args.workers) if args.workers > 1 else None
+    executor = Executor(workers=args.workers)
     window_start = world.now.minutes
 
     baseline = static_baseline(

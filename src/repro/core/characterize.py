@@ -13,7 +13,6 @@ from typing import Dict, List, Optional, Set
 
 from repro.exec.executor import Executor
 from repro.exec.resilience import ResilientRunner
-from repro.measure.classifiers.blockpage import BlockPagePatternMatcher
 from repro.measure.classifiers.fusion import VerdictEngine
 from repro.measure.client import MeasurementClient, UrlTest
 from repro.measure.testlists import (
@@ -122,7 +121,6 @@ class ContentCharacterization:
         self,
         world: World,
         *,
-        detector: Optional[BlockPagePatternMatcher] = None,
         engine: Optional[VerdictEngine] = None,
         per_category_global: int = 3,
         per_category_local: int = 2,
@@ -131,7 +129,7 @@ class ContentCharacterization:
         resilience: Optional[ResilientRunner] = None,
     ) -> None:
         self._world = world
-        self._engine = engine or VerdictEngine(matcher=detector)
+        self._engine = engine or VerdictEngine()
         self._per_global = per_category_global
         self._per_local = per_category_local
         self._executor = executor

@@ -27,11 +27,10 @@ from typing import Dict, List, Optional
 
 from repro.exec.executor import Executor
 from repro.exec.resilience import ResilientRunner
-from repro.measure.classifiers.blockpage import BlockPagePatternMatcher
 from repro.measure.classifiers.fusion import VerdictEngine
 from repro.measure.client import MeasurementClient
 from repro.measure.verdict import Verdict
-from repro.measure.domains import TestDomain, TestDomainFactory
+from repro.measure.domains import TestDomainFactory
 from repro.net.url import Url
 from repro.products.base import UrlFilterProduct
 from repro.products.categories import NETSWEEPER_TAXONOMY, Taxonomy, VendorCategory
@@ -205,7 +204,6 @@ class ConfirmationStudy:
         hosting_asn: int,
         *,
         submitter: SubmitterIdentity = DEFAULT_SUBMITTER,
-        detector: Optional[BlockPagePatternMatcher] = None,
         engine: Optional[VerdictEngine] = None,
         executor: Optional[Executor] = None,
         link_latency: float = 0.0,
@@ -215,7 +213,7 @@ class ConfirmationStudy:
         self._product = product
         self._hosting_asn = hosting_asn
         self._submitter = submitter
-        self._engine = engine or VerdictEngine(matcher=detector)
+        self._engine = engine or VerdictEngine()
         self._executor = executor
         self._link_latency = link_latency
         self._resilience = resilience
@@ -361,7 +359,6 @@ def run_category_probe(
     isp_name: str,
     taxonomy: Taxonomy = NETSWEEPER_TAXONOMY,
     *,
-    detector: Optional[BlockPagePatternMatcher] = None,
     engine: Optional[VerdictEngine] = None,
     executor: Optional[Executor] = None,
     link_latency: float = 0.0,
@@ -379,7 +376,7 @@ def run_category_probe(
     client = MeasurementClient(
         world.vantage(isp_name),
         world.lab_vantage(),
-        engine=engine or VerdictEngine(matcher=detector),
+        engine=engine,
         executor=executor,
         link_latency=link_latency,
         resilience=resilience,

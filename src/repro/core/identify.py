@@ -173,11 +173,8 @@ class IdentificationPipeline:
             )
             return product, keyword, hits, task_log.entries
 
-        executor = self._executor
-        if executor is None or executor.workers == 1:
-            batches = [run_query(job) for job in jobs]
-        else:
-            batches = executor.map(run_query, jobs, label="locate")
+        executor = self._executor or Executor()
+        batches = executor.map(run_query, jobs, label="locate")
 
         by_key: Dict[Tuple[int, str], Candidate] = {}
         for product, keyword, hits, log_entries in batches:
@@ -216,13 +213,8 @@ class IdentificationPipeline:
             )
             return outcome.value if outcome.ok else None
 
-        executor = self._executor
-        if executor is None or executor.workers == 1:
-            whatweb_reports = [probe(c) for c in candidates]
-        else:
-            whatweb_reports = executor.map(
-                probe, candidates, label="validate"
-            )
+        executor = self._executor or Executor()
+        whatweb_reports = executor.map(probe, candidates, label="validate")
 
         report = IdentificationReport(candidates=list(candidates))
         validated_ips: Set[Tuple[int, str]] = set()

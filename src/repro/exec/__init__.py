@@ -9,11 +9,14 @@ while keeping its defining property — every run is a pure function of
 
 - :mod:`repro.exec.executor` — a thread- or process-pool executor whose
   fan-out APIs merge results in a stable, submission-ordered
-  (seed-independent) way and hand back each failed task as a
-  :class:`TaskFailure` in its own slot, plus a :class:`Sequencer`
-  turnstile that forces side-effectful simulation steps to commit in
-  submission order so parallel runs stay byte-identical to sequential
-  ones. Retries of transient faults live one layer up, in
+  (seed-independent) way, plus a :class:`Sequencer` turnstile that
+  forces side-effectful simulation steps to commit in submission order
+  so parallel runs stay byte-identical to sequential ones. Every stage
+  fans out through :meth:`Executor.map` at any worker count, which
+  runs inline at one worker and, once all tasks settle, raises the
+  lowest-index task's own exception; :meth:`Executor.stream` hands
+  each failed task back as a :class:`TaskFailure` in its own slot.
+  Retries of transient faults live one layer up, in
   :mod:`repro.exec.resilience`.
 - :mod:`repro.exec.cache` — thread-safe memoization for the hot lookup
   paths (MaxMind geo, Team Cymru ASN, DNS resolution, Shodan banner
@@ -34,8 +37,6 @@ from repro.exec.checkpoint import Snapshot, load_latest_snapshot, write_snapshot
 from repro.exec.journal import JournalRecord, JournalWriter, RecoveryReport
 from repro.exec.executor import (
     BACKENDS,
-    Campaign,
-    CampaignOutcome,
     Executor,
     PROCESS_BACKEND,
     Sequencer,
@@ -49,8 +50,6 @@ __all__ = [
     "BACKENDS",
     "CacheStats",
     "CachedFunction",
-    "Campaign",
-    "CampaignOutcome",
     "Executor",
     "PROCESS_BACKEND",
     "StreamStats",

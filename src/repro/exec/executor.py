@@ -5,11 +5,16 @@ measurement stages — banner scans over every host, keyword × ccTLD
 queries, WhatWeb validation probes, per-URL field/lab fetch pairs —
 are embarrassingly parallel. The executor reconciles the two:
 
+- **One fan-out rule.** Every stage that fans a list out calls
+  :meth:`Executor.map`, at any worker count; the executor alone
+  decides whether tasks run inline or on a pool. When at most one task
+  can be in flight (``min(workers, window) == 1``) they run inline on
+  the calling thread. That is both the default and the reference
+  behaviour the parallel paths must reproduce byte for byte.
 - **Stable merges.** :meth:`Executor.stream` yields results in
-  submission order regardless of completion order, and every other
-  fan-out API (:meth:`Executor.map`, :meth:`Executor.run_campaigns`)
-  is built on it, so no merge ever depends on which thread finished
-  first.
+  submission order regardless of completion order, and the other
+  fan-out APIs are built on it, so no merge ever depends on which
+  thread finished first.
 - **Ordered side effects.** Simulation steps that mutate shared world
   state (a fetch through a stateful middlebox consumes RNG draws and
   feeds product queues) are wrapped in a :class:`Sequencer` turnstile:
@@ -17,23 +22,20 @@ are embarrassingly parallel. The executor reconciles the two:
   network waits, lab fetches, response comparison) but commit their
   mutating step strictly in submission order, so the world evolves
   exactly as it would under ``workers=1``.
-- **Fault semantics.** Each task runs once. A task that raises is
-  returned (or raised) as a :class:`TaskFailure` in its own slot
-  without disturbing sibling results, and every failure is counted in
-  :class:`~repro.exec.metrics.Metrics`. Retrying transient network
-  faults is the study's job, not the executor's: see
+- **Fault semantics.** Each task runs once, and every failure is
+  counted in :class:`~repro.exec.metrics.Metrics`. :meth:`Executor.map`
+  lets every task settle, then raises the lowest-index task's own
+  exception, so a failure reads the same at one worker and at N.
+  :meth:`Executor.stream` and :meth:`Executor.map_unordered` hand each
+  failure back as a :class:`TaskFailure` in its own slot without
+  disturbing sibling results. Retrying transient network faults is the
+  study's job, not the executor's: see
   :class:`repro.exec.resilience.ResilientRunner`.
-
-When at most one task can be in flight (``min(workers, window) == 1``)
-tasks run inline on the calling thread. That is both the default and
-the reference behaviour the parallel paths must reproduce byte for
-byte.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from concurrent.futures import (
     FIRST_COMPLETED,
     Future,
@@ -42,7 +44,6 @@ from concurrent.futures import (
     wait,
 )
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -52,7 +53,6 @@ from typing import (
     Iterator,
     List,
     Optional,
-    Sequence,
     Tuple,
     TypeVar,
 )
@@ -61,10 +61,6 @@ from repro.exec.metrics import Metrics
 
 T = TypeVar("T")
 R = TypeVar("R")
-
-#: ``on_error`` modes for the fan-out APIs.
-RAISE = "raise"
-COLLECT = "collect"
 
 #: Executor backends. Threads share the world and suit latency-bound
 #: simulated I/O; processes suit CPU-bound work over plain picklable
@@ -94,9 +90,7 @@ class TaskFailure(RuntimeError):
 
     Carries enough context to report the failure without losing sibling
     results: the task label, its submission index, how many attempts
-    ran, the underlying exception (also set as ``__cause__``), and —
-    when the task belonged to a named campaign — which campaign, so a
-    failure surfacing far from its fan-out is still attributable.
+    ran and the underlying exception (also set as ``__cause__``).
 
     ``transient`` marks failures of *infrastructure* rather than of the
     task itself — a pool worker process SIGKILLed out from under the
@@ -111,7 +105,6 @@ class TaskFailure(RuntimeError):
         index: int,
         attempts: int,
         cause: BaseException,
-        campaign: Optional[str] = None,
         transient: bool = False,
     ) -> None:
         super().__init__()
@@ -119,17 +112,13 @@ class TaskFailure(RuntimeError):
         self.index = index
         self.attempts = attempts
         self.cause = cause
-        self.campaign = campaign
         self.transient = transient
         self.__cause__ = cause
 
     def __str__(self) -> str:
-        origin = f"task {self.label}[{self.index}]"
-        if self.campaign:
-            origin += f" (campaign {self.campaign!r})"
         return (
-            f"{origin} failed after {self.attempts} attempt(s): "
-            f"{self.cause!r}"
+            f"task {self.label}[{self.index}] failed after "
+            f"{self.attempts} attempt(s): {self.cause!r}"
         )
 
 
@@ -143,19 +132,13 @@ class Sequencer:
 
     def __init__(self, start: int = 0) -> None:
         self._next = start
-        self._condition = threading.Condition()
+        #: Threads blocked entering a turn; an exit notifies only them.
+        self._waiting = 0
+        self._lock = threading.Lock()
+        self._condition = threading.Condition(self._lock)
 
-    @contextmanager
-    def turn(self, index: int) -> Iterator[None]:
-        with self._condition:
-            while self._next != index:
-                self._condition.wait()
-        try:
-            yield
-        finally:
-            with self._condition:
-                self._next = index + 1
-                self._condition.notify_all()
+    def turn(self, index: int) -> "_Turn":
+        return _Turn(self, index)
 
     @property
     def completed(self) -> int:
@@ -164,31 +147,35 @@ class Sequencer:
             return self._next
 
 
-@dataclass
-class Campaign:
-    """One independently runnable unit of campaign work.
+class _Turn:
+    """One :meth:`Sequencer.turn` block.
 
-    The paper's motivating case: a §4 confirmation campaign in one ISP.
-    ``key`` names the campaign for merging and metrics; ``run`` does the
-    work.
+    Only the holder of turn ``index`` can move the sequencer past it,
+    so when ``_next`` already equals ``index`` (always so inline) the
+    entry needs no lock.
     """
 
-    key: str
-    run: Callable[[], Any]
+    __slots__ = ("_sequencer", "_index")
 
+    def __init__(self, sequencer: Sequencer, index: int) -> None:
+        self._sequencer = sequencer
+        self._index = index
 
-@dataclass
-class CampaignOutcome:
-    """What one campaign produced (or how it failed)."""
+    def __enter__(self) -> None:
+        sequencer = self._sequencer
+        if sequencer._next != self._index:
+            with sequencer._condition:
+                sequencer._waiting += 1
+                while sequencer._next != self._index:
+                    sequencer._condition.wait()
+                sequencer._waiting -= 1
 
-    key: str
-    result: Any = None
-    error: Optional[TaskFailure] = None
-    elapsed_seconds: float = 0.0
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None
+    def __exit__(self, *exc_info: Any) -> None:
+        sequencer = self._sequencer
+        with sequencer._lock:
+            sequencer._next = self._index + 1
+            if sequencer._waiting:
+                sequencer._condition.notify_all()
 
 
 class Executor:
@@ -265,8 +252,9 @@ class Executor:
         pool_size = min(self.workers, window)
 
         if pool_size == 1:
+            counter = f"{label}.tasks"
             for index, item in tasks:
-                self.metrics.incr(f"{label}.tasks")
+                self.metrics.incr(counter)
                 stats.submitted += 1
                 stats.peak_inflight = max(stats.peak_inflight, 1)
                 try:
@@ -362,60 +350,20 @@ class Executor:
         items: Iterable[T],
         *,
         label: str = "task",
-        on_error: str = RAISE,
-    ) -> List[Any]:
+    ) -> List[R]:
         """Apply ``fn`` to every item; results in submission order.
 
-        ``on_error="raise"`` re-raises the lowest-index failure once all
-        tasks have settled (sibling results are never corrupted by a
-        failing task). ``on_error="collect"`` leaves each failure in its
-        result slot as a :class:`TaskFailure` for the caller to inspect.
+        Every task settles before anything is raised, so a failing task
+        never leaves siblings half-run. Then the lowest-index failure's
+        own exception is raised (counted under ``{label}.failures``),
+        so a failure reads the same at one worker and at N.
         """
-        if on_error not in (RAISE, COLLECT):
-            raise ValueError(f"unknown on_error mode {on_error!r}")
         pending = list(items)
         slots: List[Any] = [None] * len(pending)
         with self.metrics.timer(label):
             for index, outcome in self.map_unordered(fn, pending, label=label):
                 slots[index] = outcome
-        if on_error == RAISE:
-            for outcome in slots:
-                if isinstance(outcome, TaskFailure):
-                    raise outcome
-        return slots
-
-    def run_campaigns(
-        self,
-        campaigns: Sequence[Campaign],
-        *,
-        label: str = "campaign",
-    ) -> List[CampaignOutcome]:
-        """Run independent campaigns concurrently; merge deterministically.
-
-        Mirrors §6.1: campaigns in different ISPs overlap, wall clock is
-        the max rather than the sum. Outcomes come back in submission
-        order — never in completion order — so downstream reports are
-        identical at any worker count. Failures are collected per
-        campaign, not raised: one ISP's dead vantage must not abort the
-        other ISPs' campaigns.
-        """
-
-        def run_one(campaign: Campaign) -> Tuple[Any, float]:
-            started = time.perf_counter()
-            result = campaign.run()
-            return result, time.perf_counter() - started
-
-        slots = self.map(run_one, campaigns, label=label, on_error=COLLECT)
-        outcomes: List[CampaignOutcome] = []
-        for campaign, outcome in zip(campaigns, slots):
+        for outcome in slots:
             if isinstance(outcome, TaskFailure):
-                outcome.campaign = campaign.key
-                outcomes.append(CampaignOutcome(campaign.key, error=outcome))
-            else:
-                result, elapsed = outcome
-                outcomes.append(
-                    CampaignOutcome(
-                        campaign.key, result=result, elapsed_seconds=elapsed
-                    )
-                )
-        return outcomes
+                raise outcome.cause
+        return slots

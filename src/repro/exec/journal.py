@@ -164,7 +164,9 @@ class RecoveryReport:
     def note(self, message: str) -> None:
         self.notes.append(message)
 
-    def describe(self) -> List[str]:
+    def describe_journal(self) -> List[str]:
+        """What the journal reader kept and dropped: all a refused
+        resume has to report, since it never looks at a snapshot."""
         lines = [
             f"journal: {self.journal_path or '(none)'} — "
             f"{self.records_kept} record(s) kept, "
@@ -172,6 +174,11 @@ class RecoveryReport:
         ]
         for note in self.notes:
             lines.append(f"  damage: {note}")
+        return lines
+
+    def describe(self) -> List[str]:
+        """The journal account, then where the resumed run starts."""
+        lines = self.describe_journal()
         for rejected in self.snapshots_rejected:
             lines.append(f"  snapshot rejected: {rejected}")
         lines.append(

@@ -10,12 +10,12 @@ Web page accesses in the field and lab are compared."
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import ContextManager, Dict, Iterable, List, Optional
 
 from repro.exec.executor import Executor, Sequencer
 from repro.exec.resilience import ResilientRunner
-from repro.measure.classifiers.blockpage import BlockPagePatternMatcher
 from repro.measure.classifiers.fusion import VerdictEngine
 from repro.measure.verdict import Comparison, Verdict
 from repro.net.fetch import FetchOutcome, FetchResult
@@ -107,7 +107,6 @@ class MeasurementClient:
         self,
         field_vantage: Vantage,
         lab_vantage: Vantage,
-        detector: Optional[BlockPagePatternMatcher] = None,
         *,
         engine: Optional[VerdictEngine] = None,
         executor: Optional[Executor] = None,
@@ -124,9 +123,7 @@ class MeasurementClient:
             raise ValueError("link_latency must be >= 0")
         self._field = field_vantage
         self._lab = lab_vantage
-        # A full VerdictEngine wins over a bare matcher; passing both is
-        # an error only in spirit — the matcher is simply ignored.
-        self._engine = engine or VerdictEngine(matcher=detector)
+        self._engine = engine or VerdictEngine()
         self._executor = executor
         self._link_latency = link_latency
         self._resilience = resilience
@@ -142,9 +139,16 @@ class MeasurementClient:
         if self._link_latency:
             time.sleep(self._link_latency)
 
-    def _measure(self, url: Url) -> UrlTest:
-        """One field+lab exchange and its comparison (no resilience)."""
-        field_result = self._field.fetch(url)
+    def _measure(
+        self, url: Url, turn: ContextManager[None] = nullcontext()
+    ) -> UrlTest:
+        """One field+lab exchange and its comparison (no resilience).
+
+        Only the field fetch runs inside ``turn``: the lab fetch and the
+        comparison are effect-free.
+        """
+        with turn:
+            field_result = self._field.fetch(url)
         lab_result = self._lab.fetch(url)
         comparison = self._engine.compare(field_result, lab_result)
         return UrlTest(
@@ -187,50 +191,34 @@ class MeasurementClient:
         note = str(record) if record is not None else "measurement failed"
         return self._quarantined_test(url, note)
 
-    def test_url(self, url: Url) -> UrlTest:
-        """Fetch one URL from both vantages and compare."""
+    def test_url(
+        self, url: Url, turn: ContextManager[None] = nullcontext()
+    ) -> UrlTest:
+        """Fetch one URL from both vantages and compare.
+
+        ``turn`` (a :meth:`Sequencer.turn`) wraps the world-mutating
+        field fetch. Under a resilience policy it wraps the whole retry
+        loop instead: retries and breaker transitions must observe
+        submission order or fault decisions would depend on timing.
+        """
         self._wait_for_link()
-        if self._resilience is not None:
+        if self._resilience is None:
+            return self._measure(url, turn)
+        with turn:
             return self._resilient_measure(url)
-        return self._measure(url)
 
     def run_list(self, urls: Iterable[Url]) -> MeasurementRun:
-        """Test a URL list; §4.1 keeps these short for manual analysis."""
-        targets = list(urls)
-        run = MeasurementRun(self._field.location)
-        executor = self._executor
-        if executor is None or executor.workers == 1 or len(targets) <= 1:
-            for url in targets:
-                run.tests.append(self.test_url(url))
-            return run
+        """Test a URL list; §4.1 keeps these short for manual analysis.
 
-        # Parallel path: overlap the network waits, serialize the
-        # world-mutating field fetches in submission order. The lab
-        # fetch and the comparison are effect-free and run unordered.
-        # Under a resilience policy the *whole* retry loop commits
-        # inside the turn: retries and breaker transitions must observe
-        # submission order or fault decisions would depend on timing.
+        The network waits overlap across the executor's workers while
+        a :class:`Sequencer` commits the field fetches in submission
+        order, so the run is byte-identical at any worker count.
+        """
         sequencer = Sequencer()
-
-        def task(job: Tuple[int, Url]) -> UrlTest:
-            index, url = job
-            self._wait_for_link()
-            if self._resilience is not None:
-                with sequencer.turn(index):
-                    return self._resilient_measure(url)
-            with sequencer.turn(index):
-                field_result = self._field.fetch(url)
-            lab_result = self._lab.fetch(url)
-            comparison = self._engine.compare(field_result, lab_result)
-            return UrlTest(
-                url,
-                field_result,
-                lab_result,
-                comparison,
-                self._field.world.now,
-            )
-
-        run.tests = executor.map(
-            task, list(enumerate(targets)), label="measure"
+        run = MeasurementRun(self._field.location)
+        run.tests = (self._executor or Executor()).map(
+            lambda job: self.test_url(job[1], sequencer.turn(job[0])),
+            enumerate(urls),
+            label="measure",
         )
         return run

@@ -17,11 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.exec.executor import Campaign, Executor
-from repro.net.http import Headers, HttpRequest, HttpResponse, html_page
+from repro.exec.executor import Executor
+from repro.net.http import Headers, HttpResponse, html_page
 from repro.net.url import Url
 from repro.products.registry import default_registry
-from repro.world.content import ContentClass
 from repro.world.entities import Host
 from repro.world.world import Vantage, World
 
@@ -155,18 +154,9 @@ def survey_isps(
     out across workers; the report dict keeps the caller's ISP order
     regardless of completion order.
     """
-    if executor is None or executor.workers == 1:
-        return {name: detect_proxy(world.vantage(name)) for name in isp_names}
-
-    def make_campaign(name: str) -> Campaign:
-        return Campaign(key=name, run=lambda: detect_proxy(world.vantage(name)))
-
-    outcomes = executor.run_campaigns(
-        [make_campaign(name) for name in isp_names], label="netalyzr"
+    reports = (executor or Executor()).map(
+        lambda name: detect_proxy(world.vantage(name)),
+        isp_names,
+        label="netalyzr",
     )
-    reports: Dict[str, ProxyDetectionReport] = {}
-    for outcome in outcomes:
-        if not outcome.ok:
-            raise outcome.error
-        reports[outcome.key] = outcome.result
-    return reports
+    return dict(zip(isp_names, reports))

@@ -500,7 +500,6 @@ class MonitorService:
         base = self.scenario.capture_state(self._baseline_domains)
         with self.metrics.timer("monitor.round"):
             outcome = self.supervisor.run(
-                key,
                 lambda: self._round_body(key),
                 reset=lambda: self._restore_measurement(base),
             )

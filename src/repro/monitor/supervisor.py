@@ -103,11 +103,7 @@ class RoundSupervisor:
         self.metrics = metrics if metrics is not None else Metrics()
 
     def run(
-        self,
-        key: str,
-        fn: Callable[[], T],
-        *,
-        reset: Callable[[], None],
+        self, fn: Callable[[], T], *, reset: Callable[[], None]
     ) -> RoundOutcome:
         """One supervised round.
 

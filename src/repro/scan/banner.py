@@ -10,10 +10,10 @@ full crawl.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from repro.exec.executor import Executor, TaskFailure, THREAD_BACKEND
+from repro.exec.executor import Executor, THREAD_BACKEND
 from repro.exec.resilience import ResilientRunner
 from repro.net.fetch import FetchOutcome
 from repro.net.ip import Ipv4Address
@@ -115,7 +115,6 @@ def scan_world(
     ports: Sequence[int] = DEFAULT_SCAN_PORTS,
     *,
     coverage: float = 1.0,
-    coverage_salt: str = "scan",
     executor: Optional[Executor] = None,
     probe_latency: float = 0.0,
     resilience: Optional[ResilientRunner] = None,
@@ -125,7 +124,7 @@ def scan_world(
 
     ``coverage`` < 1 models a scanner that has only indexed part of the
     address space (Shodan's view is always partial); inclusion is a
-    deterministic hash of (salt, ip) so repeated scans agree.
+    deterministic hash of the ip so repeated scans agree.
 
     Probing is read-only against the world, so ``executor`` fans the
     scan out over target hosts; per-host batches merge back in address
@@ -139,84 +138,73 @@ def scan_world(
     here: the fan-out is unordered, and breaker state would then depend
     on scheduling.
 
-    ``shards`` switches the fan-out to contiguous target chunks driven
-    through :meth:`Executor.stream` — bounded in-flight work instead of
-    one pending future per host, which is what keeps memory flat when
-    the target list is large. Chunked or not, batches merge in address
-    order, so the record list is identical either way. World objects
-    cannot cross process boundaries, so sharded world scans require the
-    thread backend; the process backend's home is
+    Each :meth:`Executor.map` task scans one contiguous chunk of the
+    address-ordered targets: one host by default, or one of ``shards``
+    balanced chunks, so a large target list costs ``shards`` pending
+    tasks instead of one per host. Chunks merge in address order, so
+    the record list is identical at any chunking and worker count.
+    World objects cannot cross process boundaries, so world scans
+    require the thread backend; the process backend's home is
     :class:`repro.scan.stream.StreamingScan`.
     """
     if not 0.0 <= coverage <= 1.0:
         raise ValueError("coverage must be within [0, 1]")
     if shards is not None and shards < 1:
         raise ValueError("shards must be >= 1")
+    executor = executor or Executor()
+    if executor.backend != THREAD_BACKEND:
+        raise ValueError(
+            "world scans require the thread backend (worlds are not "
+            "picklable); use repro.scan.stream.StreamingScan for "
+            "process-pool scans"
+        )
     targets: List[Ipv4Address] = []
     for ip_value in sorted(world.hosts):
         ip = Ipv4Address(ip_value)
-        if coverage < 1.0 and not _covered(ip, coverage, coverage_salt):
+        if coverage < 1.0 and not _covered(ip, coverage):
             continue
         targets.append(ip)
-
-    def scan_host(ip: Ipv4Address) -> List[BannerRecord]:
-        if probe_latency:
-            time.sleep(probe_latency)
-        slow = world.faults.extra_latency("scanner", str(ip))
-        if slow:
-            time.sleep(slow)
-        found: List[BannerRecord] = []
-        for port in ports:
-            if resilience is not None:
-                outcome = resilience.call(
-                    lambda port=port: grab_banner(world, ip, port),
-                    stage="scan",
-                    key=f"{ip}:{port}",
-                )
-                record = outcome.value if outcome.ok else None
-            else:
-                record = grab_banner(world, ip, port)
-            if record is not None:
-                found.append(record)
-        return found
-
-    if executor is None or executor.workers == 1:
-        batches = [scan_host(ip) for ip in targets]
-    elif shards is not None:
-        if executor.backend != THREAD_BACKEND:
-            raise ValueError(
-                "sharded world scans require the thread backend "
-                "(worlds are not picklable); use "
-                "repro.scan.stream.StreamingScan for process-pool scans"
-            )
+    if shards is None:
+        chunks = [[ip] for ip in targets]
+    else:
         from repro.world.population import shard_bounds_for
 
         shard_count = min(shards, len(targets)) or 1
+        bounds = [
+            shard_bounds_for(len(targets), shard_count, shard)
+            for shard in range(shard_count)
+        ]
+        chunks = [targets[start:stop] for start, stop in bounds]
 
-        def scan_chunk(bounds: tuple) -> List[List[BannerRecord]]:
-            start, stop = bounds
-            return [scan_host(ip) for ip in targets[start:stop]]
+    def scan_chunk(chunk: List[Ipv4Address]) -> List[BannerRecord]:
+        found: List[BannerRecord] = []
+        for ip in chunk:
+            if probe_latency:
+                time.sleep(probe_latency)
+            slow = world.faults.extra_latency("scanner", str(ip))
+            if slow:
+                time.sleep(slow)
+            for port in ports:
+                if resilience is not None:
+                    outcome = resilience.call(
+                        lambda port=port: grab_banner(world, ip, port),
+                        stage="scan",
+                        key=f"{ip}:{port}",
+                    )
+                    record = outcome.value if outcome.ok else None
+                else:
+                    record = grab_banner(world, ip, port)
+                if record is not None:
+                    found.append(record)
+        return found
 
-        batches = []
-        for _index, outcome in executor.stream(
-            scan_chunk,
-            [
-                shard_bounds_for(len(targets), shard_count, shard)
-                for shard in range(shard_count)
-            ],
-            label="scan",
-        ):
-            if isinstance(outcome, TaskFailure):
-                raise outcome
-            batches.extend(outcome)
-    else:
-        batches = executor.map(scan_host, targets, label="scan")
+    batches = executor.map(scan_chunk, chunks, label="scan")
     return [record for batch in batches for record in batch]
 
 
-def _covered(ip: Ipv4Address, coverage: float, salt: str) -> bool:
+def _covered(ip: Ipv4Address, coverage: float) -> bool:
     import hashlib
 
-    digest = hashlib.sha256(f"{salt}:{ip.value}".encode("utf-8")).digest()
+    digest = hashlib.sha256(f"scan:{ip.value}".encode("utf-8")).digest()
     fraction = int.from_bytes(digest[:8], "big") / float(1 << 64)
     return fraction < coverage

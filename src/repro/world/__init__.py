@@ -22,7 +22,6 @@ from repro.world.population import (
     ShardedPopulationConfig,
     SyntheticHost,
     populate,
-    populate_sharded,
     shard_bounds_for,
 )
 from repro.world.rng import (
@@ -76,7 +75,6 @@ __all__ = [
     "derive_rng",
     "derive_seed",
     "populate",
-    "populate_sharded",
     "shard_bounds_for",
     "stable_sample",
     "stable_shuffle",

@@ -25,7 +25,7 @@ Example::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.middlebox.deploy import deploy as _deploy
@@ -39,11 +39,7 @@ from repro.products.registry import default_registry
 from repro.products.submission import ReviewPolicy
 from repro.world.content import ContentClass
 from repro.world.entities import OrgKind
-from repro.world.population import (
-    PopulationConfig,
-    populate,
-    populate_sharded,
-)
+from repro.world.population import PopulationConfig, populate
 from repro.world.rng import derive_rng
 from repro.world.world import World
 
@@ -83,7 +79,6 @@ class WorldBuilder:
         self._pool = PrefixPool(Ipv4Prefix.parse(address_space), prefix_length)
         self._hosting_asns: List[int] = []
         self._population_size = 0
-        self._population_shards: Optional[int] = None
         self._seed_coverage: Dict[str, float] = {}
         self._product_specs: List[Tuple[str, ReviewPolicy]] = []
         self._deploy_specs: List[dict] = []
@@ -124,19 +119,9 @@ class WorldBuilder:
         return self
 
     # ------------------------------------------------------------ content
-    def population(
-        self, site_count: int, *, shards: Optional[int] = None
-    ) -> "WorldBuilder":
-        """Request a synthetic web of ``site_count`` sites.
-
-        With ``shards``, generation is sharded: each shard's sites are a
-        pure function of ``(seed, shard)``, so partial builds agree with
-        full builds shard-for-shard (see :func:`populate_sharded`).
-        """
-        if shards is not None and shards < 1:
-            raise ValueError("shards must be >= 1")
+    def population(self, site_count: int) -> "WorldBuilder":
+        """Request a synthetic web of ``site_count`` sites."""
         self._population_size = site_count
-        self._population_shards = shards
         return self
 
     def website(
@@ -208,15 +193,7 @@ class WorldBuilder:
 
         if self._population_size:
             config = PopulationConfig(site_count=self._population_size)
-            if self._population_shards is not None:
-                populate_sharded(
-                    world,
-                    self._hosting_asns,
-                    config,
-                    shard_count=self._population_shards,
-                )
-            else:
-                populate(world, self._hosting_asns, config)
+            populate(world, self._hosting_asns, config)
 
         scenario = CustomScenario(
             world=world,

@@ -28,7 +28,6 @@ import random
 from dataclasses import dataclass, field
 from typing import (
     Dict,
-    Iterable,
     Iterator,
     List,
     Mapping,
@@ -568,56 +567,3 @@ def shard_bounds_for(
     start = shard * base + min(shard, extra)
     stop = start + base + (1 if shard < extra else 0)
     return start, stop
-
-
-def populate_sharded(
-    world: World,
-    hosting_asns: Sequence[int],
-    config: Optional[PopulationConfig] = None,
-    *,
-    shard_count: int,
-    shards: Optional[Iterable[int]] = None,
-    rng_label: str = "population",
-) -> List[WebSite]:
-    """Fill a world with websites generated shard-by-shard.
-
-    Each shard draws from its own ``derive_rng(seed, label, shard-k)``
-    stream with a fresh domain synthesizer, so shard *k*'s domain/class/
-    AS choices depend only on ``(seed, k)`` — a partial build (``shards``
-    selects which) produces exactly the same sites for those shards as
-    a full build does. Domains are shard-qualified (``name-sK.tld``) so
-    cross-shard uniqueness is structural, not coordinated. IP addresses
-    still come from the world's sequential AS pools, so isolation
-    equality covers (domain, class, ASN) — the generation choices — not
-    the allocator cursor.
-    """
-    if not hosting_asns:
-        raise ValueError("need at least one hosting AS")
-    if shard_count < 1:
-        raise ValueError("shard_count must be >= 1")
-    config = config or PopulationConfig()
-    wanted = sorted(set(shards)) if shards is not None else range(shard_count)
-    classes = list(config.class_mix)
-    weights = [config.class_mix[c] for c in classes]
-    cctlds = sorted(world.countries)
-    asn_list = list(hosting_asns)
-    sites: List[WebSite] = []
-    for shard in wanted:
-        start, stop = shard_bounds_for(config.site_count, shard_count, shard)
-        rng = derive_rng(world.seed, rng_label, f"shard-{shard}")
-        synthesizer = DomainSynthesizer(rng)
-        for _index in range(start, stop):
-            content_class = rng.choices(classes, weights=weights, k=1)[0]
-            if cctlds and rng.random() < config.local_tld_fraction:
-                tld = rng.choice(cctlds)
-            else:
-                tld = rng.choice(_TLD_CHOICES)
-            name, _, tld = synthesizer.filler(tld).partition(".")
-            domain = f"{name}-s{shard}.{tld}"
-            asn = rng.choice(asn_list)
-            site = world.register_website(domain, content_class, asn)
-            site.add_page(
-                "/", ok_response(domain, _page_body(content_class, domain))
-            )
-            sites.append(site)
-    return sites

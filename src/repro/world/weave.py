@@ -8,7 +8,7 @@ follow outward. This module is the content substrate — a post-pass that
 rewrites each site's front page and adds a handful of article pages,
 all derived purely from ``(world.seed, domain)`` plus the (sorted,
 deterministic) site universe, so woven content is replayable the same
-way :func:`repro.world.population.populate_sharded` hosts are.
+way :class:`repro.world.population.ShardedPopulation` hosts are.
 
 Structure per site:
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.analysis.paper_data import (
     PAPER_FIGURE1,
     PAPER_TABLE1,
@@ -73,46 +71,3 @@ class DescribeRenderers:
         text = render_paper_table5()
         assert "externally visible" in text
         assert "§4" in text
-
-
-class DescribeConfidenceRendering:
-    """``show_confidence`` is additive and strictly opt-in."""
-
-    @pytest.fixture(scope="class")
-    def report(self):
-        from repro.core.pipeline import run_full_study
-
-        return run_full_study(products=["McAfee SmartFilter"])
-
-    def test_table3_confidence_column_is_opt_in(self, report):
-        plain = render_table3(report.confirmations)
-        assert "Confidence" not in plain
-        assert plain == render_table3(
-            report.confirmations, show_confidence=False
-        )
-        confident = render_table3(
-            report.confirmations, show_confidence=True
-        )
-        assert "Confidence" in confident
-        assert "Fused signals per case study:" in confident
-        assert "blockpage" in confident
-        # Additive: every plain line is a prefix of its confident twin.
-        assert confident.splitlines()[0].startswith(
-            plain.splitlines()[0].rstrip()
-        )
-
-    def test_table4_confidence_column_is_opt_in(self, report):
-        from repro.analysis.tables import render_table4
-
-        plain = render_table4(report.characterizations)
-        assert "Confidence" not in plain
-        confident = render_table4(
-            report.characterizations, show_confidence=True
-        )
-        assert "Confidence" in confident
-        assert "Fused signals per deployment:" in confident
-
-    def test_missing_results_render_na_confidence(self):
-        text = render_table3([], show_confidence=True)
-        assert "Confidence" in text
-        assert "n/a" in text

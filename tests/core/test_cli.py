@@ -98,13 +98,17 @@ _ONE_PRODUCT = ["--products", "McAfee SmartFilter"]
 class DescribeStudyExitCodes:
     """``repro study`` distinguishes success / hard / usage / partial."""
 
-    def test_fail_fast_abort_is_a_hard_failure(self, capsys):
+    @pytest.mark.parametrize("workers", ["1", "4"])
+    def test_fail_fast_abort_is_a_hard_failure(self, workers, capsys):
         code = main(
-            ["study", "--fault-plan", "seed=3,nxdomain=1.0", "--fail-fast"]
+            [
+                "study", "--fault-plan", "seed=3,nxdomain=1.0", "--fail-fast",
+                "--workers", workers,
+            ]
             + _ONE_PRODUCT
         )
         assert code == 1
-        assert "aborted (fail-fast)" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("aborted (fail-fast): ")
 
     def test_degraded_partial_run_exits_partial(self, capsys):
         code = main(
@@ -154,7 +158,23 @@ class DescribeStudyExitCodes:
         capsys.readouterr()
         code = main(["--seed", "999"] + args + ["--resume"])
         assert code == 1
-        assert "resume refused" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "resume refused" in err
+        # Nothing will run, and no snapshot was looked at: the journal
+        # account is all there is to report.
+        assert "recovery: journal: " in err
+        assert "resume point" not in err
+
+    def test_unwritable_snapshot_is_a_checkpoint_failure(
+        self, tmp_path, capsys
+    ):
+        journal_dir = tmp_path / "journal"
+        (journal_dir / "snapshot-00000001.ckpt").mkdir(parents=True)
+        args = ["study", "--journal", str(journal_dir)] + _ONE_PRODUCT
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("checkpoint failed: cannot write snapshot ")
+        assert "resume refused" not in err
 
     def test_monitor_resume_under_a_different_seed_reports_recovery(
         self, tmp_path, capsys

@@ -1,8 +1,10 @@
 """The executor's determinism contract, as properties.
 
 Whatever the worker count, ``Executor.map`` must be indistinguishable
-from a list comprehension, the :class:`Sequencer` must commit turns in
-submission order, and failures must stay contained to their own slot.
+from a list comprehension (a failing task included: it raises its own
+exception once every task has run), the :class:`Sequencer` must commit
+turns in submission order, and ``stream``/``map_unordered`` failures
+must stay contained to their own slot.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exec.executor import (
-    Campaign,
     Executor,
     Sequencer,
     StreamStats,
@@ -85,6 +86,50 @@ class DescribeSequencer:
         assert committed == list(range(n))
         assert sequencer.completed == n
 
+    def test_turns_exclude_each_other_under_fast_switching(self):
+        """A turn entered without the lock (it was already the caller's)
+        still excludes every other turn: a read-modify-write inside the
+        turns loses no update."""
+        import sys
+
+        sequencer = Sequencer()
+        threads_n, per_thread = 8, 40
+        total = threads_n * per_thread
+        state = {"count": 0, "inside": 0, "overlaps": 0}
+        committed = []
+
+        def worker(offset):
+            for index in range(offset, total, threads_n):
+                with sequencer.turn(index):
+                    state["inside"] += 1
+                    if state["inside"] != 1:
+                        state["overlaps"] += 1
+                    value = state["count"]
+                    time.sleep(0)
+                    state["count"] = value + 1
+                    committed.append(index)
+                    state["inside"] -= 1
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(offset,), daemon=True)
+                for offset in range(threads_n)
+            ]
+            for thread in threads:
+                thread.start()
+            deadline = time.monotonic() + 30
+            for thread in threads:
+                thread.join(timeout=max(0.0, deadline - time.monotonic()))
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert state["overlaps"] == 0
+        assert state["count"] == total
+        assert committed == list(range(total))
+        assert sequencer.completed == total
+
 
 class DescribeInlineRule:
     """A task runs on the calling thread exactly when
@@ -116,97 +161,62 @@ class DescribeFailureContainment:
         workers=st.integers(1, 6),
     )
     def test_collect_keeps_siblings_intact(self, items, workers):
-        executor = Executor(workers=workers)
+        metrics = Metrics()
+        executor = Executor(workers=workers, metrics=metrics)
 
         def fussy(x):
             if x % 3 == 0:
                 raise RuntimeError(f"refusing {x}")
             return x + 100
 
-        slots = executor.map(fussy, items, on_error="collect")
-        for item, slot in zip(items, slots):
+        slots = dict(executor.map_unordered(fussy, items, label="fussy"))
+        assert sorted(slots) == list(range(len(items)))
+        for index, item in enumerate(items):
             if item % 3 == 0:
-                assert isinstance(slot, TaskFailure)
+                assert isinstance(slots[index], TaskFailure)
             else:
-                assert slot == item + 100
+                assert slots[index] == item + 100
+        assert metrics.count("fussy.failures") == sum(
+            1 for item in items if item % 3 == 0
+        )
 
     def test_raise_mode_raises_lowest_index_failure(self):
-        executor = Executor(workers=4)
+        """At any worker count, ``map`` runs every task, then raises the
+        lowest-index task's own exception, not a wrapper."""
+        for workers in (1, 4):
+            ran = []
+            lock = threading.Lock()
 
-        def fussy(x):
-            if x in (2, 5):
-                raise RuntimeError(f"refusing {x}")
-            return x
+            def fussy(x):
+                with lock:
+                    ran.append(x)
+                if x in (2, 5):
+                    raise KeyError(f"refusing {x}")
+                return x
 
-        with pytest.raises(TaskFailure) as excinfo:
-            executor.map(fussy, range(8), label="fussy")
-        assert excinfo.value.index == 2
-
-    def test_unknown_on_error_mode_rejected(self):
-        with pytest.raises(ValueError):
-            Executor().map(abs, [1], on_error="ignore")
+            metrics = Metrics()
+            executor = Executor(workers=workers, metrics=metrics)
+            with pytest.raises(KeyError) as excinfo:
+                executor.map(fussy, range(8), label="fussy")
+            assert excinfo.value.args == ("refusing 2",)
+            assert sorted(ran) == list(range(8))
+            assert metrics.count("fussy.failures") == 2
 
     def test_workers_validated(self):
         with pytest.raises(ValueError):
             Executor(workers=0)
 
 
-class DescribeCampaigns:
-    def test_outcomes_keep_submission_order(self):
-        executor = Executor(workers=4)
-        campaigns = [
-            Campaign(key=name, run=lambda name=name: name.upper())
-            for name in ("gamma", "alpha", "beta")
-        ]
-        outcomes = executor.run_campaigns(campaigns)
-        assert [o.key for o in outcomes] == ["gamma", "alpha", "beta"]
-        assert [o.result for o in outcomes] == ["GAMMA", "ALPHA", "BETA"]
-        assert all(o.ok for o in outcomes)
-
-    def test_one_dead_campaign_does_not_abort_the_rest(self):
-        executor = Executor(workers=3)
-
-        def die():
-            raise OSError("vantage unreachable")
-
-        campaigns = [
-            Campaign(key="ok-1", run=lambda: 1),
-            Campaign(key="dead", run=die),
-            Campaign(key="ok-2", run=lambda: 2),
-        ]
-        outcomes = executor.run_campaigns(campaigns)
-        assert [o.ok for o in outcomes] == [True, False, True]
-        assert outcomes[1].error is not None
-        assert isinstance(outcomes[1].error.cause, OSError)
-        assert [outcomes[0].result, outcomes[2].result] == [1, 2]
-
-
 class DescribeFailureAttribution:
     def test_task_failure_str_names_campaign_and_attempts(self):
-        failure = TaskFailure("fetch", 3, 4, ValueError("x"), campaign="yemen-jan")
+        failure = TaskFailure("fetch", 3, 4, ValueError("x"))
         text = str(failure)
         assert "fetch[3]" in text
         assert "4 attempt(s)" in text
-        assert "campaign 'yemen-jan'" in text
 
     def test_without_campaign_message_is_unchanged(self):
         failure = TaskFailure("net", 1, 2, ValueError("x"))
         assert str(failure) == "task net[1] failed after 2 attempt(s): ValueError('x')"
-
-    def test_run_campaigns_stamps_the_campaign_key(self):
-        executor = Executor(workers=2)
-
-        def boom():
-            raise RuntimeError("vantage dead")
-
-        outcomes = executor.run_campaigns(
-            [Campaign("ok", lambda: 1), Campaign("yemen", boom)]
-        )
-        assert outcomes[0].ok
-        failed = outcomes[1]
-        assert failed.error is not None
-        assert failed.error.campaign == "yemen"
-        assert "campaign 'yemen'" in str(failed.error)
 
 
 # ---------------------------------------------------------------------------

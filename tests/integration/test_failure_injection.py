@@ -173,26 +173,27 @@ class DescribeExecutorFaults:
     world-facing cache invalidation path."""
 
     def test_one_dead_vantage_leaves_sibling_surveys_intact(self):
-        from repro.exec.executor import Campaign, Executor
+        from repro.exec.executor import Executor, TaskFailure
         from repro.measure.netalyzr import detect_proxy, install_reference_server
 
         world, _product = filtered_world()
         install_reference_server(world, 65002)
 
-        def dead():
-            raise OSError("no route to vantage")
+        def survey(isp_name):
+            if isp_name == "down-isp":
+                raise OSError("no route to vantage")
+            return detect_proxy(world.vantage(isp_name))
 
         executor = Executor(workers=2, metrics=None)
-        outcomes = executor.run_campaigns(
-            [
-                Campaign("testnet", lambda: detect_proxy(world.vantage("testnet"))),
-                Campaign("down-isp", dead),
-            ]
+        outcomes = dict(
+            executor.map_unordered(
+                survey, ["testnet", "down-isp"], label="campaign"
+            )
         )
-        assert outcomes[0].ok
-        assert outcomes[0].result.proxy_detected
-        assert not outcomes[1].ok
-        assert "no route" in str(outcomes[1].error.cause)
+        assert not isinstance(outcomes[0], TaskFailure)
+        assert outcomes[0].proxy_detected
+        assert isinstance(outcomes[1], TaskFailure)
+        assert "no route" in str(outcomes[1].cause)
         assert executor.metrics.count("campaign.failures") == 1
 
     def test_dns_cache_invalidation_tracks_campaign_domains(self):

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro import build_scenario
 from repro.core.evasion import mask_installation
+from repro.exec.executor import Executor
 from repro.measure.netalyzr import (
     REFERENCE_HOST,
     canonical_reference_response,
@@ -101,6 +103,19 @@ class DescribeDetection:
         deploy(reference_world, reference_world.isps["testnet"], product, [])
         reports = survey_isps(reference_world, ["testnet"])
         assert reports["testnet"].proxy_detected
+
+    def test_parallel_survey_returns_the_inline_result(self):
+        isps = ["yemennet", "etisalat", "comcast", "du", "ooredoo"]
+        inline = survey_isps(build_scenario().world, isps)
+        parallel = survey_isps(
+            build_scenario().world, isps, executor=Executor(workers=2)
+        )
+        assert list(parallel) == isps
+        assert parallel == inline
+        assert {report.proxy_detected for report in inline.values()} == {
+            True,
+            False,
+        }
 
 
 class DescribeScenarioGroundTruth:

@@ -28,7 +28,7 @@ def make(max_retries=2, watchdog=None, metrics=None):
 
 class DescribeRetryPolicy:
     def test_success_passes_value_through(self):
-        outcome = make().run("k", lambda: 42, reset=lambda: None)
+        outcome = make().run(lambda: 42, reset=lambda: None)
         assert outcome.ok and outcome.value == 42
         assert outcome.attempts == 1 and outcome.retried == 0
 
@@ -41,7 +41,7 @@ class DescribeRetryPolicy:
                 raise DnsTimeout("probe")
             return "done"
 
-        outcome = make(max_retries=2).run("k", body, reset=lambda: None)
+        outcome = make(max_retries=2).run(body, reset=lambda: None)
         assert outcome.ok and outcome.value == "done"
         assert outcome.attempts == 3 and outcome.retried == 2
 
@@ -52,7 +52,7 @@ class DescribeRetryPolicy:
             raise DnsTimeout("probe")
 
         outcome = make(max_retries=2).run(
-            "k", body, reset=lambda: resets.append(1)
+            body, reset=lambda: resets.append(1)
         )
         assert not outcome.ok
         assert len(resets) == 3  # one per failed attempt, incl. the last
@@ -64,14 +64,14 @@ class DescribeRetryPolicy:
             calls.append(1)
             raise NxDomain("gone")
 
-        outcome = make(max_retries=5).run("k", body, reset=lambda: None)
+        outcome = make(max_retries=5).run(body, reset=lambda: None)
         assert not outcome.ok and not outcome.transient
         assert len(calls) == 1
         assert "NxDomain" in outcome.error
 
     def test_exhausted_budget_reports_transient_failure(self):
         outcome = make(max_retries=1).run(
-            "k", lambda: (_ for _ in ()).throw(DnsTimeout("x")),
+            lambda: (_ for _ in ()).throw(DnsTimeout("x")),
             reset=lambda: None,
         )
         assert not outcome.ok and outcome.transient
@@ -83,18 +83,18 @@ class DescribeRetryPolicy:
             raise KeyError("bug")
 
         with pytest.raises(KeyError):
-            make().run("k", body, reset=lambda: None)
+            make().run(body, reset=lambda: None)
 
     def test_metrics_accounting(self):
         metrics = Metrics()
-        make(metrics=metrics).run("k", lambda: 1, reset=lambda: None)
+        make(metrics=metrics).run(lambda: 1, reset=lambda: None)
         assert metrics.count("monitor.round.succeeded") == 1
 
         def body():
             raise DnsTimeout("x")
 
         make(max_retries=1, metrics=metrics).run(
-            "k", body, reset=lambda: None
+            body, reset=lambda: None
         )
         assert metrics.count("monitor.round.retries") == 1
         assert metrics.count("monitor.round.failed") == 1
@@ -102,7 +102,7 @@ class DescribeRetryPolicy:
 
 class DescribeWatchdog:
     def test_fast_round_unaffected(self):
-        outcome = make(watchdog=5.0).run("k", lambda: "ok", reset=lambda: None)
+        outcome = make(watchdog=5.0).run(lambda: "ok", reset=lambda: None)
         assert outcome.ok and outcome.value == "ok"
 
     def test_hung_round_expires_and_degrades(self):
@@ -110,7 +110,7 @@ class DescribeWatchdog:
             time.sleep(10.0)
 
         outcome = make(max_retries=0, watchdog=0.05).run(
-            "k", body, reset=lambda: None
+            body, reset=lambda: None
         )
         assert not outcome.ok
         assert outcome.watchdog_expired and outcome.transient
@@ -126,7 +126,7 @@ class DescribeWatchdog:
             return "recovered"
 
         outcome = make(max_retries=1, watchdog=0.05).run(
-            "k", body, reset=lambda: None
+            body, reset=lambda: None
         )
         assert outcome.ok and outcome.value == "recovered"
         assert outcome.retried == 1
@@ -136,7 +136,7 @@ class DescribeWatchdog:
             raise NxDomain("inside the worker")
 
         outcome = make(max_retries=0, watchdog=5.0).run(
-            "k", body, reset=lambda: None
+            body, reset=lambda: None
         )
         assert not outcome.ok and "NxDomain" in outcome.error
 

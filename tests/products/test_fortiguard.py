@@ -16,7 +16,7 @@ from repro.core.confirm import ConfirmationConfig, ConfirmationStudy
 from repro.core.identify import IdentificationPipeline
 from repro.geo.cymru import WhoisService
 from repro.geo.maxmind import GeoDatabase
-from repro.measure.classifiers import BlockPagePatternMatcher
+from repro.measure.classifiers import BlockPagePatternMatcher, VerdictEngine
 from repro.net.url import Url
 from repro.products.fortiguard import FORTIGUARD_TAXONOMY, FortiGuard
 from repro.products.registry import FORTIGUARD, default_registry
@@ -117,8 +117,10 @@ class DescribeCharacterization:
         world = fortiguard_scenario.world
         characterization = ContentCharacterization(
             world,
-            detector=BlockPagePatternMatcher.for_products(
-                default_registry().names()
+            engine=VerdictEngine(
+                matcher=BlockPagePatternMatcher.for_products(
+                    default_registry().names()
+                )
             ),
         )
         result = characterization.run("bharatnet", FORTIGUARD)
