@@ -120,10 +120,14 @@ def fetch(
         connection.close()
 
 
-def run_checks(store, monitor_dir: Optional[Path] = None) -> List[str]:
-    from repro.serve import ResultsServer
+def smoke_targets(
+    store, monitor_dir: Optional[Path] = None
+) -> Tuple[List[str], List[str], List[str]]:
+    """The targets expected to answer 200, 400 and 404, in that order.
 
-    failures: List[str] = []
+    They depend on what the store holds now (its newest epoch, whether
+    a discovery epoch exists) and on whether a monitor is served.
+    """
     epoch_ids = store.epoch_ids()
     newest = epoch_ids[-1]
     manifest = store.manifest(newest)
@@ -181,7 +185,16 @@ def run_checks(store, monitor_dir: Optional[Path] = None) -> List[str]:
     else:
         # A store without discovery epochs must 404 cleanly, not crash.
         missing_targets += ["/discover/rounds", "/discover/candidates"]
+    return ok_targets, bad_request_targets, missing_targets
 
+
+def run_checks(store, monitor_dir: Optional[Path] = None) -> List[str]:
+    from repro.serve import ResultsServer
+
+    failures: List[str] = []
+    ok_targets, bad_request_targets, missing_targets = smoke_targets(
+        store, monitor_dir
+    )
     with ResultsServer(store, monitor_dir=monitor_dir) as server:
         for target in ok_targets:
             status, body, etag = fetch(server.host, server.port, target)
