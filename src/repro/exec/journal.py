@@ -6,9 +6,9 @@ so a production-scale reproduction must survive process death
 mid-campaign. Everything this repository keeps across a crash is
 written by one of three operations here:
 
-- :func:`atomic_write` replaces a whole file (snapshots, store indexes,
-  the coordinator document, shard segments): a reader sees the old
-  file or the new one, never a mix.
+- :func:`atomic_write` replaces a whole file (snapshots, the
+  coordinator document, shard segments): a reader sees the old file or
+  the new one, never a mix.
 - :func:`publish_directory` moves a fully written staging directory
   into place (store epochs): a reader sees all of it or none of it.
 - The **framed log** appends CRC-protected lines: the study and monitor

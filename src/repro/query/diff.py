@@ -227,10 +227,11 @@ def stored_states(
     located through the product and ISP indexes (never a full scan) and
     read in commit order.
     """
+    isp_epochs = set(store.lookup("isp", isp))
     candidates = [
         epoch_id
         for epoch_id in store.lookup("product", product)
-        if epoch_id in set(store.lookup("isp", isp))
+        if epoch_id in isp_epochs
     ]
     timeline: List[Tuple[int, bool]] = []
     for epoch_id in candidates:

@@ -122,7 +122,7 @@ class EpochStream:
     Obtain one from :meth:`ResultsStore.begin_stream`, write rows with
     :meth:`write`, then :meth:`finalize` — which computes the
     content-addressed epoch id from the accumulated digests and
-    publishes atomically (staging rename + commit log + indexes), or
+    publishes atomically (staging rename + commit log), or
     :meth:`abort` to drop the staging directory without a trace.
     """
 

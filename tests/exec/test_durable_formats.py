@@ -91,9 +91,6 @@ def test_commit_log_and_index_after_three_commits(tmp_path):
     assert sha256_of(tmp_path / COMMIT_LOG_FILENAME) == (
         "d50affe658508c84612dae765124d6c1bac3eb2f37fc2375421124547acb6fd4"
     )
-    assert sha256_of(tmp_path / "indexes" / "isp.json") == (
-        "1a50cee6bd228b36996af43131efa9f472dd5fe1f1f6717072e14156be0861b0"
-    )
     fresh = ResultsStore(tmp_path)
     assert fresh.epoch_ids() == ids
     assert fresh.lookup("isp", "net-2") == [ids[1]]

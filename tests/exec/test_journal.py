@@ -3,13 +3,17 @@
 Covers the durability contract of :mod:`repro.exec.journal` and
 :mod:`repro.exec.checkpoint` without running a study: damage must
 degrade to the longest valid prefix plus an explicit recovery report —
-never an exception — and snapshot writes must be atomic and
+never an exception — ``atomic_write`` must leave the old file or the
+new one and no temp file, and snapshot writes must be atomic and
 self-verifying. Torn tails, CRC corruption, sequence breaks and resume
 truncation are covered for every framed log by the properties in
 ``test_framed_log.py``.
 """
 
 import json
+import os
+import sys
+import threading
 import zlib
 
 import pytest
@@ -30,6 +34,7 @@ from repro.exec.journal import (
     JournalError,
     JournalWriter,
     RecoveryReport,
+    atomic_write,
     read_journal,
 )
 
@@ -122,6 +127,69 @@ class DescribeJournalDamage:
         assert records == []
         assert report.records_kept == 0
         assert not report.clean
+
+
+class DescribeAtomicWrite:
+    def test_failed_replace_keeps_old_bytes_and_no_temp_file(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "state.json"
+        atomic_write(path, b"old")
+
+        def failing_replace(source, target):
+            raise OSError("simulated rename failure")
+
+        monkeypatch.setattr("os.replace", failing_replace)
+        with pytest.raises(OSError, match="simulated rename failure"):
+            atomic_write(path, b"new")
+        monkeypatch.undo()
+        assert path.read_bytes() == b"old"
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_concurrent_writers_of_one_path_never_collide(self, tmp_path):
+        # Each call writes a temp file of its own, so no writer truncates
+        # or renames another's: the survivor is one writer's whole bytes.
+        path = tmp_path / "state.json"
+        payloads = [bytes([65 + worker]) * 65536 for worker in range(8)]
+        start = threading.Barrier(8, timeout=30)
+        errors = []
+
+        def write(worker):
+            start.wait()
+            try:
+                for _ in range(10):
+                    atomic_write(path, payloads[worker])
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=write, args=(worker,))
+            for worker in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert path.read_bytes() in payloads
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_file_mode_matches_a_plain_open(self, tmp_path):
+        umask = os.umask(0o022)
+        try:
+            atomic_write(tmp_path / "written", b"x")
+            (tmp_path / "opened").write_bytes(b"x")
+        finally:
+            os.umask(umask)
+        assert (tmp_path / "written").stat().st_mode == (
+            (tmp_path / "opened").stat().st_mode
+        )
 
 
 class DescribeSnapshots:
