@@ -30,7 +30,9 @@ Epoch ids may be unique prefixes. Listing/record endpoints accept
 ``page`` / ``per_page`` plus the record-filter dimensions (``country``,
 ``asn``, ``product``, ``isp``, ``category``) and ``min_confidence`` (a
 row-level floor on fused verdict confidence; rows committed without
-confidence recording pass any floor).
+confidence recording pass any floor). ``page``, ``per_page`` and
+``asn`` are runs of ASCII digits and ``min_confidence`` is ASCII text;
+anything else is a 400.
 
 Caching: every cacheable response carries a *strong* ETag derived from
 epoch content hashes (epoch ids are SHA-256s of epoch content, so a
@@ -59,6 +61,7 @@ from repro.exec.journal import JOURNAL_FILENAME
 from repro.exec.metrics import Metrics
 from repro.monitor.alerts import ALERTS_FILENAME, read_alerts
 from repro.monitor.status import read_status
+from repro.net.ip import is_ascii_number
 from repro.query import QueryEngine, RecordFilter, TABLE_NAMES
 from repro.store import RECORD_KINDS, ResultsStore, StoreError, UnknownEpoch
 
@@ -138,10 +141,20 @@ def _dump(document: Any) -> bytes:
     )
 
 
+def _ascii_int(text: str) -> int:
+    """``int(text)``, for a run of ASCII digits only (``int`` alone also
+    reads ``٣`` as 3 and ``1_0`` as 10)."""
+    if not is_ascii_number(text):
+        raise ValueError(f"not a run of ASCII digits: {text!r}")
+    return int(text)
+
+
 def _pagination(params: Dict[str, str]) -> Tuple[int, int]:
     try:
-        page = int(params.get("page", "1"))
-        per_page = int(params.get("per_page", str(DEFAULT_PAGE_SIZE)))
+        page = _ascii_int(params.get("page", "1"))
+        per_page = _ascii_int(
+            params.get("per_page", str(DEFAULT_PAGE_SIZE))
+        )
     except ValueError as exc:
         raise ApiError(400, f"bad pagination parameter: {exc}") from exc
     if page < 1:
@@ -168,13 +181,16 @@ def _record_filter(params: Dict[str, str]) -> RecordFilter:
     asn: Optional[int] = None
     if "asn" in params:
         try:
-            asn = int(params["asn"])
+            asn = _ascii_int(params["asn"])
         except ValueError as exc:
             raise ApiError(400, f"bad asn parameter: {exc}") from exc
     min_confidence: Optional[float] = None
     if "min_confidence" in params:
+        text = params["min_confidence"]
         try:
-            min_confidence = float(params["min_confidence"])
+            if not text.isascii():  # float() reads "٠.٥" as 0.5
+                raise ValueError(f"not ASCII: {text!r}")
+            min_confidence = float(text)
         except ValueError as exc:
             raise ApiError(
                 400, f"bad min_confidence parameter: {exc}"

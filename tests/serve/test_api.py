@@ -5,6 +5,7 @@ byte-identity between served tables and the live renderers."""
 from __future__ import annotations
 
 import json
+from urllib.parse import quote
 
 import pytest
 
@@ -100,6 +101,36 @@ class DescribeRecords:
         )
         assert document["total"] == total
         assert len(document["items"]) == 10
+
+
+class DescribeNumericParameters:
+    """Query numbers are plain ASCII: ``int()`` alone reads ``٣`` as 3
+    and ``1_0`` as 10, and ``float()`` reads ``٠.٥`` as 0.5."""
+
+    def _error(self, response):
+        assert response.status == 400
+        return _json(response)["error"]
+
+    def test_page_takes_ascii_digits_only(self, api):
+        response = api.handle(f"/epochs?page={quote('٣')}&per_page=1")
+        assert self._error(response).startswith("bad pagination parameter")
+
+    def test_per_page_takes_ascii_digits_only(self, api):
+        response = api.handle("/epochs?per_page=1_0")
+        assert self._error(response).startswith("bad pagination parameter")
+
+    def test_asn_takes_ascii_digits_only(self, api):
+        response = api.handle(f"/epochs?asn={quote('٦٥٠٠١')}")
+        assert self._error(response).startswith("bad asn parameter")
+
+    def test_min_confidence_takes_ascii_only(self, api, two_epoch_store):
+        store, _first, _second = two_epoch_store
+        epoch = store.epoch_ids()[1]
+        response = api.handle(
+            f"/epochs/{epoch}/records/confirmations"
+            f"?min_confidence={quote('٠.٥')}"
+        )
+        assert self._error(response).startswith("bad min_confidence parameter")
 
 
 class DescribeTables:
