@@ -237,7 +237,6 @@ class FullStudy:
         *,
         products: Optional[Sequence[str]] = None,
         shodan_coverage: float = 1.0,
-        geo_error_rate: float = 0.0,
         workers: int = 1,
         link_latency: float = 0.0,
         metrics: Optional[Metrics] = None,
@@ -264,7 +263,6 @@ class FullStudy:
             )
         )
         self._shodan_coverage = shodan_coverage
-        self._geo_error_rate = geo_error_rate
         self._link_latency = link_latency
         # An execution-shape knob: like workers, it must not influence
         # study identity — the determinism matrix pins this down.
@@ -322,14 +320,7 @@ class FullStudy:
                 resilience=self.resilience,
                 shards=self._scan_shards,
             )
-            geo_rng = None
-            if self._geo_error_rate:
-                from repro.world.rng import derive_rng
-
-                geo_rng = derive_rng(world.seed, "geo-errors")
-            geo = GeoDatabase.build_from_world(
-                world, error_rate=self._geo_error_rate, rng=geo_rng
-            )
+            geo = GeoDatabase.build_from_world(world)
             # The banner index geolocates every record up front; routing
             # it through the shared cache turns the §3 candidate
             # re-lookups into hits.
@@ -576,7 +567,9 @@ class FullStudy:
                 None if self._products is None else list(self._products)
             ),
             "shodan_coverage": self._shodan_coverage,
-            "geo_error_rate": self._geo_error_rate,
+            # No longer settable; kept at its old default so the
+            # fingerprint and the pinned epoch ids do not move.
+            "geo_error_rate": 0.0,
             "fault_plan": (
                 None if self.fault_plan is None else self.fault_plan.describe()
             ),
@@ -710,7 +703,6 @@ def run_full_study(
     link_latency: float = 0.0,
     metrics: Optional[Metrics] = None,
     shodan_coverage: float = 1.0,
-    geo_error_rate: float = 0.0,
     fault_plan: Optional[FaultPlan] = None,
     max_retries: int = 2,
     fail_fast: bool = False,
@@ -749,7 +741,6 @@ def run_full_study(
         scenario,
         products=products,
         shodan_coverage=shodan_coverage,
-        geo_error_rate=geo_error_rate,
         workers=workers,
         link_latency=link_latency,
         metrics=metrics,
