@@ -64,10 +64,6 @@ def test_parallel_study_faster_and_identical(benchmark):
         "speedup": round(speedup, 3),
         "reports_identical": True,
         "fanout_tasks": fanout_tasks,
-        "cache": {
-            name: counters.get(f"cache.{name}.hits", 0)
-            for name in ("geo", "asn", "dns", "banner")
-        },
     }
     with open(BENCH_PATH, "w", encoding="utf-8") as handle:
         handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -83,16 +79,3 @@ def test_parallel_study_faster_and_identical(benchmark):
         f"{parallel_seconds:.2f}s"
     )
 
-
-def test_lookup_caches_carry_real_traffic():
-    metrics = Metrics()
-    run_full_study(workers=1, metrics=metrics)
-    hits = {
-        name: metrics.count(f"cache.{name}.hits")
-        for name in ("geo", "asn", "dns")
-    }
-    print(f"\ncache hits: {hits}")
-    # The identification stage re-geolocates candidate IPs the banner
-    # index already mapped, and every fetch hop re-resolves its host.
-    assert hits["geo"] > 100
-    assert hits["dns"] > 100

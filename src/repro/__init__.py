@@ -35,7 +35,7 @@ from repro.core.pipeline import (
     StudyReport,
     run_full_study,
 )
-from repro.exec import Executor, MemoCache, Metrics, StudyCaches
+from repro.exec import Executor, Metrics
 from repro.monitor import MonitorConfig, MonitorService, MonitorTarget
 from repro.query import QueryEngine, RecordFilter
 from repro.serve import ResultsServer
@@ -63,7 +63,6 @@ __all__ = [
     "FullStudy",
     "IdentificationPipeline",
     "IdentificationReport",
-    "MemoCache",
     "Metrics",
     "MonitorConfig",
     "MonitorService",
@@ -74,7 +73,6 @@ __all__ = [
     "ResultsStore",
     "Scenario",
     "ScenarioConfig",
-    "StudyCaches",
     "StudyReport",
     "Vantage",
     "World",

@@ -37,16 +37,8 @@ def installations_rows(report: "StudyReport") -> List[Dict[str, Any]]:
     ]
 
 
-def confirmations_rows(
-    report: "StudyReport", *, include_confidence: bool = False
-) -> List[Dict[str, Any]]:
-    """Table 3 backing data: one row per case study.
-
-    ``include_confidence`` adds the fused verdict confidence and the
-    per-classifier signal breakdown. Off by default: the extra keys
-    change row bytes, and the default export (like default epoch ids)
-    must stay byte-identical to pre-fusion output.
-    """
+def confirmations_rows(report: "StudyReport") -> List[Dict[str, Any]]:
+    """Table 3 backing data: one row per case study."""
     rows = []
     for result in report.confirmations:
         config = result.config
@@ -63,9 +55,6 @@ def confirmations_rows(
             "confirmed": result.confirmed,
             "pre_check_accessible": result.pre_check_accessible,
         }
-        if include_confidence:
-            row["confidence"] = round(result.confidence, 4)
-            row["signals"] = result.signal_summary()
         rows.append(row)
     return rows
 

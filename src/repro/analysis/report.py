@@ -17,7 +17,6 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # avoid a circular import at runtime
     from repro.core.pipeline import StudyReport
-    from repro.exec.cache import StudyCaches
     from repro.exec.metrics import Metrics
 
 
@@ -80,16 +79,12 @@ def write_markdown_report(report: "StudyReport", *, seed: Optional[int] = None) 
     return "\n".join(sections)
 
 
-def write_execution_summary(
-    metrics: "Metrics", caches: Optional["StudyCaches"] = None
-) -> str:
-    """Render how a run executed (timings, fan-out, cache traffic).
+def write_execution_summary(metrics: "Metrics") -> str:
+    """Render how a run executed (timings, fan-out).
 
     Kept separate from :func:`write_markdown_report` because timings are
     not deterministic; callers opt in via ``repro study --metrics``.
     """
     sections = ["## Execution summary", ""]
     sections += ["```", metrics.summary(), "```", ""]
-    if caches is not None:
-        sections += ["```", "\n".join(caches.summary_lines()), "```", ""]
     return "\n".join(sections)

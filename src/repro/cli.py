@@ -133,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     study.add_argument(
         "--metrics", action="store_true",
-        help="print the execution summary (timings, fan-out, caches)",
+        help="print the execution summary (timings, fan-out)",
     )
     study.add_argument(
         "--products", action="append", type=_product, metavar="NAME",
@@ -697,7 +697,7 @@ def _cmd_study(args) -> int:
         for line in partial.summary_lines():
             print(line)
     if args.metrics:
-        print(write_execution_summary(study.metrics, study.caches))
+        print(write_execution_summary(study.metrics))
     print(validate_report(report).summary())
     if partial is not None and not partial.complete:
         return EXIT_PARTIAL

@@ -122,16 +122,12 @@ class ContentCharacterization:
         world: World,
         *,
         engine: Optional[VerdictEngine] = None,
-        per_category_global: int = 3,
-        per_category_local: int = 2,
         executor: Optional[Executor] = None,
         link_latency: float = 0.0,
         resilience: Optional[ResilientRunner] = None,
     ) -> None:
         self._world = world
         self._engine = engine or VerdictEngine()
-        self._per_global = per_category_global
-        self._per_local = per_category_local
         self._executor = executor
         self._link_latency = link_latency
         self._resilience = resilience
@@ -148,15 +144,9 @@ class ContentCharacterization:
         world = self._world
         isp = world.isps[isp_name]
         if global_list is None:
-            global_list = build_global_list(
-                world, per_category=self._per_global
-            )
+            global_list = build_global_list(world)
         if local_list is None:
-            local_list = build_local_list(
-                world,
-                isp.country.code,
-                per_category=self._per_local,
-            )
+            local_list = build_local_list(world, isp.country.code)
         client = MeasurementClient(
             world.vantage(isp_name),
             world.lab_vantage(),

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.exec.cache import StudyCaches
 from repro.exec.executor import Executor
 from repro.exec.resilience import ResilientRunner
 from repro.geo.cymru import WhoisService
@@ -110,7 +109,6 @@ class IdentificationPipeline:
         *,
         cctlds: Optional[Sequence[str]] = None,
         executor: Optional[Executor] = None,
-        caches: Optional[StudyCaches] = None,
         resilience: Optional[ResilientRunner] = None,
     ) -> None:
         self._shodan = shodan
@@ -120,14 +118,6 @@ class IdentificationPipeline:
         self._cctlds = sorted(cctlds if cctlds is not None else COUNTRY_CODE_TLDS)
         self._executor = executor
         self._resilience = resilience
-        # Geo and whois lookups repeat per candidate (and the banner
-        # index re-geolocates the same IPs); memoize when caches given.
-        if caches is not None:
-            self._geo_lookup = caches.wrap_geo(geo.country_code)
-            self._whois_lookup = caches.wrap_asn(whois.lookup)
-        else:
-            self._geo_lookup = geo.country_code
-            self._whois_lookup = whois.lookup
 
     @classmethod
     def from_census(
@@ -237,12 +227,12 @@ class IdentificationPipeline:
             if key in validated_ips:
                 continue
             validated_ips.add(key)
-            whois_record = self._whois_lookup(candidate.ip)
+            whois_record = self._whois.lookup(candidate.ip)
             report.installations.append(
                 Installation(
                     ip=candidate.ip,
                     product=candidate.product,
-                    country_code=self._geo_lookup(candidate.ip) or "",
+                    country_code=self._geo.country_code(candidate.ip) or "",
                     asn=whois_record.asn if whois_record else None,
                     as_name=whois_record.as_name if whois_record else "",
                     org_name=whois_record.org_name if whois_record else "",

@@ -33,7 +33,6 @@ from repro.core.confirm import (
     run_category_probe,
 )
 from repro.core.identify import IdentificationPipeline, IdentificationReport
-from repro.exec.cache import StudyCaches
 from repro.exec.checkpoint import (
     SNAPSHOT_SCHEMA_VERSION,
     fingerprint,
@@ -277,8 +276,6 @@ class FullStudy:
         self.executor = Executor(
             workers=workers, metrics=self.metrics, name="study"
         )
-        self.caches = StudyCaches()
-        scenario.world.enable_dns_cache(self.caches.dns)
         # The checkpoint baseline: campaign-registered domains are the
         # delta against this set. Must be captured before any unit runs.
         self._baseline_domains = frozenset(scenario.world.websites)
@@ -321,14 +318,7 @@ class FullStudy:
                 shards=self._scan_shards,
             )
             geo = GeoDatabase.build_from_world(world)
-            # The banner index geolocates every record up front; routing
-            # it through the shared cache turns the §3 candidate
-            # re-lookups into hits.
-            shodan = ShodanIndex(
-                records,
-                geolocate=self.caches.wrap_geo(geo.country_code),
-                query_cache=self.caches.banner,
-            )
+            shodan = ShodanIndex(records, geolocate=geo.country_code)
             whatweb = WhatWebEngine(
                 world_probe(world),
                 signatures=registry.whatweb_signatures(self._products),
@@ -341,7 +331,6 @@ class FullStudy:
                 geo,
                 whois,
                 executor=self.executor,
-                caches=self.caches,
                 resilience=self.resilience,
             )
             return pipeline.run(self._products)
@@ -479,12 +468,6 @@ class FullStudy:
             characterizations=characterizations,
         )
 
-    def _record_cache_metrics(self) -> None:
-        for cache in self.caches.all():
-            stats = cache.stats
-            self.metrics.incr(f"cache.{cache.name}.hits", stats.hits)
-            self.metrics.incr(f"cache.{cache.name}.misses", stats.misses)
-
     def run(self) -> Union[StudyReport, PartialStudyResult]:
         """The full campaign in paper order.
 
@@ -499,7 +482,6 @@ class FullStudy:
         return self._outcome()
 
     def _outcome(self) -> Union[StudyReport, PartialStudyResult]:
-        self._record_cache_metrics()
         report = self._assemble()
         if self.resilience is None:
             return report
@@ -592,15 +574,14 @@ class FullStudy:
         The inventory covers everything the remaining units' output can
         depend on: completed unit results, the world delta (clock,
         campaign domains, pool cursors), every vendor's RNG/portal/
-        database/queue state, middlebox counters, lookup-cache contents,
-        and the resilience layer's breaker/quarantine/coverage state.
+        database/queue state, middlebox counters, and the resilience
+        layer's breaker/quarantine/coverage state.
         The executor needs no entry: between units it is quiescent (its
         sequencer is created per campaign and has no cross-unit state).
         """
         return {
             "results": dict(self._results),
             **self._scenario.capture_state(self._baseline_domains),
-            "caches": self.caches.capture_state(),
             "resilience": (
                 None if self.resilience is None else self.resilience.capture_state()
             ),
@@ -610,11 +591,12 @@ class FullStudy:
         """Re-apply a captured state onto this freshly built study.
 
         Returns the completed unit results. The measurement world goes
-        first (:meth:`Scenario.restore_state`), then the caches and the
-        resilience layer.
+        first (:meth:`Scenario.restore_state`), then the resilience
+        layer. Keys :meth:`capture_state` does not write are ignored,
+        such as the lookup-cache contents that snapshots from older
+        versions carry under ``"caches"``.
         """
         self._scenario.restore_state(state)
-        self.caches.restore_state(state["caches"])
         if state["resilience"] is not None and self.resilience is not None:
             self.resilience.restore_state(state["resilience"])
         self._results = dict(state["results"])

@@ -462,8 +462,6 @@ def static_baseline(
     executor: Optional[Executor] = None,
     link_latency: float = 0.0,
     resilience: Optional[ResilientRunner] = None,
-    per_category_global: int = 3,
-    per_category_local: int = 2,
 ) -> List[str]:
     """Blocked URLs found by the static global+local Table 4 lists.
 
@@ -471,12 +469,8 @@ def static_baseline(
     default source of seed URLs.
     """
     isp = world.isps[isp_name]
-    entries = list(
-        build_global_list(world, per_category=per_category_global).entries
-    ) + list(
-        build_local_list(
-            world, isp.country.code, per_category=per_category_local
-        ).entries
+    entries = list(build_global_list(world).entries) + list(
+        build_local_list(world, isp.country.code).entries
     )
     urls = _dedupe(_canonical_url(e.url) for e in entries)
     client = MeasurementClient(

@@ -18,9 +18,6 @@ while keeping its defining property — every run is a pure function of
   each failed task back as a :class:`TaskFailure` in its own slot.
   Retries of transient faults live one layer up, in
   :mod:`repro.exec.resilience`.
-- :mod:`repro.exec.cache` — thread-safe memoization for the hot lookup
-  paths (MaxMind geo, Team Cymru ASN, DNS resolution, Shodan banner
-  queries) with hit/miss counters and explicit invalidation.
 - :mod:`repro.exec.metrics` — counters, timers and per-stage summaries
   surfaced through the CLI and :mod:`repro.analysis.report`.
 - :mod:`repro.exec.journal` / :mod:`repro.exec.checkpoint` — the
@@ -32,7 +29,6 @@ while keeping its defining property — every run is a pure function of
   ``--resume``).
 """
 
-from repro.exec.cache import CacheStats, CachedFunction, MemoCache, StudyCaches
 from repro.exec.checkpoint import Snapshot, load_latest_snapshot, write_snapshot
 from repro.exec.journal import JournalRecord, JournalWriter, RecoveryReport
 from repro.exec.executor import (
@@ -48,20 +44,16 @@ from repro.exec.metrics import Metrics, TimerStats
 
 __all__ = [
     "BACKENDS",
-    "CacheStats",
-    "CachedFunction",
     "Executor",
     "PROCESS_BACKEND",
     "StreamStats",
     "THREAD_BACKEND",
     "JournalRecord",
     "JournalWriter",
-    "MemoCache",
     "Metrics",
     "RecoveryReport",
     "Sequencer",
     "Snapshot",
-    "StudyCaches",
     "TaskFailure",
     "TimerStats",
     "load_latest_snapshot",

@@ -6,8 +6,8 @@ everything a resumed process needs to continue the campaign from a unit
 boundary and still produce byte-identical output — completed unit
 results, the sim-clock position, every vendor's RNG/portal/database
 delta, middlebox counters, the world's campaign-domain delta and
-address-pool cursors, lookup-cache contents, and the resilience layer's
-breaker/quarantine/coverage state.
+address-pool cursors, and the resilience layer's breaker/quarantine/
+coverage state.
 
 Snapshots are written with :func:`repro.exec.journal.atomic_write`, so
 a reader never observes a half-written snapshot: either the old file,

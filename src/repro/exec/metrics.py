@@ -2,7 +2,7 @@
 
 Counters and wall-clock timers for the pipeline's stages and fan-outs.
 The numbers here describe *how the reproduction ran* (tasks, retries,
-cache traffic, stage durations) — never *what it measured* — so they are
+stage durations) — never *what it measured* — so they are
 deliberately kept out of :class:`~repro.core.pipeline.StudyReport`:
 study output must stay byte-identical across worker counts while
 timings, by nature, are not.

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.exec.cache import MemoCache
 from repro.net.ip import Ipv4Address
 from repro.scan.banner import BannerRecord
 
@@ -61,16 +60,10 @@ class ShodanIndex:
         *,
         result_cap: int = DEFAULT_RESULT_CAP,
         geolocate: Optional[Callable[[Ipv4Address], Optional[str]]] = None,
-        query_cache: Optional[MemoCache] = None,
     ) -> None:
         """``geolocate`` overrides each record's country tag (e.g. with a
         MaxMind-style database including its errors); records the
         function cannot place keep their original tag.
-
-        ``query_cache`` memoizes whole query result lists. A cache hit
-        models *not issuing the API query again*, so it is answered
-        without touching the query log — the paper counts queries
-        actually sent to the service.
         """
         self._records: List[BannerRecord] = []
         by_country: Dict[str, List[int]] = {}
@@ -87,7 +80,6 @@ class ShodanIndex:
             raise ValueError("result_cap must be positive")
         self.result_cap = result_cap
         self.log = ShodanQueryLog()
-        self._query_cache = query_cache
         # Concurrent searches may build the same posting twice; both
         # builds are equal, so the race only duplicates work.
         self._postings: Dict[str, _Posting] = {
@@ -117,15 +109,6 @@ class ShodanIndex:
         the combined log is independent of scheduling.
         """
         target_log = log if log is not None else self.log
-        if self._query_cache is not None:
-            if query in self._query_cache:
-                # Served from cache: no query reaches the service, so
-                # nothing is logged.
-                return list(self._query_cache.get_or_compute(query, list))
-            hits = self._execute(query)
-            self._query_cache.get_or_compute(query, lambda: hits)
-            target_log.record(query, len(hits))
-            return list(hits)
         hits = self._execute(query)
         target_log.record(query, len(hits))
         return hits

@@ -223,6 +223,9 @@ class ResultsStore:
         # refreshes the entry only if the log grew by exactly the bytes
         # it wrote (otherwise another writer appended too: drop it).
         self._order_cache: Optional[Tuple[Tuple[int, int], List[str]]] = None
+        # (log stat token, content_state digest), kept only while the
+        # order cache holds a clean read under the same token.
+        self._state_cache: Optional[Tuple[Tuple[int, int], str]] = None
         # (epoch order, dimension -> key -> epoch ids) as last folded.
         # Replaced whole, never changed in place, so a reader holding
         # the old value keeps a consistent one. Threads that fold at
@@ -559,11 +562,21 @@ class ResultsStore:
         """A digest over the committed epoch set, for serving ETags.
 
         Epoch ids are content hashes, so hashing the ordered id list is
-        a strong digest of everything the store serves.
+        a strong digest of everything the store serves. The digest is
+        reused until the commit log's stat token changes; a log whose
+        order cannot be cached (damage, orphans) is hashed per call.
         """
-        return hashlib.sha256(
+        token = self._log_stat_token()
+        cached = self._state_cache
+        if cached is not None and cached[0] == token:
+            return cached[1]
+        digest = hashlib.sha256(
             "\n".join(self.epoch_ids()).encode("utf-8")
         ).hexdigest()
+        order = self._order_cache
+        if order is not None and order[0] == token:
+            self._state_cache = (token, digest)
+        return digest
 
 
 def _logged_epoch(rec: Dict[str, Any]) -> Optional[str]:

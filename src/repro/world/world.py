@@ -59,9 +59,9 @@ def _is_ip_literal(host: str) -> bool:
 class World:
     """Container and router for the whole simulated Internet."""
 
-    def __init__(self, seed: int = 0, faults: Optional[FaultPlan] = None) -> None:
+    def __init__(self, seed: int = 0) -> None:
         self.seed = seed
-        self.faults = faults if faults is not None else NO_FAULTS
+        self.faults = NO_FAULTS
         self.clock = SimClock()
         self.zone = DnsZone()
         self.countries: Dict[str, Country] = {}
@@ -72,7 +72,6 @@ class World:
         self._pools: Dict[int, AddressPool] = {}
         self._prefix_owners = PrefixTable()
         self.lab_country: Optional[Country] = None
-        self._dns_cache = None  # Optional[repro.exec.cache.MemoCache]
 
     def install_faults(self, plan: Optional[FaultPlan]) -> None:
         """Install (or clear, with None) a chaos fault plan.
@@ -82,16 +81,6 @@ class World:
         comparator can never mistake infrastructure noise for blocking.
         """
         self.faults = plan if plan is not None else NO_FAULTS
-
-    def enable_dns_cache(self, cache) -> None:
-        """Memoize authoritative DNS answers through ``cache``.
-
-        ISP-level poisoning/refusal is checked before the cache, so a
-        censored resolver never pollutes (or reads) the shared answers.
-        Entries are invalidated whenever a host (de)registers, which is
-        how §4 campaign domains appear and disappear.
-        """
-        self._dns_cache = cache
 
     # ----------------------------------------------------------- registry
     def add_country(self, code: str, name: str, region: str = "") -> Country:
@@ -149,18 +138,12 @@ class World:
         self.hosts[host.ip.value] = host
         if host.hostname:
             self.zone.register(host.hostname, host.ip)
-            self._invalidate_dns(host.hostname)
         return host
 
     def remove_host(self, ip: Ipv4Address) -> None:
         host = self.hosts.pop(ip.value, None)
         if host is not None and host.hostname:
             self.zone.unregister(host.hostname)
-            self._invalidate_dns(host.hostname)
-
-    def _invalidate_dns(self, hostname: str) -> None:
-        if self._dns_cache is not None:
-            self._dns_cache.invalidate(hostname.lower().rstrip("."))
 
     def host_at(self, ip: Ipv4Address) -> Optional[Host]:
         return self.hosts.get(ip.value)
@@ -286,8 +269,7 @@ class World:
         faults = self.faults
         if isp is not None and (isp.dns_poisoned or isp.dns_refused):
             # The fault hook fires before the poisoned/refused tables so
-            # a flap can hit censored names too (and before the shared
-            # cache below, which must never see injected answers).
+            # a flap can hit censored names too.
             resolver = Resolver(self.zone)
             if faults.active:
                 resolver.fault_hook = lambda name: faults.dns_fault(
@@ -300,12 +282,6 @@ class World:
             fault = faults.dns_fault(self._vantage_label(isp), key)
             if fault is not None:
                 raise fault
-        if self._dns_cache is not None:
-            # NxDomain is never cached: a later registration must be
-            # seen immediately.
-            return self._dns_cache.get_or_compute(
-                key, lambda: self.zone.resolve(hostname)
-            )
         return self.zone.resolve(hostname)
 
     def fetch(

@@ -39,7 +39,7 @@ from repro.cli import build_parser, main
 SRC = Path(__file__).resolve().parents[2] / "src"
 OPTION_TABLE_ROWS = 144
 OPTION_TABLE_SHA256 = (
-    "72152454e2d4f61bd255964892154b20dbd4fa7deae6b82ea6b0f9cbd69376e8"
+    "e6f7f1bf7a1bb224b61e0fab412c3b0ec5cec7b5a48143e30496ba40b5f6aa8a"
 )
 EMPTY_PLAN_EPOCH = "58944ce70e1b"
 

@@ -25,9 +25,17 @@ import pytest
 from repro.analysis.export import to_json
 from repro.analysis.report import write_markdown_report
 from repro.core.pipeline import FullStudy, PartialStudyResult
-from repro.exec.checkpoint import CheckpointError
+from repro.exec.checkpoint import (
+    CheckpointError,
+    load_latest_snapshot,
+    write_snapshot,
+)
 from repro.exec.journal import JOURNAL_FILENAME, JournalError, read_journal
+from repro.geo.cymru import WhoisService
+from repro.geo.maxmind import GeoDatabase
 from repro.products.registry import NETSWEEPER
+from repro.scan.banner import BannerRecord
+from repro.world.clock import SimTime
 from repro.world.faults import FaultPlan
 from repro.world.scenario import ScenarioConfig, build_scenario
 
@@ -215,6 +223,62 @@ class DescribeDamagedDurabilityState:
         assert run_killed(tmp_path, seed, 2)
         with pytest.raises(JournalError, match="resume"):
             make_study(seed).run_journaled(tmp_path)
+
+
+def older_lookup_caches(seed):
+    """Lookup-cache contents as older versions captured them under a
+    study snapshot's ``"caches"`` key: country codes and whois records
+    by address, DNS answers by name, banner-query result lists."""
+    world = build_scenario(seed=seed, config=_CONFIG).world
+    geo = GeoDatabase.build_from_world(world)
+    whois = WhoisService.build_from_world(world)
+    sites = sorted(world.websites.values(), key=lambda site: site.domain)[:5]
+    banner = BannerRecord(
+        ip=sites[0].ip,
+        port=80,
+        status_line="HTTP/1.1 200 OK",
+        headers_text="Server: WebAdmin",
+        html_title="Netsweeper WebAdmin",
+        hostname=sites[0].domain,
+        observed_at=SimTime(0),
+        country_code=geo.country_code(sites[0].ip) or "",
+    )
+    return {
+        "geo": {site.ip: geo.country_code(site.ip) for site in sites},
+        "asn": {site.ip: whois.lookup(site.ip) for site in sites},
+        "dns": {site.domain: site.ip for site in sites},
+        "banner": {"webadmin": [banner], "webadmin country:zz": []},
+    }
+
+
+class DescribeOlderSnapshots:
+    def test_snapshot_with_lookup_caches_resumes_identically(
+        self, tmp_path, goldens
+    ):
+        # Snapshots written before the §3 lookups lost their memo
+        # tables carry those tables; a resume ignores them.
+        seed = _seeds()[0]
+        journal = tmp_path / "journal"
+        assert run_killed(journal, seed, 7)
+        identity = make_study(seed).config_fingerprint()
+        snapshot = load_latest_snapshot(journal, identity_fingerprint=identity)
+        state = dict(snapshot.state, caches=older_lookup_caches(seed))
+        write_snapshot(
+            journal, seq=snapshot.seq, identity_fingerprint=identity,
+            state=state,
+        )
+        resumed = make_study(seed)
+        outcome = resumed.run_journaled(journal, resume=True)
+        assert resumed.last_recovery.snapshot_used == snapshot.path.name
+        assert fingerprint_output(outcome, seed) == goldens[seed]
+        uninterrupted = make_study(seed)
+        expected = uninterrupted.commit_epoch(
+            tmp_path / "uninterrupted", uninterrupted.run()
+        )
+        assert (
+            resumed.commit_epoch(tmp_path / "resumed", outcome).epoch_id
+            == expected.epoch_id
+        )
 
 
 class DescribeChaosCrashResume:

@@ -3,8 +3,7 @@
 The reference below is the index's original query path: test every
 record against every token, in record order, and stop at the cap. On
 random corpora and queries the index must return the same hits for
-``search`` and ``search_expanded`` and log the same entries, with and
-without a query cache.
+``search`` and ``search_expanded`` and log the same entries.
 
 Exercised via Hypothesis when it is installed, and over a fixed seeded
 sample otherwise, so tier-1 checks the same property either way.
@@ -15,9 +14,8 @@ from __future__ import annotations
 import random
 import sys
 import threading
-from typing import Dict, List, Optional
+from typing import List
 
-from repro.exec.cache import MemoCache
 from repro.net.ip import Ipv4Address
 from repro.scan.banner import BannerRecord
 from repro.scan.shodan import ShodanIndex, _tokenize
@@ -56,12 +54,11 @@ def _reference_matches(record: BannerRecord, token: str) -> bool:
 
 
 class ReferenceIndex:
-    """Linear-scan search with the index's cap, cache and log rules."""
+    """Linear-scan search with the index's cap and log rules."""
 
-    def __init__(self, records, cap: int, cached: bool) -> None:
+    def __init__(self, records, cap: int) -> None:
         self.records = records
         self.cap = cap
-        self.cache: Optional[Dict[str, list]] = {} if cached else None
         self.log: List[tuple] = []
 
     def _execute(self, query: str) -> List[BannerRecord]:
@@ -75,13 +72,9 @@ class ReferenceIndex:
         return hits
 
     def search(self, query: str) -> List[BannerRecord]:
-        if self.cache is not None and query in self.cache:
-            return list(self.cache[query])
         hits = self._execute(query)
-        if self.cache is not None:
-            self.cache[query] = hits
         self.log.append((query, len(hits)))
-        return list(hits)
+        return hits
 
     def search_expanded(self, keyword: str, codes) -> List[BannerRecord]:
         seen = set()
@@ -156,23 +149,17 @@ def _query(choose) -> str:
 def check_against_reference(choose) -> None:
     records = [_record(choose) for _ in range(choose.count(0, 12))]
     cap = choose.count(1, len(records) + 2)
-    cached = choose.pick((False, True))
     geolocate = None
     if choose.pick((False, True)):
         geolocate = {
             Ipv4Address(value): choose.pick(("ae", "SA", None))
             for value in range(0x14000000, 0x14000006)
         }.get
-    index = ShodanIndex(
-        records,
-        result_cap=cap,
-        geolocate=geolocate,
-        query_cache=MemoCache() if cached else None,
-    )
-    reference = ReferenceIndex(index.records, cap, cached)
+    index = ShodanIndex(records, result_cap=cap, geolocate=geolocate)
+    reference = ReferenceIndex(index.records, cap)
 
     queries = [_query(choose) for _ in range(choose.count(1, 5))]
-    # The same query issued twice: a cache hit is answered unlogged.
+    # The same query issued twice is answered and logged twice.
     queries.append(choose.pick(queries))
     for query in queries:
         assert [id(r) for r in index.search(query)] == [
@@ -219,7 +206,7 @@ def test_concurrent_searches_match_linear_scan():
     choose = RandomChooser(random.Random(0x7EAD))
     records = [_record(choose) for _ in range(200)]
     queries = sorted({_query(choose) for _ in range(80)})
-    reference = ReferenceIndex(records, 50, cached=False)
+    reference = ReferenceIndex(records, 50)
     expected = {q: [id(r) for r in reference.search(q)] for q in queries}
     index = ShodanIndex(records, result_cap=50)
     mismatches: List[str] = []

@@ -4,10 +4,12 @@ in-memory secondary indexes."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import shutil
 import sys
 import threading
+import types
 import zlib
 
 import pytest
@@ -467,6 +469,95 @@ class DescribeCommitFastPath:
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
         assert answers == {worker: serial for worker in range(8)}
+
+
+def order_digest(store):
+    return hashlib.sha256(
+        "\n".join(store.epoch_ids()).encode("utf-8")
+    ).hexdigest()
+
+
+class DescribeContentState:
+    def test_id_list_is_hashed_once_per_log_state(
+        self, tmp_path, monkeypatch
+    ):
+        store = ResultsStore(tmp_path)
+        for n in range(3):
+            store.commit(varied_epoch(n))
+        joined = "\n".join(store.epoch_ids()).encode("utf-8")
+        hashed = []
+
+        def sha256(data=b""):
+            if data == joined:
+                hashed.append(data)
+            return hashlib.sha256(data)
+
+        monkeypatch.setattr(
+            store_module, "hashlib", types.SimpleNamespace(sha256=sha256)
+        )
+        first = store.content_state()
+        assert [store.content_state() for _ in range(4)] == [first] * 4
+        assert len(hashed) == 1
+        assert first == order_digest(store)
+        # A commit through another instance on the same root changes
+        # the log, so this instance's answer moves with it.
+        ResultsStore(tmp_path).commit(varied_epoch(3))
+        assert store.content_state() != first
+        assert store.content_state() == order_digest(store)
+
+    def test_readers_follow_a_concurrent_writer(self, tmp_path):
+        # Eight threads read one instance while another instance
+        # commits: every answer is the digest of a committed prefix,
+        # and once the writer stops the reader answers for all of it.
+        reader = ResultsStore(tmp_path)
+        writer = ResultsStore(tmp_path)
+        writer.commit(varied_epoch(0))
+        seen = []
+        stop = threading.Event()
+
+        def read():
+            while not stop.is_set():
+                seen.append(reader.content_state())
+
+        threads = [threading.Thread(target=read) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for n in range(1, 16):
+                writer.commit(varied_epoch(n))
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        order = writer.epoch_ids()
+        prefixes = {
+            hashlib.sha256("\n".join(order[:k]).encode("utf-8")).hexdigest()
+            for k in range(1, len(order) + 1)
+        }
+        assert seen and set(seen) <= prefixes
+        assert reader.content_state() == order_digest(writer)
+
+    def test_damaged_log_is_hashed_per_call(self, tmp_path):
+        # A torn log's order is never cached, so an epoch directory
+        # that lands without a log record (a writer that died before
+        # its append) changes the answer although the log did not.
+        root = tmp_path / "store"
+        store = ResultsStore(root)
+        for n in range(2):
+            store.commit(varied_epoch(n))
+        log = root / COMMIT_LOG_FILENAME
+        log.write_bytes(log.read_bytes()[:-10])
+        fresh = ResultsStore(root)
+        before = fresh.content_state()
+        assert fresh.content_state() == before
+        orphan = ResultsStore(tmp_path / "probe").commit(varied_epoch(2))
+        shutil.copytree(orphan.path, root / "epochs" / orphan.epoch_id)
+        assert fresh.content_state() != before
+        assert fresh.content_state() == order_digest(fresh)
 
 
 class DescribeEpochValidation:

@@ -198,6 +198,18 @@ class DescribeWorldWiring:
         with pytest.raises(InjectedNxDomain):
             world.fetch(isp, Url.parse("http://daily-news.example.com/"))
 
+    def test_injected_dns_timeout_clears_with_the_plan(self):
+        world = make_mini_world()
+        url = Url.parse("http://daily-news.example.com/")
+        isp = world.isps["testnet"]
+        world.install_faults(FaultPlan(seed=1, dns_timeout_rate=1.0))
+        with pytest.raises(InjectedDnsTimeout):
+            world.fetch(isp, url)
+        # The fault left nothing behind: once the plan is cleared, the
+        # same fetch resolves and succeeds.
+        world.install_faults(None)
+        assert world.fetch(isp, url).ok
+
     def test_inert_plan_changes_nothing(self):
         world = make_mini_world()
         url = Url.parse("http://daily-news.example.com/")
