@@ -9,10 +9,10 @@ Three numbers, written to ``benchmarks/BENCH_monitor.json``:
    must never be the reason a round is slow.
 2. **Durability overhead**: a full :class:`MonitorService` run (journal
    + per-round snapshot + store commits, ``checkpoint_every=1``) versus
-   the bare store-backed ConfirmationStudy loop it supersedes
-   (``LongitudinalMonitor`` with a store). Recorded for trend-watching;
-   dominated by fsync/pickle at the toy round sizes used here, so it is
-   bounded loosely rather than by the 5% budget.
+   the bare store-backed loop it wraps (``ConfirmationStudy.run``, one
+   ``confirmation_epoch`` commit, then the interval). Recorded for
+   trend-watching; dominated by fsync/pickle at the toy round sizes
+   used here, so it is bounded loosely rather than by the 5% budget.
 3. **Kill-to-resumed recovery**: after a simulated kill mid-run, the
    wall-clock cost of resuming (journal replay + snapshot restore +
    re-running at most ``checkpoint_every`` rounds) must stay bounded.
@@ -30,7 +30,7 @@ from pathlib import Path
 
 from repro import build_scenario
 from repro.analysis.paper_data import PAPER_TABLE3
-from repro.core.monitor import LongitudinalMonitor
+from repro.core.confirm import ConfirmationStudy
 from repro.core.pipeline import config_for_row
 from repro.monitor import (
     AlertConfig,
@@ -42,6 +42,7 @@ from repro.monitor import (
     ScheduleConfig,
     SupervisorConfig,
 )
+from repro.store import ResultsStore, confirmation_epoch
 
 BENCH_PATH = os.path.join(os.path.dirname(__file__), "BENCH_monitor.json")
 
@@ -72,20 +73,31 @@ def _monitor_config() -> MonitorConfig:
 
 
 def _timed_bare():
-    """The PR-3 durable path: ConfirmationStudy loop + epoch commits."""
+    """The bare durable path: a ConfirmationStudy loop that commits
+    one round epoch per round."""
     config = config_for_row(_ROW)
     scenario = build_scenario()
     directory = Path(tempfile.mkdtemp(prefix="bench-monitor-bare-"))
     try:
+        world = scenario.world
         started = time.perf_counter()
-        monitor = LongitudinalMonitor(
-            scenario.world,
-            scenario.products[config.product_name],
-            scenario.hosting_asns[0],
-            config,
-            store=str(directory / "store"),
+        study = ConfirmationStudy(
+            world, scenario.products[config.product_name], scenario.hosting_asns[0]
         )
-        monitor.run(rounds=ROUNDS, interval_days=10)
+        store = ResultsStore(directory / "store")
+        for index in range(ROUNDS):
+            started_minutes = world.now.minutes
+            result = study.run(config)
+            store.commit(
+                confirmation_epoch(
+                    result,
+                    world=world,
+                    round_index=index,
+                    started_minutes=started_minutes,
+                )
+            )
+            if index + 1 < ROUNDS:
+                world.advance_days(10)
         return time.perf_counter() - started
     finally:
         shutil.rmtree(directory)

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Longitudinal monitoring: re-confirming product use over time.
 
-Replays two temporal arcs from the paper:
+Replays two temporal arcs from the paper through the always-on monitor
+(``MonitorService``), one fixed-interval monitor per arc:
 
 1. **Etisalat / SmartFilter** — confirmed in 9/2012 and re-confirmed in
    4/2013 (Table 3): a stable series.
@@ -10,33 +11,39 @@ Replays two temporal arcs from the paper:
    never reach the deployment: the monitor sees confirmation flip off,
    which is exactly the observable policy effect of the 2009 decision.
 
-Each round is also committed as one epoch to a throwaway results store.
+Each round is committed as one epoch to a throwaway results store, and
+the transitions are read back from it with the epoch diff.
 
 Run:  python examples/longitudinal_monitoring.py
 """
 
 import tempfile
+from pathlib import Path
 
-from repro import ConfirmationConfig, build_scenario
-from repro.core.monitor import LongitudinalMonitor
-from repro.store import ResultsStore
+from repro import (
+    ConfirmationConfig,
+    MonitorConfig,
+    MonitorService,
+    MonitorTarget,
+    QueryEngine,
+    build_scenario,
+)
+from repro.monitor import ScheduleConfig
+from repro.query import TransitionKind
+from repro.world.clock import SimTime
 from repro.world.content import ContentClass
 
 
 def main() -> None:
     with tempfile.TemporaryDirectory() as directory:
-        run(ResultsStore(directory))
+        run(Path(directory))
 
 
-def run(store: ResultsStore) -> None:
-    scenario = build_scenario()
-    world = scenario.world
-
+def run(directory: Path) -> None:
     print("=== Arc 1: SmartFilter in Etisalat, quarterly rounds ===")
-    monitor = LongitudinalMonitor(
-        world,
-        scenario.smartfilter,
-        scenario.hosting_asns[0],
+    monitor(
+        directory / "arc1",
+        directory / "store",
         ConfirmationConfig(
             product_name="McAfee SmartFilter",
             isp_name="etisalat",
@@ -44,23 +51,15 @@ def run(store: ResultsStore) -> None:
             category_label="Anonymizers",
             requested_category="Anonymizers",
         ),
-        store=store,
+        interval_days=90,
+        rounds=3,
     )
-    series = monitor.run(rounds=3, interval_days=90)
-    for round_ in series.rounds:
-        result = round_.result
-        print(
-            f"  {round_.started_at}: {result.blocked_submitted}/"
-            f"{len(result.submitted_outcomes)} blocked -> {round_.state.value}"
-        )
-    print(f"  transitions: {series.transitions() or 'none (stable use)'}")
 
     print("\n=== Arc 2: a vendor withdraws update support mid-series ===")
-    websense_box = scenario.deployments["tx-utility-1-websense"]
-    monitor2 = LongitudinalMonitor(
-        world,
-        scenario.websense,
-        scenario.hosting_asns[0],
+    print("  (before the second round: the 2009 Yemen decision)")
+    monitor(
+        directory / "arc2",
+        directory / "store",
         ConfirmationConfig(
             product_name="Websense",
             isp_name="tx-utility-1",
@@ -68,27 +67,52 @@ def run(store: ResultsStore) -> None:
             category_label="Proxy Avoidance",
             requested_category="Proxy Avoidance",
         ),
-        store=store,
+        interval_days=45,
+        rounds=2,
+        before_round=withdraw_before_second_round,
     )
-    first = monitor2.run_round()
-    print(
-        f"  {first.started_at}: {first.result.blocked_submitted}/"
-        f"{len(first.result.submitted_outcomes)} blocked -> {first.state.value}"
-    )
-    print("  -- vendor withdraws update support (the 2009 Yemen decision) --")
-    websense_box.subscription.withdraw(world.now)
-    world.advance_days(45)
-    second = monitor2.run_round()
-    print(
-        f"  {second.started_at}: {second.result.blocked_submitted}/"
-        f"{len(second.result.submitted_outcomes)} blocked -> {second.state.value}"
-    )
-    for transition in monitor2.series.transitions():
-        print(
-            f"  detected: {transition.kind.value} between "
-            f"{transition.between} and {transition.and_}"
-        )
 
+
+def withdraw_before_second_round(service, round_index, key) -> None:
+    if round_index == 1:
+        box = service.scenario.deployments["tx-utility-1-websense"]
+        box.subscription.withdraw(service.scenario.world.now)
+
+
+def monitor(monitor_dir, store_dir, config, *, interval_days, rounds, before_round=None):
+    """Run one pair ``rounds`` times, ``interval_days`` apart, and print
+    each round's state and every change the epoch diff detects."""
+    service = MonitorService(
+        monitor_dir,
+        store_dir,
+        scenario_factory=build_scenario,
+        targets=[MonitorTarget(config)],
+        config=MonitorConfig(
+            schedule=ScheduleConfig(
+                base_interval_days=interval_days,
+                min_interval_days=interval_days,
+                max_interval_days=interval_days,
+            )
+        ),
+        before_round=before_round,
+    )
+    service.run(rounds)
+    timeline = service.timeline
+    for entry in timeline:
+        print(f"  {SimTime(entry['started_minutes'])}: {entry['state']}")
+    engine = QueryEngine(service.store)
+    changes = [
+        f"{transition.kind.value} between "
+        f"{SimTime(earlier['started_minutes'])} and "
+        f"{SimTime(later['started_minutes'])}"
+        for earlier, later in zip(timeline, timeline[1:])
+        for transition in engine.diff(earlier["epoch"], later["epoch"]).transitions
+        if transition.kind is not TransitionKind.PERSISTED
+    ]
+    for change in changes:
+        print(f"  detected: {change}")
+    if not changes:
+        print("  transitions: none (stable use)")
 
 if __name__ == "__main__":
     main()

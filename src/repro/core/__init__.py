@@ -36,14 +36,6 @@ from repro.core.legacy import (
     analyze_block_page,
     run_legacy_identification,
 )
-from repro.core.monitor import (
-    LongitudinalMonitor,
-    MonitoringRound,
-    MonitoringSeries,
-    Transition,
-    TransitionKind,
-    UsageState,
-)
 from repro.core.pipeline import FullStudy, StudyReport, config_for_row
 from repro.core.survey import (
     CATEGORY_LADDER,
@@ -73,12 +65,6 @@ __all__ = [
     "run_global_survey",
     "Candidate",
     "LegacyReport",
-    "LongitudinalMonitor",
-    "MonitoringRound",
-    "MonitoringSeries",
-    "Transition",
-    "TransitionKind",
-    "UsageState",
     "UserReport",
     "UserReportChannel",
     "analyze_block_page",

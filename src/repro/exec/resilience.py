@@ -45,6 +45,11 @@ from repro.world.faults import fault_attempt
 
 T = TypeVar("T")
 
+#: Consecutive endpoint failures before a runner's breaker opens.
+BREAKER_THRESHOLD = 3
+#: Sim-clock cooldown before a runner's open breaker half-opens.
+BREAKER_COOLDOWN_MINUTES = MINUTES_PER_DAY
+
 
 @dataclass(frozen=True)
 class ResilienceConfig:
@@ -52,20 +57,12 @@ class ResilienceConfig:
 
     #: Retries *after* the first attempt for transient failures.
     max_retries: int = 2
-    #: Consecutive endpoint failures before the breaker opens.
-    breaker_threshold: int = 3
-    #: Sim-clock cooldown before an open breaker half-opens.
-    breaker_cooldown_days: float = 1.0
     #: Re-raise instead of quarantining (abort the study on first fault).
     fail_fast: bool = False
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.breaker_threshold < 1:
-            raise ValueError("breaker_threshold must be >= 1")
-        if self.breaker_cooldown_days <= 0:
-            raise ValueError("breaker_cooldown_days must be > 0")
 
 
 class BreakerState(enum.Enum):
@@ -88,8 +85,8 @@ class CircuitBreaker:
         self,
         name: str,
         *,
-        threshold: int = 3,
-        cooldown_minutes: int = MINUTES_PER_DAY,
+        threshold: int = BREAKER_THRESHOLD,
+        cooldown_minutes: int = BREAKER_COOLDOWN_MINUTES,
     ) -> None:
         if threshold < 1:
             raise ValueError("threshold must be >= 1")
@@ -241,13 +238,7 @@ class ResilientRunner:
         with self._lock:
             breaker = self._breakers.get(endpoint)
             if breaker is None:
-                breaker = CircuitBreaker(
-                    endpoint,
-                    threshold=self.config.breaker_threshold,
-                    cooldown_minutes=int(
-                        self.config.breaker_cooldown_days * MINUTES_PER_DAY
-                    ),
-                )
+                breaker = CircuitBreaker(endpoint)
                 self._breakers[endpoint] = breaker
             return breaker
 

@@ -67,7 +67,6 @@ class MonitorTarget:
     """One confirmation configuration under continuous monitoring."""
 
     config: ConfirmationConfig
-    first_due_days: float = 0.0
 
     @property
     def key(self) -> str:
@@ -80,7 +79,9 @@ class MonitorTarget:
         """JSON-safe identity contribution (enums flattened)."""
         document = dataclasses.asdict(self.config)
         document["content_class"] = self.config.content_class.value
-        document["first_due_days"] = self.first_due_days
+        # Every target is first due at the monitor's start; the key
+        # stays so journals written with it still resume.
+        document["first_due_days"] = 0.0
         return document
 
 
@@ -151,8 +152,6 @@ class MonitorService:
         targets: Sequence[MonitorTarget],
         config: MonitorConfig = MonitorConfig(),
         fault_plan: Optional[FaultPlan] = None,
-        hosting_asn: Optional[int] = None,
-        metrics: Optional[Metrics] = None,
         before_round: Optional[Callable[["MonitorService", int, str], None]] = None,
         after_write: Optional[Callable[..., None]] = None,
     ) -> None:
@@ -171,8 +170,7 @@ class MonitorService:
         self._configs = {target.key: target.config for target in targets}
         self.config = config
         self.fault_plan = fault_plan
-        self._hosting_asn = hosting_asn
-        self.metrics = metrics if metrics is not None else Metrics()
+        self.metrics = Metrics()
         self.before_round = before_round
         self.after_write = after_write
 
@@ -290,23 +288,19 @@ class MonitorService:
                 product=target.config.product_name,
                 isp=target.config.isp_name,
                 category=target.config.category_label,
-                first_due_minutes=start
-                + int(target.first_due_days * MINUTES_PER_DAY),
+                first_due_minutes=start,
             )
 
     def _round_body(self, key: str) -> Any:
         scenario = self.scenario
         config = self._configs[key]
         product = scenario.products[config.product_name]
-        hosting = (
-            self._hosting_asn
-            if self._hosting_asn is not None
-            else scenario.hosting_asns[0]
-        )
         # No inner resilience layer: any injected fault must escape the
         # round so the supervisor can retry it cleanly or record a gap —
         # a half-broken round must never quietly shape a result.
-        study = ConfirmationStudy(scenario.world, product, hosting)
+        study = ConfirmationStudy(
+            scenario.world, product, scenario.hosting_asns[0]
+        )
         return study.run(config)
 
     # ------------------------------------------------------ degraded mode

@@ -2,8 +2,9 @@
 
 The read side of :mod:`repro.store`: typed record filters, grouped
 aggregates, canonical table views, and the APPEARED / WITHDRAWN /
-PERSISTED epoch diffs that :mod:`repro.core.monitor` and the serving
-API are built on.
+PERSISTED epoch diffs that the serving API is built on and that read
+the transitions between the round epochs of a
+:class:`repro.monitor.MonitorService`.
 """
 
 from repro.query.diff import (
@@ -15,7 +16,6 @@ from repro.query.diff import (
     installation_churn,
     pair_states,
     sequence_transitions,
-    stored_states,
 )
 from repro.query.engine import QueryEngine, RecordFilter
 from repro.query.views import TABLE_NAMES, available_tables, render_epoch_table
@@ -34,5 +34,4 @@ __all__ = [
     "pair_states",
     "render_epoch_table",
     "sequence_transitions",
-    "stored_states",
 ]

@@ -9,9 +9,10 @@ Yemen, Blue Coat dropping Syrian update support, §2.2). Installation
 churn reproduces Figure 1's repeated-scan framing: which filter IPs
 appeared or vanished between scans.
 
-:func:`sequence_transitions` is the single transition rule; both the
-epoch diff and :mod:`repro.core.monitor`'s in-memory series delegate to
-it, so the store-backed and live views can never disagree.
+:func:`sequence_transitions` is the single transition rule: the epoch
+diff applies it to each (product, ISP) pair, and the rounds a
+:class:`repro.monitor.MonitorService` commits are epochs like any other,
+so their transitions are read the same way.
 """
 
 from __future__ import annotations
@@ -216,28 +217,3 @@ def diff_epochs(store: ResultsStore, old_ref: str, new_ref: str) -> EpochDiff:
         transitions=transitions,
         churn=churn,
     )
-
-
-def stored_states(
-    store: ResultsStore, product: str, isp: str
-) -> List[Tuple[int, bool]]:
-    """(window start, confirmed) per epoch mentioning this pair.
-
-    The store-backed equivalent of a monitoring series: epochs are
-    located through the product and ISP indexes (never a full scan) and
-    read in commit order.
-    """
-    isp_epochs = set(store.lookup("isp", isp))
-    candidates = [
-        epoch_id
-        for epoch_id in store.lookup("product", product)
-        if epoch_id in isp_epochs
-    ]
-    timeline: List[Tuple[int, bool]] = []
-    for epoch_id in candidates:
-        states = pair_states(store.records(epoch_id, "confirmations"))
-        confirmed = states.get((product, isp))
-        if confirmed is None:
-            continue
-        timeline.append((store.manifest(epoch_id).window_start, confirmed))
-    return timeline

@@ -137,6 +137,18 @@ class DescribeStudyRuns:
         result = study.run(proxy_config())
         assert result.submitted_at < result.retested_at
 
+    def test_each_run_registers_fresh_domains(self):
+        """Successive runs on one world never reuse a test domain (the
+        §4.4 caveat: a site already submitted may be queued or
+        categorized), so each monitoring round is a new measurement."""
+        world, product = build_filtered_world()
+        study = ConfirmationStudy(world, product, 65002)
+        first = {outcome.domain for outcome in study.run(proxy_config()).outcomes}
+        world.advance_days(10)
+        second = {outcome.domain for outcome in study.run(proxy_config()).outcomes}
+        assert len(first) == len(second) == 6
+        assert first.isdisjoint(second)
+
 
 class DescribeVerdictRule:
     def _result(self, submitted_blocked, submitted_total, control_blocked,

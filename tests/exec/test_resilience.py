@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.exec.metrics import Metrics
 from repro.exec.resilience import (
+    BREAKER_THRESHOLD,
     BreakerState,
     CircuitBreaker,
     QuarantineRecord,
@@ -153,16 +154,18 @@ class DescribeCircuitBreaker:
                 assert breaker.trips >= 1
 
     def test_open_breaker_short_circuits_runner_calls(self):
-        runner, clock = make_runner(max_retries=0, breaker_threshold=1)
+        runner, clock = make_runner(max_retries=0)
 
         def down():
             raise ConnectionTimeout("down")
 
-        runner.call(down, stage="s", key="k1", endpoint="isp/product")
+        assert BREAKER_THRESHOLD == 3
+        for index in range(BREAKER_THRESHOLD):
+            runner.call(down, stage="s", key=f"k{index}", endpoint="isp/product")
         # Breaker now open: the next call never runs the callable.
         ran = []
         outcome = runner.call(
-            lambda: ran.append(1), stage="s", key="k2", endpoint="isp/product"
+            lambda: ran.append(1), stage="s", key="k3", endpoint="isp/product"
         )
         assert not outcome.ok and not ran
         assert outcome.quarantine.short_circuited
@@ -172,19 +175,21 @@ class DescribeCircuitBreaker:
         # After the sim-clock cooldown, the half-open trial runs again.
         clock.advance_days(1.5)
         outcome = runner.call(
-            lambda: "recovered", stage="s", key="k3", endpoint="isp/product"
+            lambda: "recovered", stage="s", key="k4", endpoint="isp/product"
         )
         assert outcome.ok and outcome.value == "recovered"
         assert runner.breaker_states()["isp/product"] == ("closed", 1)
 
     def test_breakers_are_per_endpoint(self):
-        runner, _ = make_runner(max_retries=0, breaker_threshold=1)
-        runner.call(
-            lambda: (_ for _ in ()).throw(ConnectionTimeout("x")),
-            stage="s",
-            key="k",
-            endpoint="isp-a/prod",
-        )
+        runner, _ = make_runner(max_retries=0)
+        for _ in range(BREAKER_THRESHOLD):
+            runner.call(
+                lambda: (_ for _ in ()).throw(ConnectionTimeout("x")),
+                stage="s",
+                key="k",
+                endpoint="isp-a/prod",
+            )
+        assert runner.breaker_states()["isp-a/prod"] == ("open", 1)
         outcome = runner.call(lambda: "fine", stage="s", key="k", endpoint="isp-b/prod")
         assert outcome.ok  # isp-b unaffected by isp-a's open breaker
 
@@ -218,10 +223,6 @@ class DescribeConfigValidation:
     def test_bad_values_rejected(self):
         with pytest.raises(ValueError):
             ResilienceConfig(max_retries=-1)
-        with pytest.raises(ValueError):
-            ResilienceConfig(breaker_threshold=0)
-        with pytest.raises(ValueError):
-            ResilienceConfig(breaker_cooldown_days=0)
         with pytest.raises(ValueError):
             CircuitBreaker("e", threshold=0)
         with pytest.raises(ValueError):

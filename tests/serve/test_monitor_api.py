@@ -19,7 +19,6 @@ from repro.serve import StoreApi
 from repro.store import ResultsStore
 
 from tests.monitor.conftest import (
-    HOSTING_ASN,
     TARGET_KEY,
     mini_config,
     mini_scenario,
@@ -45,7 +44,6 @@ def run_monitor(tmp_path, rounds=3, before_round=None):
             supervisor=SupervisorConfig(max_retries=1),
             alerts=AlertConfig(),
         ),
-        hosting_asn=HOSTING_ASN,
         before_round=before_round,
     )
     service.run(rounds=rounds)
@@ -150,7 +148,6 @@ class DescribeEtagSemantics:
                 supervisor=SupervisorConfig(max_retries=1),
                 alerts=AlertConfig(),
             ),
-            hosting_asn=HOSTING_ASN,
         )
         service.run(rounds=4, resume=True)
         after = api.handle("/monitor/status", if_none_match=before.etag)
