@@ -13,6 +13,8 @@ Three numbers, written to ``benchmarks/BENCH_monitor.json``:
    ``confirmation_epoch`` commit, then the interval). Recorded for
    trend-watching; dominated by fsync/pickle at the toy round sizes
    used here, so it is bounded loosely rather than by the 5% budget.
+   The two loops alternate, ``PAIRS`` runs each, and each side's
+   fastest run is compared: on a shared host noise only adds time.
 3. **Kill-to-resumed recovery**: after a simulated kill mid-run, the
    wall-clock cost of resuming (journal replay + snapshot restore +
    re-running at most ``checkpoint_every`` rounds) must stay bounded.
@@ -23,7 +25,6 @@ from __future__ import annotations
 import json
 import os
 import shutil
-import statistics
 import tempfile
 import time
 from pathlib import Path
@@ -46,7 +47,10 @@ from repro.store import ResultsStore, confirmation_epoch
 
 BENCH_PATH = os.path.join(os.path.dirname(__file__), "BENCH_monitor.json")
 
-#: Median-of-N keeps a single noisy run from deciding the verdict.
+#: Bare and monitored runs per side, alternating, for the durability
+#: overhead: the minimum over this many is steady on a shared host.
+PAIRS = 15
+#: Recovery runs; the fastest one is compared with its bound.
 REPEATS = 3
 ROUNDS = 12
 
@@ -196,17 +200,22 @@ def _timed_recovery():
         shutil.rmtree(directory)
 
 
-def test_monitor_overhead_and_recovery(benchmark):
-    bare_runs = [_timed_bare() for _ in range(REPEATS)]
-    bare_seconds = statistics.median(bare_runs)
-    bare_round_seconds = bare_seconds / ROUNDS
+def _alternating_runs():
+    """(bare, monitored) wall times, one of each per pair in turn."""
+    bare, monitored = [], []
+    for _ in range(PAIRS):
+        bare.append(_timed_bare())
+        monitored.append(_timed_monitored())
+    return bare, monitored
 
-    monitored = benchmark.pedantic(
-        lambda: [_timed_monitored() for _ in range(REPEATS)],
-        rounds=1,
-        iterations=1,
+
+def test_monitor_overhead_and_recovery(benchmark):
+    bare_runs, monitored_runs = benchmark.pedantic(
+        _alternating_runs, rounds=1, iterations=1
     )
-    monitored_seconds = statistics.median(monitored)
+    bare_seconds = min(bare_runs)
+    bare_round_seconds = bare_seconds / ROUNDS
+    monitored_seconds = min(monitored_runs)
 
     scheduler_round_seconds = _scheduler_seconds_per_round()
     scheduler_overhead = scheduler_round_seconds / bare_round_seconds
@@ -217,6 +226,7 @@ def test_monitor_overhead_and_recovery(benchmark):
     payload = {
         "bench": "monitor-control-plane",
         "rounds": ROUNDS,
+        "pairs": PAIRS,
         "repeats": REPEATS,
         "bare_seconds": round(bare_seconds, 3),
         "monitored_seconds": round(monitored_seconds, 3),

@@ -53,7 +53,6 @@ from repro.exec.checkpoint import (
     write_snapshot,
 )
 from repro.exec.journal import JournalWriter, RecoveryReport
-from repro.exec.metrics import Metrics
 from repro.monitor.alerts import ALERTS_FILENAME, AlertConfig, AlertEngine, AlertLedger
 from repro.monitor.schedule import PriorityScheduler, ScheduleConfig
 from repro.monitor.supervisor import RoundSupervisor, SupervisorConfig
@@ -170,15 +169,12 @@ class MonitorService:
         self._configs = {target.key: target.config for target in targets}
         self.config = config
         self.fault_plan = fault_plan
-        self.metrics = Metrics()
         self.before_round = before_round
         self.after_write = after_write
 
         self.scheduler = PriorityScheduler(config.schedule)
         self.alert_engine = AlertEngine(config.alerts)
-        self.supervisor = RoundSupervisor(
-            config.supervisor, metrics=self.metrics
-        )
+        self.supervisor = RoundSupervisor(config.supervisor)
         self.timeline: List[Dict[str, Any]] = []
         self._buffer: List[Any] = []  # EpochData held while store is down
         self._round_index = 0
@@ -309,7 +305,6 @@ class MonitorService:
             result = self.store.commit(epoch)
         except (StoreError, OSError) as exc:
             self.last_store_error = repr(exc)
-            self.metrics.incr("monitor.store.unwritable")
             return None
         return result.epoch_id
 
@@ -322,7 +317,6 @@ class MonitorService:
                 break
             self._buffer.pop(0)
             flushed.append(epoch_id)
-            self.metrics.incr("monitor.store.flushed")
         return flushed
 
     def _commit_or_buffer(
@@ -336,12 +330,10 @@ class MonitorService:
         flushed = self._flush_buffer()
         if self._buffer:
             self._buffer.append(epoch)
-            self.metrics.incr("monitor.store.buffered")
             return None, flushed
         epoch_id = self._try_commit(epoch)
         if epoch_id is None:
             self._buffer.append(epoch)
-            self.metrics.incr("monitor.store.buffered")
             return None, flushed
         return epoch_id, flushed
 
@@ -492,11 +484,10 @@ class MonitorService:
         if self.before_round is not None:
             self.before_round(self, round_index, key)
         base = self.scenario.capture_state(self._baseline_domains)
-        with self.metrics.timer("monitor.round"):
-            outcome = self.supervisor.run(
-                lambda: self._round_body(key),
-                reset=lambda: self._restore_measurement(base),
-            )
+        outcome = self.supervisor.run(
+            lambda: self._round_body(key),
+            reset=lambda: self._restore_measurement(base),
+        )
         if outcome.ok:
             self._account_committed(
                 writer, ledger, summary, key, started_minutes, outcome
@@ -545,7 +536,6 @@ class MonitorService:
         for alert in fired:
             if ledger.record(alert):
                 summary.alerts_recorded += 1
-                self.metrics.incr("monitor.alerts")
         state = "confirmed" if confirmed else "not_confirmed"
         self.timeline.append(
             {
@@ -557,7 +547,6 @@ class MonitorService:
             }
         )
         summary.committed += 1
-        self.metrics.incr("monitor.rounds.committed")
         writer.append(
             "round-commit",
             {
@@ -600,7 +589,6 @@ class MonitorService:
             }
         )
         summary.gaps += 1
-        self.metrics.incr("monitor.rounds.gaps")
         writer.append(
             "round-gap",
             {
@@ -615,7 +603,6 @@ class MonitorService:
             },
         )
         if dead is not None:
-            self.metrics.incr("monitor.targets.quarantined")
             writer.append(
                 "quarantine",
                 {

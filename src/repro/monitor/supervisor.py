@@ -33,7 +33,6 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, TypeVar
 
-from repro.exec.metrics import Metrics
 from repro.net.errors import NetError
 from repro.world.faults import fault_attempt
 
@@ -93,14 +92,8 @@ class RoundOutcome:
 class RoundSupervisor:
     """Runs round bodies under the retry/watchdog/reset policy."""
 
-    def __init__(
-        self,
-        config: SupervisorConfig = SupervisorConfig(),
-        *,
-        metrics: Optional[Metrics] = None,
-    ) -> None:
+    def __init__(self, config: SupervisorConfig = SupervisorConfig()) -> None:
         self.config = config
-        self.metrics = metrics if metrics is not None else Metrics()
 
     def run(
         self, fn: Callable[[], T], *, reset: Callable[[], None]
@@ -121,14 +114,10 @@ class RoundSupervisor:
                 reset()
                 transient = getattr(exc, "transient", False)
                 expired = isinstance(exc, WatchdogExpired)
-                if expired:
-                    self.metrics.incr("monitor.round.watchdog_expired")
                 if transient and attempt < self.config.max_retries:
                     attempt += 1
                     retried += 1
-                    self.metrics.incr("monitor.round.retries")
                     continue
-                self.metrics.incr("monitor.round.failed")
                 return RoundOutcome(
                     ok=False,
                     attempts=attempt + 1,
@@ -137,7 +126,6 @@ class RoundSupervisor:
                     transient=transient,
                     watchdog_expired=expired,
                 )
-            self.metrics.incr("monitor.round.succeeded")
             return RoundOutcome(
                 ok=True, value=value, attempts=attempt + 1, retried=retried
             )

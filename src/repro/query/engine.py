@@ -2,10 +2,10 @@
 
 The engine is the read side of the longitudinal subsystem: filters and
 aggregates over stored record rows, the table views, and the epoch
-diffs. Epoch *selection* goes through the store's secondary indexes
-(country, ASN, product, ISP, category) so a lookup touches only the
-epochs that can possibly match; record-level filtering then happens on
-the rows of those epochs alone.
+diffs. Epoch *selection* reads the index keys (country, ASN, product,
+ISP, category) that each epoch's manifest records, so picking epochs
+reads no segment; record-level filtering then happens on the rows of
+the chosen epochs alone.
 """
 
 from __future__ import annotations
@@ -72,26 +72,28 @@ class QueryEngine:
     def epoch_ids(
         self, record_filter: Optional[RecordFilter] = None
     ) -> List[str]:
-        """Committed epoch ids (oldest first) matching the filter.
-
-        Index-driven: each constraint narrows the candidate set via its
-        secondary index; no epoch segment is ever scanned here.
-        """
-        candidates = self.store.epoch_ids()
-        if record_filter is None or record_filter.empty:
-            return candidates
-        surviving = set(candidates)
-        for dimension, value in record_filter.constraints():
-            surviving &= set(self.store.lookup(dimension, value))
-        return [epoch_id for epoch_id in candidates if epoch_id in surviving]
+        """Committed epoch ids (oldest first) matching the filter."""
+        return [manifest.epoch_id for manifest in self.epochs(record_filter)]
 
     def epochs(
         self, record_filter: Optional[RecordFilter] = None
     ) -> List[EpochManifest]:
-        return [
-            self.store.manifest(epoch_id)
-            for epoch_id in self.epoch_ids(record_filter)
-        ]
+        """Committed manifests (oldest first) matching the filter.
+
+        An epoch is kept when its manifest's keys in each constrained
+        dimension hold the filter's value; each constraint narrows the
+        manifests the one before it kept. No segment is read here.
+        """
+        manifests = self.store.manifests()
+        if record_filter is None:
+            return manifests
+        for dimension, value in record_filter.constraints():
+            manifests = [
+                manifest
+                for manifest in manifests
+                if value in manifest.keys.get(dimension, ())
+            ]
+        return manifests
 
     def latest(self) -> EpochManifest:
         ids = self.store.epoch_ids()

@@ -347,7 +347,6 @@ class StreamingScan:
         store: "ResultsStore",
         executor: Executor,
         *,
-        shards: Optional[Sequence[int]] = None,
         window: Optional[int] = None,
         stats: Optional[StreamStats] = None,
     ) -> ScanSummary:
@@ -378,7 +377,7 @@ class StreamingScan:
             epoch_stream.writer("installations")
             for _index, outcome in executor.stream(
                 scan_batch,
-                self.jobs(shards),
+                self.jobs(),
                 label="scan",
                 window=window,
                 stats=stats,

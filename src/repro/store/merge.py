@@ -247,13 +247,12 @@ def reconcile_shards(
     seed: int,
     shard_count: int,
     sources: Iterable[ShardSource],
-    window: Tuple[int, int] = (0, 0),
 ) -> ReconcileResult:
     """Merge per-shard segment files into one committed epoch.
 
     Streams rows shard-by-shard in ascending shard order through
-    ``store.begin_stream`` — the same writer path, same ``window`` and
-    same up-front ``installations`` touch as ``StreamingScan.run`` —
+    ``store.begin_stream`` — the same writer path, same (0, 0) window
+    and same up-front ``installations`` touch as ``StreamingScan.run`` —
     so the sealed segments and manifest are byte-identical to a
     single-machine scan's, and the epoch id is therefore equal.
 
@@ -298,7 +297,7 @@ def reconcile_shards(
         identity=identity,
         fingerprint=fingerprint,
         seed=seed,
-        window_start=window[0],
+        window_start=0,
     )
     scanned = 0
     missed = 0
@@ -325,7 +324,7 @@ def reconcile_shards(
     except BaseException:
         stream.abort()
         raise
-    commit = stream.finalize(window_end=window[1])
+    commit = stream.finalize(window_end=0)
     return ReconcileResult(
         epoch_id=commit.epoch_id,
         created=commit.created,

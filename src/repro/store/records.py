@@ -4,8 +4,8 @@ An epoch's payload is a handful of *record kinds* — ``installations``
 (Figure 1 backing data), ``confirmations`` (Table 3), ``characterizations``
 (Table 4) and ``category_probe`` (§4.4) — each a list of plain JSON rows.
 The rows extend the :mod:`repro.analysis.export` flatteners with the
-geography the secondary indexes need (confirmation rows gain the ISP's
-country and ASN from the world), so a store lookup by country or ASN
+geography the index keys need (confirmation rows gain the ISP's
+country and ASN from the world), so selecting epochs by country or ASN
 never has to re-derive ISP facts at read time.
 
 Record building happens exactly once, at commit time, against the live
@@ -42,7 +42,7 @@ RECORD_KINDS = (
     "discovery_candidates",
 )
 
-#: The secondary-index dimensions and the row field each one reads.
+#: The index-key dimensions a manifest records and the row field of each.
 INDEX_DIMENSIONS = ("country", "asn", "product", "isp", "category")
 
 

@@ -25,12 +25,11 @@ in a staging directory by :class:`~repro.store.segments.EpochStream`
 with :func:`~repro.exec.journal.publish_directory`; the commit log is a
 framed log.
 
-Secondary indexes (country, ASN, product, ISP, category) are a pure
-function of the manifests, so they are never written: each instance
-folds them in memory. A lookup folds in only the manifests committed
-since this instance last looked, or every manifest when the committed
-order no longer extends the one it folded (after log damage, say). An
-``indexes/`` directory left by an older version is ignored.
+Each manifest records the keys its rows name in five dimensions
+(country, ASN, product, ISP, category). The store keeps them but does
+no selection: :class:`repro.query.QueryEngine` picks epochs by reading
+the manifests' keys. No index is written, and an ``indexes/`` directory
+left by an older version is ignored.
 
 A commit reads back only what it adds, not the history before it: it
 appends to the epoch order this instance last read or wrote, unless
@@ -56,14 +55,11 @@ from repro.exec.journal import (
     read_frames,
     truncate_damaged_suffix,
 )
-from repro.store.records import INDEX_DIMENSIONS, EpochData
+from repro.store.records import EpochData
 
 #: Bump on any incompatible change to manifests, segments, or the
-#: commit log. Indexes are not stored, so they never need a bump.
+#: commit log.
 STORE_SCHEMA_VERSION = 1
-
-#: dimension -> index key -> epoch ids in commit order.
-_Indexes = Dict[str, Dict[str, List[str]]]
 
 EPOCHS_DIRNAME = "epochs"
 COMMIT_LOG_FILENAME = "epochs.jsonl"
@@ -226,15 +222,6 @@ class ResultsStore:
         # (log stat token, content_state digest), kept only while the
         # order cache holds a clean read under the same token.
         self._state_cache: Optional[Tuple[Tuple[int, int], str]] = None
-        # (epoch order, dimension -> key -> epoch ids) as last folded.
-        # Replaced whole, never changed in place, so a reader holding
-        # the old value keeps a consistent one. Threads that fold at
-        # once each answer from their own fold; whichever stores last
-        # wins, which can only cost a later lookup a refold, so no lock.
-        self._indexes: Tuple[List[str], _Indexes] = (
-            [],
-            {dimension: {} for dimension in INDEX_DIMENSIONS},
-        )
 
     # ------------------------------------------------------------- commits
     def commit(self, epoch: EpochData) -> CommitResult:
@@ -512,50 +499,6 @@ class ResultsStore:
             except SegmentDamage as exc:
                 problems.append(str(exc))
         return problems
-
-    # -------------------------------------------------------------- indexes
-    def index(self, dimension: str) -> Dict[str, List[str]]:
-        """key → epoch ids (commit order) for one index dimension."""
-        keys = self._folded_index(dimension)
-        return {key: list(ids) for key, ids in keys.items()}
-
-    def lookup(self, dimension: str, key: str) -> List[str]:
-        """Epoch ids whose records mention ``key``, commit order."""
-        return list(self._folded_index(dimension).get(str(key), ()))
-
-    def _folded_index(self, dimension: str) -> Dict[str, List[str]]:
-        """One dimension of the indexes over the committed epochs.
-
-        When the committed order extends the order the in-memory
-        indexes were folded over, only the newer manifests are read and
-        their keys folded in; otherwise every manifest is.
-        """
-        if dimension not in INDEX_DIMENSIONS:
-            raise StoreError(
-                f"unknown index dimension {dimension!r}; "
-                f"one of {INDEX_DIMENSIONS}"
-            )
-        epoch_ids = self.epoch_ids()
-        order, indexes = self._indexes
-        if epoch_ids == order:
-            return indexes[dimension]
-        if epoch_ids[: len(order)] != order:
-            order, indexes = [], {}
-        manifests = [
-            self.manifest(epoch_id) for epoch_id in epoch_ids[len(order) :]
-        ]
-        folded = {}
-        for name in INDEX_DIMENSIONS:
-            keys = indexes.get(name, {})
-            grown: Dict[str, List[str]] = {}
-            for manifest in manifests:
-                for value in manifest.keys.get(name, ()):
-                    if value not in grown:
-                        grown[value] = list(keys.get(value, ()))
-                    grown[value].append(manifest.epoch_id)
-            folded[name] = dict(sorted({**keys, **grown}.items()))
-        self._indexes = (epoch_ids, folded)
-        return folded[dimension]
 
     # ------------------------------------------------------------- identity
     def content_state(self) -> str:

@@ -458,13 +458,9 @@ class ShardedPopulation:
     # ---------------------------------------------------------- sharding
     def shard_bounds(self, shard: int) -> Tuple[int, int]:
         """The contiguous ``[start, stop)`` index range of one shard."""
-        count = self.config.shard_count
-        if not 0 <= shard < count:
-            raise IndexError(f"shard {shard} out of range [0, {count})")
-        base, extra = divmod(self.config.host_count, count)
-        start = shard * base + min(shard, extra)
-        stop = start + base + (1 if shard < extra else 0)
-        return start, stop
+        return shard_bounds_for(
+            self.config.host_count, self.config.shard_count, shard
+        )
 
     def iter_shard(self, shard: int) -> Iterator[SyntheticHost]:
         start, stop = self.shard_bounds(shard)

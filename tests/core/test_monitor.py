@@ -15,7 +15,7 @@ from repro.monitor import (
     ScheduleConfig,
     read_status,
 )
-from repro.query import QueryEngine, TransitionKind
+from repro.query import QueryEngine, RecordFilter, TransitionKind
 from repro.store import ResultsStore
 from repro.world.clock import MINUTES_PER_DAY
 
@@ -157,5 +157,9 @@ class DescribeStoreBackedMonitoring:
         monitor(tmp_path).run(rounds=1)
         store = ResultsStore(tmp_path / "store")
         assert len(store.epoch_ids()) == 1
-        assert store.lookup("isp", ISP) == store.epoch_ids()
-        assert store.lookup("product", PRODUCT) == store.epoch_ids()
+        engine = QueryEngine(store)
+        assert engine.epoch_ids(RecordFilter(isp=ISP)) == store.epoch_ids()
+        assert (
+            engine.epoch_ids(RecordFilter(product=PRODUCT))
+            == store.epoch_ids()
+        )

@@ -27,6 +27,7 @@ from repro.exec.checkpoint import (
 )
 from repro.exec.journal import JournalWriter, read_journal
 from repro.monitor.alerts import Alert, AlertKind, AlertLedger, read_alerts
+from repro.query import QueryEngine, RecordFilter
 from repro.store import ResultsStore, build_epoch
 from repro.store.merge import load_shard_segment, write_shard_segment
 from repro.store.store import COMMIT_LOG_FILENAME, MANIFEST_FILENAME
@@ -93,7 +94,7 @@ def test_commit_log_and_index_after_three_commits(tmp_path):
     )
     fresh = ResultsStore(tmp_path)
     assert fresh.epoch_ids() == ids
-    assert fresh.lookup("isp", "net-2") == [ids[1]]
+    assert QueryEngine(fresh).epoch_ids(RecordFilter(isp="net-2")) == [ids[1]]
     assert fresh.records(ids[0], "confirmations") == (
         fixed_epoch(1).records["confirmations"]
     )

@@ -28,6 +28,7 @@ from repro.monitor import (
     read_alerts,
     read_status,
 )
+from repro.query import QueryEngine, RecordFilter
 from repro.store import ResultsStore, StoreError
 from repro.world.faults import FaultPlan
 
@@ -110,7 +111,8 @@ class DescribeBasicOperation:
         service = make_service(tmp_path)
         service.run(rounds=2)
         store = ResultsStore(tmp_path / "store")
-        assert store.lookup("isp", ISP) == store.epoch_ids()
+        selected = QueryEngine(store).epoch_ids(RecordFilter(isp=ISP))
+        assert selected == store.epoch_ids()
 
     def test_table3_round_epoch_is_pinned(self, tmp_path):
         """Round 0 of a Table 3 pair on the seed-2013 world commits one

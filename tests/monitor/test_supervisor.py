@@ -1,5 +1,5 @@
 """Round supervisor tests: retry classification, the reset contract,
-watchdog expiry, and metric accounting."""
+and watchdog expiry."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import time
 
 import pytest
 
-from repro.exec.metrics import Metrics
 from repro.monitor.supervisor import (
     RoundSupervisor,
     SupervisorConfig,
@@ -16,13 +15,12 @@ from repro.monitor.supervisor import (
 from repro.net.errors import DnsTimeout, NxDomain
 
 
-def make(max_retries=2, watchdog=None, metrics=None):
+def make(max_retries=2, watchdog=None):
     return RoundSupervisor(
         SupervisorConfig(
             max_retries=max_retries,
             watchdog_seconds=watchdog,
-        ),
-        metrics=metrics,
+        )
     )
 
 
@@ -84,20 +82,6 @@ class DescribeRetryPolicy:
 
         with pytest.raises(KeyError):
             make().run(body, reset=lambda: None)
-
-    def test_metrics_accounting(self):
-        metrics = Metrics()
-        make(metrics=metrics).run(lambda: 1, reset=lambda: None)
-        assert metrics.count("monitor.round.succeeded") == 1
-
-        def body():
-            raise DnsTimeout("x")
-
-        make(max_retries=1, metrics=metrics).run(
-            body, reset=lambda: None
-        )
-        assert metrics.count("monitor.round.retries") == 1
-        assert metrics.count("monitor.round.failed") == 1
 
 
 class DescribeWatchdog:

@@ -204,19 +204,3 @@ class DescribeStreamingScanRun:
         document = summary.to_document()
         assert document["epoch"] == summary.epoch_id
         assert document["hosts_per_second"] == summary.hosts_per_second
-
-    def test_shard_subset_scan_commits_distinct_epoch(self, tmp_path):
-        config = _config(host_count=1_000, shard_count=4)
-        scan = StreamingScan(SEED, config, batch_size=100)
-        full = scan.run(
-            ResultsStore(tmp_path / "full"), Executor(workers=2)
-        )
-        subset = scan.run(
-            ResultsStore(tmp_path / "subset"),
-            Executor(workers=2),
-            shards=[0, 1],
-        )
-        # Same identity, fewer rows: the subset is a partial view and
-        # content addressing keeps it distinct from the full pass.
-        assert subset.epoch_id != full.epoch_id
-        assert subset.scanned < full.scanned

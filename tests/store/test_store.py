@@ -1,6 +1,6 @@
 """Tests for the content-addressed epoch store: commits, addressing,
-damage modes (torn segments, flipped bytes, log corruption), and the
-in-memory secondary indexes."""
+damage modes (torn segments, flipped bytes, log corruption), and epoch
+selection from the manifests' index keys."""
 
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ import zlib
 
 import pytest
 
+from repro.query import QueryEngine, RecordFilter
 from repro.store import (
     EpochData,
     ResultsStore,
@@ -55,6 +56,11 @@ def tiny_epoch(seed: int = 1, *, isp: str = "testnet", confirmed: bool = True,
             ]
         },
     )
+
+
+def select(store, **constraint):
+    """Epoch ids the query engine selects for one filter."""
+    return QueryEngine(store).epoch_ids(RecordFilter(**constraint))
 
 
 class DescribeContentAddressing:
@@ -259,22 +265,17 @@ class DescribeIndexes:
     def test_lookup_by_every_dimension(self, tmp_path):
         store = ResultsStore(tmp_path)
         epoch_id = store.commit(tiny_epoch()).epoch_id
-        assert store.lookup("isp", "testnet") == [epoch_id]
-        assert store.lookup("country", "tl") == [epoch_id]
-        assert store.lookup("asn", "65001") == [epoch_id]
-        assert store.lookup("product", "vendor-x") == [epoch_id]
-        assert store.lookup("category", "Anonymizers") == [epoch_id]
-        assert store.lookup("isp", "elsewhere") == []
-
-    def test_unknown_dimension_rejected(self, tmp_path):
-        store = ResultsStore(tmp_path)
-        with pytest.raises(StoreError, match="dimension"):
-            store.index("vendor")
+        assert select(store, isp="testnet") == [epoch_id]
+        assert select(store, country="tl") == [epoch_id]
+        assert select(store, asn=65001) == [epoch_id]
+        assert select(store, product="vendor-x") == [epoch_id]
+        assert select(store, category="Anonymizers") == [epoch_id]
+        assert select(store, isp="elsewhere") == []
 
     def test_commit_writes_no_index_files(self, tmp_path):
         store = ResultsStore(tmp_path)
         epoch_id = store.commit(tiny_epoch()).epoch_id
-        assert store.lookup("isp", "testnet") == [epoch_id]
+        assert select(store, isp="testnet") == [epoch_id]
         assert {path.name for path in tmp_path.iterdir()} == {
             "epochs",
             COMMIT_LOG_FILENAME,
@@ -282,7 +283,7 @@ class DescribeIndexes:
 
     def test_stale_index_rebuilt(self, tmp_path):
         # A stale index file left by an older version is never read:
-        # lookups rebuild the index from the manifests.
+        # selection reads the manifests' keys.
         store = ResultsStore(tmp_path)
         epoch_id = store.commit(tiny_epoch()).epoch_id
         indexes = tmp_path / "indexes"
@@ -294,8 +295,8 @@ class DescribeIndexes:
         }
         (indexes / "isp.json").write_text(json.dumps(stale))
         fresh = ResultsStore(tmp_path)
-        assert fresh.lookup("isp", "testnet") == [epoch_id]
-        assert fresh.lookup("isp", "bogus") == []
+        assert select(fresh, isp="testnet") == [epoch_id]
+        assert select(fresh, isp="bogus") == []
 
     def test_corrupt_index_file_rebuilt(self, tmp_path):
         # A damaged index file left by an older version is never read.
@@ -304,7 +305,7 @@ class DescribeIndexes:
         indexes = tmp_path / "indexes"
         indexes.mkdir()
         (indexes / "country.json").write_text("{not json")
-        assert ResultsStore(tmp_path).lookup("country", "tl") == [epoch_id]
+        assert select(ResultsStore(tmp_path), country="tl") == [epoch_id]
 
 
 def varied_epoch(n: int) -> EpochData:
@@ -330,16 +331,24 @@ def varied_epoch(n: int) -> EpochData:
 
 
 def index_answers(store):
-    """Every index, and every lookup they imply plus an absent key."""
-    indexes = {
-        dimension: store.index(dimension) for dimension in INDEX_DIMENSIONS
+    """Each dimension's keys as the manifests record them, and the
+    epochs the query engine selects for each key plus an absent one."""
+    keys = {
+        dimension: sorted(
+            {
+                key
+                for manifest in store.manifests()
+                for key in manifest.keys.get(dimension, ())
+            }
+        )
+        for dimension in INDEX_DIMENSIONS
     }
-    lookups = {
-        (dimension, key): store.lookup(dimension, key)
-        for dimension, keys in indexes.items()
-        for key in list(keys) + ["absent"]
+    selections = {
+        (dimension, key): select(store, **{dimension: key})
+        for dimension, dimension_keys in keys.items()
+        for key in dimension_keys + ["absent"]
     }
-    return indexes, lookups
+    return keys, selections
 
 
 def logged_records(root):
@@ -349,9 +358,9 @@ def logged_records(root):
 
 class DescribeCommitFastPath:
     def test_folded_indexes_equal_a_rebuild(self, tmp_path):
-        # A long-lived instance folds new commits into what it folded
-        # before (one commit, or two after a skipped look); a fresh one
-        # folds every manifest at once.
+        # A long-lived instance selects from the commit order and the
+        # manifests it cached as it committed (one commit, or two after
+        # a skipped look); a fresh one reads every manifest at once.
         store = ResultsStore(tmp_path)
         for n in range(30):
             store.commit(varied_epoch(n))
@@ -359,28 +368,29 @@ class DescribeCommitFastPath:
                 assert index_answers(store) == index_answers(
                     ResultsStore(tmp_path)
                 )
-        assert len(store.index("asn")) == 8
+        keys, _selections = index_answers(store)
+        assert len(keys["asn"]) == 8
 
     def test_reordered_log_rebuilds_the_indexes(self, tmp_path):
         store = ResultsStore(tmp_path)
         ids = [store.commit(varied_epoch(n)).epoch_id for n in range(6)]
         assert ids != sorted(ids)
-        assert store.lookup("country", "tl") == [ids[0], ids[4]]
+        assert select(store, country="tl") == [ids[0], ids[4]]
         # Losing the log re-adopts the epochs in name order, which no
-        # longer extends the order the in-memory indexes were built for.
+        # longer extends the commit order this instance cached.
         (tmp_path / COMMIT_LOG_FILENAME).unlink()
         last = store.commit(varied_epoch(6)).epoch_id
         assert store.epoch_ids() == sorted(ids) + [last]
         assert index_answers(store) == index_answers(ResultsStore(tmp_path))
-        assert store.lookup("country", "tl") == sorted([ids[0], ids[4]])
-        assert store.lookup("country", "ye") == [ids[2], last]
+        assert select(store, country="tl") == sorted([ids[0], ids[4]])
+        assert select(store, country="ye") == [ids[2], last]
 
     def test_alternating_writers_keep_the_log_contiguous(self, tmp_path):
         first, second = ResultsStore(tmp_path), ResultsStore(tmp_path)
         ids = []
         for n in range(12):
             ids.append((first, second)[n % 2].commit(varied_epoch(n)).epoch_id)
-            # Each writer's indexes take in the other's commits too.
+            # Each writer's selections take in the other's commits too.
             expected = index_answers(ResultsStore(tmp_path))
             assert index_answers(first) == index_answers(second) == expected
         records = logged_records(tmp_path)
@@ -404,7 +414,7 @@ class DescribeCommitFastPath:
         assert [rec["epoch"] for rec in records] == [first, orphan, last]
         assert [rec["seq"] for rec in records] == [0, 1, 2]
         assert store.epoch_ids() == [first, orphan, last]
-        assert store.lookup("isp", "isp-1") == [orphan]
+        assert select(store, isp="isp-1") == [orphan]
 
     def test_append_racing_ours_drops_the_order_cache(
         self, tmp_path, monkeypatch
@@ -436,8 +446,8 @@ class DescribeCommitFastPath:
         assert store.epoch_ids() == [first, second, racer, third]
 
     def test_concurrent_lookups_rebuild_missing_indexes(self, tmp_path):
-        # A fresh instance holds no indexes yet, so eight threads fold
-        # them at once; each must get the serial answers.
+        # A fresh instance has cached no manifest yet, so eight threads
+        # read them all at once; each must get the serial answers.
         store = ResultsStore(tmp_path)
         for n in range(20):
             store.commit(varied_epoch(n))
