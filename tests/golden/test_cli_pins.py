@@ -16,7 +16,9 @@ scriptable, so the interface is pinned independently of how
   counts as its code;
 - ``--fault-plan ''`` means no fault plan, so it commits the same epoch
   as a run without the flag;
-- ``python -m repro`` exits with the same codes as ``main()``.
+- ``python -m repro`` exits with the same codes as ``main()``;
+- one SHA-256 over what ``identify``, ``confirm`` and ``probe`` print
+  at seed 2013: Figure 1, a Table 3 row and the YemenNet probe.
 
 The hard-failure (1) and partial (3) exits are covered by
 ``tests/core/test_cli.py`` and not repeated here.
@@ -42,6 +44,17 @@ OPTION_TABLE_SHA256 = (
     "e6f7f1bf7a1bb224b61e0fab412c3b0ec5cec7b5a48143e30496ba40b5f6aa8a"
 )
 EMPTY_PLAN_EPOCH = "58944ce70e1b"
+SINGLE_STEP_STDOUT_SHA256 = (
+    "ed9fc182c7dd732eb2794e15bd04de22e1f7557f32ac8c08f83787e0c5a350ee"
+)
+SINGLE_STEP_COMMANDS = [
+    ["--seed", "2013", "identify"],
+    [
+        "--seed", "2013", "confirm",
+        "--product", "McAfee SmartFilter", "--isp", "etisalat",
+    ],
+    ["--seed", "2013", "probe", "--isp", "yemennet"],
+]
 
 
 def _option_rows(parser):
@@ -256,6 +269,14 @@ def test_empty_fault_plan_is_no_fault_plan(tmp_path, capsys, flag):
     assert main(argv + flag) == 0
     out = capsys.readouterr().out
     assert f"epoch {EMPTY_PLAN_EPOCH} committed to {tmp_path}" in out
+
+
+def test_single_step_stdout(capsys):
+    digest = hashlib.sha256()
+    for argv in SINGLE_STEP_COMMANDS:
+        assert main(argv) == 0
+        digest.update(capsys.readouterr().out.encode("utf-8") + b"\0")
+    assert digest.hexdigest() == SINGLE_STEP_STDOUT_SHA256
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,7 @@
 """Golden pins for the default study: the §3 query stream, the epoch
 and the paper's tables.
 
-Three digests taken at seed 2013, all of which must hold across any
+Four digests taken at seed 2013, all of which must hold across any
 refactor or speed-up of the study path:
 
 - the epoch id a default ``FullStudy(workers=1)`` commits (the same
@@ -20,6 +20,8 @@ import hashlib
 
 import pytest
 
+from repro.analysis.export import to_json
+from repro.analysis.report import write_markdown_report
 from repro.analysis.tables import (
     render_table1,
     render_table2,
@@ -44,6 +46,9 @@ QUERY_STREAM_SHA256 = (
 QUERY_COUNT = 1230
 TABLES_SHA256 = (
     "e2b614c6117aa869d9f73d96207e0b4f684bbdf0f4bca20591f823c643762c82"
+)
+REPORT_SHA256 = (
+    "96948765da47099d13bd0600128642422412a769b7c19fcb139c0b8ee3d6f579"
 )
 TABLE_NAMES = ("table1", "table2", "table3", "table4")
 
@@ -77,6 +82,14 @@ def test_default_study_tables(default_study, tmp_path):
     assert [
         render_epoch_table(store, manifest, name) for name in TABLE_NAMES
     ] == texts
+
+
+def test_default_study_report(default_study):
+    _study, report = default_study
+    digest = hashlib.sha256()
+    for text in (write_markdown_report(report, seed=SEED), to_json(report)):
+        digest.update(text.encode("utf-8") + b"\0")
+    assert digest.hexdigest() == REPORT_SHA256
 
 
 def test_identification_query_stream():
