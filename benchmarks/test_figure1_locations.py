@@ -8,14 +8,14 @@ the world's banners alone. Benchmarks the full §3 pipeline.
 from __future__ import annotations
 
 from repro import FullStudy
-from repro.analysis import PAPER_FIGURE1, render_figure1
+from repro.analysis import PAPER_FIGURE1, installations_rows, render_figure1
 
 
 def test_figure1_country_map(benchmark, fresh_scenario):
     study = FullStudy(fresh_scenario)
     report = benchmark.pedantic(study.run_identification, rounds=1, iterations=1)
 
-    print("\n" + render_figure1(report))
+    print("\n" + render_figure1(installations_rows(report), report.products))
 
     measured = report.country_map()
     for product, expected in PAPER_FIGURE1.items():

@@ -10,7 +10,11 @@ outside the vendor taxonomy. Benchmarks the 66-URL probe.
 from __future__ import annotations
 
 from repro import build_scenario, run_category_probe
-from repro.analysis import PAPER_YEMEN_PROBE_CATEGORIES, render_category_probe
+from repro.analysis import (
+    PAPER_YEMEN_PROBE_CATEGORIES,
+    probe_record,
+    render_category_probe,
+)
 
 
 def test_yemen_probe_matches_paper(benchmark, fresh_scenario):
@@ -18,7 +22,7 @@ def test_yemen_probe_matches_paper(benchmark, fresh_scenario):
     probe = benchmark.pedantic(
         run_category_probe, args=(world, "yemennet"), rounds=1, iterations=1
     )
-    print("\n" + render_category_probe(probe))
+    print("\n" + render_category_probe(probe_record(probe)))
     assert probe.tested == 66
     assert set(probe.blocked_names) == set(PAPER_YEMEN_PROBE_CATEGORIES)
 

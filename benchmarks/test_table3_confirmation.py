@@ -9,7 +9,7 @@ half of the methodology). Benchmarks a single full case study.
 from __future__ import annotations
 
 from repro import ConfirmationStudy, build_scenario
-from repro.analysis import PAPER_TABLE3, render_table3
+from repro.analysis import PAPER_TABLE3, confirmation_record, render_table3
 from repro.core.pipeline import config_for_row
 
 
@@ -17,7 +17,7 @@ def test_table3_rows_match_paper(benchmark, full_report):
     report, _scenario = full_report
 
     def render():
-        return render_table3(report.confirmations)
+        return render_table3(map(confirmation_record, report.confirmations))
 
     table = benchmark.pedantic(render, rounds=1, iterations=1)
     print("\n" + table)

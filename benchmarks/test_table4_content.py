@@ -10,13 +10,16 @@ Benchmarks one full characterization run.
 from __future__ import annotations
 
 from repro import ContentCharacterization, build_scenario
-from repro.analysis import PAPER_TABLE4, render_table4
+from repro.analysis import PAPER_TABLE4, characterization_rows, render_table4
 
 
 def test_table4_columns_match(benchmark, full_report):
     report, _scenario = full_report
     table = benchmark.pedantic(
-        render_table4, args=(report.characterizations,), rounds=1, iterations=1
+        render_table4,
+        args=(characterization_rows(report),),
+        rounds=1,
+        iterations=1,
     )
     print("\n" + table)
 

@@ -31,7 +31,7 @@ def main() -> None:
 
     (output_dir / "study.json").write_text(to_json(report))
     (output_dir / "installations.csv").write_text(
-        to_csv(installations_rows(report))
+        to_csv(installations_rows(report.identification))
     )
     (output_dir / "confirmations.csv").write_text(
         to_csv(confirmations_rows(report))

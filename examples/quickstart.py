@@ -11,6 +11,10 @@ Run:  python examples/quickstart.py
 
 from repro import FullStudy, build_scenario
 from repro.analysis import (
+    characterization_rows,
+    confirmation_record,
+    installations_rows,
+    probe_record,
     render_category_probe,
     render_figure1,
     render_table1,
@@ -39,7 +43,12 @@ def main() -> None:
     print("\n== Table 2: identification methodology ==")
     print(render_table2())
     print("\n== Figure 1: locations of URL filter installations ==")
-    print(render_figure1(report.identification))
+    print(
+        render_figure1(
+            installations_rows(report.identification),
+            report.identification.products,
+        )
+    )
     print(
         f"\n  ({len(report.identification.candidates)} candidates from "
         f"{report.identification.queries_issued} Shodan queries, "
@@ -47,11 +56,11 @@ def main() -> None:
         f"{len(report.identification.rejected)} rejected by WhatWeb)"
     )
     print("\n== Table 3: confirmation case studies ==")
-    print(render_table3(report.confirmations))
+    print(render_table3(map(confirmation_record, report.confirmations)))
     print("\n== Netsweeper category probe (YemenNet, 1/2013) ==")
-    print(render_category_probe(report.category_probe))
+    print(render_category_probe(probe_record(report.category_probe)))
     print("\n== Table 4: content blocked by confirmed deployments ==")
-    print(render_table4(report.characterizations))
+    print(render_table4(characterization_rows(report)))
     print(
         "\nConfirmed product/ISP pairs: "
         + ", ".join(f"{p} in {i}" for p, i in report.confirmed_pairs())

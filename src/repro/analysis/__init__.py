@@ -13,8 +13,10 @@ from repro.analysis.paper_data import (
 )
 from repro.analysis.export import (
     characterization_rows,
+    confirmation_record,
     confirmations_rows,
     installations_rows,
+    probe_record,
     to_csv,
     to_json,
 )
@@ -37,8 +39,10 @@ __all__ = [
     "PAPER_FIGURE1",
     "Scorecard",
     "characterization_rows",
+    "confirmation_record",
     "confirmations_rows",
     "installations_rows",
+    "probe_record",
     "to_csv",
     "to_json",
     "validate_report",

@@ -4,6 +4,12 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.analysis.export import (
+    characterization_rows,
+    confirmation_record,
+    installations_rows,
+    probe_record,
+)
 from repro.analysis.tables import (
     render_category_probe,
     render_figure1,
@@ -43,7 +49,11 @@ def write_markdown_report(report: "StudyReport", *, seed: Optional[int] = None) 
         "```", render_table2(identification.products or None), "```",
         "",
         "## Figure 1 — Locations of URL filter installations",
-        "```", render_figure1(identification), "```",
+        "```",
+        render_figure1(
+            installations_rows(identification), identification.products
+        ),
+        "```",
         "",
         f"- Shodan queries issued: {identification.queries_issued}",
         f"- candidates surfaced: {len(identification.candidates)}",
@@ -52,19 +62,23 @@ def write_markdown_report(report: "StudyReport", *, seed: Optional[int] = None) 
         f"- keyword-stage precision: {identification.precision:.2f}",
         "",
         "## Table 3 — Confirmation case studies",
-        "```", render_table3(report.confirmations), "```",
+        "```",
+        render_table3(map(confirmation_record, report.confirmations)),
+        "```",
         "",
     ]
     if report.category_probe is not None:
         sections += [
             f"## {NETSWEEPER} category probe (YemenNet)",
-            "```", render_category_probe(report.category_probe), "```",
+            "```",
+            render_category_probe(probe_record(report.category_probe)),
+            "```",
             "",
         ]
     if report.characterizations:
         sections += [
             "## Table 4 — Content blocked by confirmed deployments",
-            "```", render_table4(report.characterizations), "```",
+            "```", render_table4(characterization_rows(report)), "```",
             "",
         ]
     pairs = report.confirmed_pairs()

@@ -1,13 +1,16 @@
 """Text renderers for the paper's tables and figure.
 
-Each ``render_*`` function takes pipeline outputs and returns the
-monospace table the benchmark harness prints, side by side with the
-paper's published values where applicable.
+Each ``render_*`` function returns the monospace table the benchmark
+harness prints, side by side with the paper's published values where
+applicable. Figure 1, Table 3, Table 4 and the §4.4 probe read the
+plain rows of :mod:`repro.analysis.export` — the rows an epoch stores —
+so the report renders a table from the same input the store serves it
+from.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence, Set
+from typing import Any, Dict, Iterable, Optional, Sequence, Set, Tuple
 
 from repro.analysis.paper_data import (
     PAPER_FIGURE1,
@@ -18,11 +21,10 @@ from repro.analysis.paper_data import (
     PAPER_YEMEN_PROBE_CATEGORIES,
     Table3Row,
 )
-from repro.core.characterize import CharacterizationResult
-from repro.core.confirm import CategoryProbeResult, ConfirmationResult
-from repro.core.identify import IdentificationReport
 from repro.measure.testlists import Table4Column
 from repro.products.registry import NETSWEEPER, default_registry
+
+Row = Dict[str, Any]
 
 
 def _grid(rows: Sequence[Sequence[str]], header: Sequence[str]) -> str:
@@ -72,16 +74,25 @@ def render_table2(products: Optional[Sequence[str]] = None) -> str:
     return _grid(rows, ("Product", "Shodan keywords", "WhatWeb signature"))
 
 
-def render_figure1(report: IdentificationReport) -> str:
-    """Figure 1: countries per product, measured vs paper."""
-    rows = []
-    product_names = report.products or default_registry().default_names()
-    for product in product_names:
-        measured = sorted(code.upper() for code in report.countries(product))
+def render_figure1(
+    rows: Iterable[Row], products: Optional[Sequence[str]] = None
+) -> str:
+    """Figure 1: countries per product, measured vs paper.
+
+    ``rows`` are installation rows; ``products`` selects the products
+    shown (default: the paper's four vendors).
+    """
+    countries: Dict[str, Set[str]] = {}
+    for row in rows:
+        if row["country"]:
+            countries.setdefault(row["product"], set()).add(row["country"])
+    body = []
+    for product in products or default_registry().default_names():
+        measured = sorted(code.upper() for code in countries.get(product, ()))
         expected = sorted(
             code.upper() for code in PAPER_FIGURE1.get(product, frozenset())
         )
-        rows.append(
+        body.append(
             (
                 product,
                 ", ".join(measured),
@@ -89,43 +100,38 @@ def render_figure1(report: IdentificationReport) -> str:
                 "match" if measured == expected else "DIFFERS",
             )
         )
-    return _grid(rows, ("Product", "Measured countries", "Paper countries", ""))
+    return _grid(body, ("Product", "Measured countries", "Paper countries", ""))
 
 
 def render_table3(
-    confirmations: Iterable[ConfirmationResult],
+    rows: Iterable[Row],
     paper_rows: Optional[Sequence[Table3Row]] = None,
 ) -> str:
     """Table 3: case studies, measured vs paper.
 
-    ``paper_rows`` restricts rendering to a subset of published rows
-    (the CLI's single-case view); default is the whole table.
+    ``rows`` are confirmation rows; a (product, ISP, category) seen
+    twice renders its first row. ``paper_rows`` restricts rendering to
+    a subset of published rows (the CLI's single-case view); default is
+    the whole table.
     """
-    results = list(confirmations)
+    results: Dict[Tuple[str, str, str], Row] = {}
+    for row in rows:
+        results.setdefault((row["product"], row["isp"], row["category"]), row)
 
-    def find(row: Table3Row) -> Optional[ConfirmationResult]:
-        for result in results:
-            cfg = result.config
-            if (
-                cfg.product_name == row.product
-                and cfg.isp_name == row.isp_key
-                and cfg.category_label == row.category
-            ):
-                return result
-        return None
-
-    rows = []
+    body = []
     for paper_row in (paper_rows if paper_rows is not None else PAPER_TABLE3):
-        result = find(paper_row)
+        result = results.get(
+            (paper_row.product, paper_row.isp_key, paper_row.category)
+        )
         if result is None:
             measured_blocked = "n/a"
             measured_confirmed = "n/a"
         else:
             measured_blocked = (
-                f"{result.blocked_submitted}/{len(result.submitted_outcomes)}"
+                f"{result['blocked_submitted']}/{result['submitted_outcomes']}"
             )
-            measured_confirmed = "yes" if result.confirmed else "no"
-        rows.append(
+            measured_confirmed = "yes" if result["confirmed"] else "no"
+        body.append(
             (
                 paper_row.product,
                 paper_row.country_code.upper(),
@@ -140,7 +146,7 @@ def render_table3(
             )
         )
     return _grid(
-        rows,
+        body,
         (
             "Product", "Country", "ISP", "Date", "Submitted", "Category",
             "Paper blocked", "Measured blocked", "Paper ok", "Measured ok",
@@ -148,16 +154,24 @@ def render_table3(
     )
 
 
-def render_table4(characterizations: Dict[str, CharacterizationResult]) -> str:
-    """Table 4: blocked rights-protected content, measured vs paper."""
+def render_table4(rows: Iterable[Row]) -> str:
+    """Table 4: blocked rights-protected content, measured vs paper.
+
+    ``rows`` are characterization rows, one per (ISP, list category);
+    an ISP marks a column when one of its categories in that column
+    had a URL blocked.
+    """
+    marked: Dict[str, Set[Table4Column]] = {}
+    for row in rows:
+        if row["blocked"] > 0 and row["table4_column"]:
+            marked.setdefault(row["isp"], set()).add(
+                Table4Column(row["table4_column"])
+            )
     columns = list(Table4Column)
     header = ["Product", "Where"] + [c.value for c in columns] + [""]
-    rows = []
+    body = []
     for paper_row in PAPER_TABLE4:
-        result = characterizations.get(paper_row.isp_key)
-        measured: Set[Table4Column] = (
-            result.table4_columns() if result else set()
-        )
+        measured = marked.get(paper_row.isp_key, set())
         cells = []
         for column in columns:
             paper_mark = "x" if column in paper_row.columns else "."
@@ -166,7 +180,7 @@ def render_table4(characterizations: Dict[str, CharacterizationResult]) -> str:
                 paper_mark if paper_mark == measured_mark else
                 f"{measured_mark}(paper {paper_mark})"
             )
-        rows.append(
+        body.append(
             [
                 paper_row.product,
                 f"{paper_row.country_code.upper()} (AS {paper_row.asn})",
@@ -174,14 +188,17 @@ def render_table4(characterizations: Dict[str, CharacterizationResult]) -> str:
             + cells
             + ["match" if measured == set(paper_row.columns) else "DIFFERS"]
         )
-    return _grid(rows, header)
+    return _grid(body, header)
 
 
-def render_category_probe(probe: CategoryProbeResult) -> str:
-    """§4.4: the YemenNet denypagetests probe, measured vs paper."""
-    measured = set(probe.blocked_names)
+def render_category_probe(row: Row) -> str:
+    """§4.4: the YemenNet denypagetests probe, measured vs paper.
+
+    ``row`` is the probe row: the categories probed and those blocked.
+    """
+    measured = set(row["blocked"])
     expected = set(PAPER_YEMEN_PROBE_CATEGORIES)
-    rows = [
+    body = [
         (
             name,
             "blocked" if name in measured else "",
@@ -191,8 +208,8 @@ def render_category_probe(probe: CategoryProbeResult) -> str:
     ]
     status = "match" if measured == expected else "DIFFERS"
     return (
-        _grid(rows, (f"{NETSWEEPER} category", "Measured", "Paper"))
-        + f"\n({probe.tested} categories probed; {status})"
+        _grid(body, (f"{NETSWEEPER} category", "Measured", "Paper"))
+        + f"\n({row['tested']} categories probed; {status})"
     )
 
 

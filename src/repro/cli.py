@@ -32,6 +32,11 @@ import time
 from pathlib import Path
 from typing import List, Optional, Tuple
 
+from repro.analysis.export import (
+    confirmation_record,
+    installations_rows,
+    probe_record,
+)
 from repro.analysis.report import write_execution_summary, write_markdown_report
 from repro.analysis.tables import (
     render_category_probe,
@@ -874,7 +879,7 @@ def _cmd_identify(args) -> int:
     report = FullStudy(
         scenario, products=args.products, shodan_coverage=args.coverage
     ).run_identification()
-    print(render_figure1(report))
+    print(render_figure1(installations_rows(report), report.products))
     print(
         f"\n{len(report.installations)} installations validated from "
         f"{len(report.candidates)} candidates "
@@ -892,7 +897,7 @@ def _cmd_confirm(args) -> int:
         scenario.hosting_asns[0],
     )
     result = study.run(config_for_row(row))
-    print(render_table3([result], paper_rows=[row]))
+    print(render_table3([confirmation_record(result)], paper_rows=[row]))
     print(f"\nverdict: {'CONFIRMED' if result.confirmed else 'not confirmed'}")
     for note in result.notes:
         print(f"note: {note}")
@@ -904,7 +909,7 @@ def _cmd_probe(args) -> int:
     if args.isp not in scenario.world.isps:
         raise CommandError(EXIT_USAGE, f"unknown ISP {args.isp!r}")
     probe = run_category_probe(scenario.world, args.isp)
-    print(render_category_probe(probe))
+    print(render_category_probe(probe_record(probe)))
     return 0
 
 

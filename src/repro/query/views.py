@@ -2,16 +2,14 @@
 
 The serving layer must never fork the presentation logic: a table
 served from the store has to be byte-identical to the same table
-rendered live by :mod:`repro.analysis.tables`. These views rebuild the
-renderers' minimal input surface from stored rows (small shims exposing
-exactly the attributes each renderer reads) and then call the *same*
-render functions the live pipeline uses.
+rendered live by :mod:`repro.analysis.tables`. The renderers read the
+record rows an epoch stores, which are the rows the live report renders
+from, so these views pass ``store.records(...)`` straight in.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import List
 
 from repro.analysis.tables import (
     render_category_probe,
@@ -21,7 +19,6 @@ from repro.analysis.tables import (
     render_table3,
     render_table4,
 )
-from repro.measure.testlists import Table4Column
 from repro.store import EpochManifest, ResultsStore
 
 #: The table names the query engine and serving API expose.
@@ -35,73 +32,6 @@ TABLE_NAMES = (
 )
 
 
-class _StoredIdentification:
-    """Ducks the slice of IdentificationReport that render_figure1 reads."""
-
-    def __init__(
-        self, rows: Sequence[Dict[str, Any]], products: Tuple[str, ...]
-    ) -> None:
-        self._rows = rows
-        self.products = products
-
-    def countries(self, product: str) -> Set[str]:
-        return {
-            row["country"]
-            for row in self._rows
-            if row["product"] == product and row["country"]
-        }
-
-
-@dataclass(frozen=True)
-class _StoredConfig:
-    product_name: str
-    isp_name: str
-    category_label: str
-
-
-class _StoredConfirmation:
-    """Ducks the slice of ConfirmationResult that render_table3 reads."""
-
-    def __init__(self, row: Dict[str, Any]) -> None:
-        self.config = _StoredConfig(
-            product_name=row["product"],
-            isp_name=row["isp"],
-            category_label=row["category"],
-        )
-        self.blocked_submitted = row["blocked_submitted"]
-        self.submitted_outcomes = tuple(range(row["submitted_outcomes"]))
-        self.confirmed = row["confirmed"]
-
-
-class _StoredCharacterization:
-    """Ducks the slice of CharacterizationResult render_table4 reads."""
-
-    def __init__(self, rows: Sequence[Dict[str, Any]]) -> None:
-        self._rows = rows
-
-    def table4_columns(self) -> Set[Table4Column]:
-        columns: Set[Table4Column] = set()
-        for row in self._rows:
-            if row["blocked"] > 0 and row.get("table4_column"):
-                columns.add(Table4Column(row["table4_column"]))
-        return columns
-
-
-class _StoredProbe:
-    """Ducks the slice of CategoryProbeResult render_category_probe reads."""
-
-    def __init__(self, row: Dict[str, Any]) -> None:
-        self.blocked_names = list(row["blocked"])
-        self.tested = row["tested"]
-
-
-def _epoch_products(manifest: EpochManifest) -> Optional[List[str]]:
-    products = manifest.identity.get("products")
-    if products is None:
-        return None
-    return list(products)
-
-
 def render_epoch_table(
     store: ResultsStore, manifest: EpochManifest, name: str
 ) -> str:
@@ -109,39 +39,23 @@ def render_epoch_table(
     if name not in TABLE_NAMES:
         raise ValueError(f"unknown table {name!r}; one of {TABLE_NAMES}")
     epoch_id = manifest.epoch_id
+    products = manifest.identity.get("products")
     if name == "table1":
         return render_table1()
     if name == "table2":
-        return render_table2(_epoch_products(manifest))
+        return render_table2(products)
     if name == "figure1":
-        rows = store.records(epoch_id, "installations")
-        products = _epoch_products(manifest)
-        from repro.products.registry import default_registry
-
-        names = (
-            tuple(products)
-            if products is not None
-            else tuple(default_registry().default_names())
+        return render_figure1(
+            store.records(epoch_id, "installations"), products
         )
-        return render_figure1(_StoredIdentification(rows, names))
     if name == "table3":
-        rows = store.records(epoch_id, "confirmations")
-        return render_table3([_StoredConfirmation(row) for row in rows])
+        return render_table3(store.records(epoch_id, "confirmations"))
     if name == "table4":
-        rows = store.records(epoch_id, "characterizations")
-        grouped: Dict[str, List[Dict[str, Any]]] = {}
-        for row in rows:
-            grouped.setdefault(row["isp"], []).append(row)
-        return render_table4(
-            {
-                isp: _StoredCharacterization(isp_rows)
-                for isp, isp_rows in grouped.items()
-            }
-        )
+        return render_table4(store.records(epoch_id, "characterizations"))
     rows = store.records(epoch_id, "category_probe")
     if not rows:
         raise ValueError(f"epoch {manifest.short_id} has no category probe")
-    return render_category_probe(_StoredProbe(rows[0]))
+    return render_category_probe(rows[0])
 
 
 def available_tables(manifest: EpochManifest) -> List[str]:

@@ -12,7 +12,6 @@ from repro.store.records import (
     RECORD_KINDS,
     build_epoch,
     confirmation_epoch,
-    confirmation_record,
     discovery_epoch,
     study_epoch,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "UnknownEpoch",
     "build_epoch",
     "confirmation_epoch",
-    "confirmation_record",
     "discovery_epoch",
     "study_epoch",
 ]

@@ -3,10 +3,10 @@
 An epoch's payload is a handful of *record kinds* — ``installations``
 (Figure 1 backing data), ``confirmations`` (Table 3), ``characterizations``
 (Table 4) and ``category_probe`` (§4.4) — each a list of plain JSON rows.
-The rows extend the :mod:`repro.analysis.export` flatteners with the
-geography the index keys need (confirmation rows gain the ISP's
-country and ASN from the world), so selecting epochs by country or ASN
-never has to re-derive ISP facts at read time.
+The rows are the :mod:`repro.analysis.export` flatteners' rows, the
+same ones the report renders its tables from. Confirmation and probe
+rows gain the ISP's country and ASN from the world, so selecting epochs
+by country or ASN never has to re-derive ISP facts at read time.
 
 Record building happens exactly once, at commit time, against the live
 world; everything downstream (query engine, serving API) works from the
@@ -22,13 +22,14 @@ from typing import TYPE_CHECKING
 
 from repro.analysis.export import (
     characterization_rows,
-    confirmations_rows,
+    confirmation_record,
     installations_rows,
+    probe_record,
 )
 from repro.exec import checkpoint
 
 if TYPE_CHECKING:  # avoid runtime cycles: records are built *from* these
-    from repro.core.confirm import CategoryProbeResult, ConfirmationResult
+    from repro.core.confirm import ConfirmationResult
     from repro.core.pipeline import StudyReport
     from repro.world.world import World
 
@@ -58,59 +59,12 @@ class EpochData:
     partial: Tuple[str, ...] = ()
 
 
-def _isp_geography(world: "World", isp_name: str) -> Dict[str, Any]:
-    isp = world.isps.get(isp_name)
+def _located(row: Dict[str, Any], world: "World") -> Dict[str, Any]:
+    """``row`` plus its ISP's country and ASN, the index geography."""
+    isp = world.isps.get(row["isp"])
     if isp is None:
-        return {"country": None, "asn": None}
-    return {"country": isp.country.code, "asn": isp.asn}
-
-
-def confirmation_record(
-    result: "ConfirmationResult",
-    world: "World",
-    *,
-    include_confidence: bool = False,
-) -> Dict[str, Any]:
-    """One stored confirmation row (Table 3 cell + index geography).
-
-    ``include_confidence`` persists the fused verdict confidence and
-    per-classifier signal breakdown. Opt-in: epoch ids are content
-    hashes over the row bytes, so the default row shape must not change.
-    """
-    config = result.config
-    row = {
-        "product": config.product_name,
-        "isp": config.isp_name,
-        "category": config.category_label,
-        "submitted_at": str(result.submitted_at),
-        "submitted_at_minutes": result.submitted_at.minutes,
-        "retested_at": str(result.retested_at),
-        "domains_total": config.total_domains,
-        "domains_submitted": config.submit_count,
-        "submitted_outcomes": len(result.submitted_outcomes),
-        "blocked_submitted": result.blocked_submitted,
-        "blocked_control": result.blocked_control,
-        "confirmed": result.confirmed,
-        "pre_check_accessible": result.pre_check_accessible,
-    }
-    if include_confidence:
-        row["confidence"] = round(result.confidence, 4)
-        row["signals"] = result.signal_summary()
-    row.update(_isp_geography(world, config.isp_name))
-    return row
-
-
-def probe_record(
-    probe: "CategoryProbeResult", world: "World"
-) -> Dict[str, Any]:
-    row = {
-        "isp": probe.isp_name,
-        "probed_at": str(probe.probed_at),
-        "tested": probe.tested,
-        "blocked": probe.blocked_names,
-    }
-    row.update(_isp_geography(world, probe.isp_name))
-    return row
+        return {**row, "country": None, "asn": None}
+    return {**row, "country": isp.country.code, "asn": isp.asn}
 
 
 def build_epoch(
@@ -155,10 +109,13 @@ def study_epoch(
     keeps row bytes (hence epoch ids) identical to pre-fusion commits.
     """
     records: Dict[str, List[Dict[str, Any]]] = {
-        "installations": installations_rows(report),
+        "installations": installations_rows(report.identification),
         "confirmations": [
-            confirmation_record(
-                result, world, include_confidence=record_confidence
+            _located(
+                confirmation_record(
+                    result, include_confidence=record_confidence
+                ),
+                world,
             )
             for result in report.confirmations
         ],
@@ -168,7 +125,7 @@ def study_epoch(
     }
     if report.category_probe is not None:
         records["category_probe"] = [
-            probe_record(report.category_probe, world)
+            _located(probe_record(report.category_probe), world)
         ]
     return build_epoch(
         identity=identity,
@@ -209,7 +166,9 @@ def confirmation_epoch(
         fingerprint=checkpoint.fingerprint(identity),
         seed=world.seed,
         window=(started_minutes, world.now.minutes),
-        records={"confirmations": [confirmation_record(result, world)]},
+        records={
+            "confirmations": [_located(confirmation_record(result), world)]
+        },
     )
 
 
@@ -227,8 +186,7 @@ def discovery_round_record(
         "enqueued": trace.enqueued,
         "converged": result.converged and trace is result.rounds[-1],
     }
-    row.update(_isp_geography(world, result.isp_name))
-    return row
+    return _located(row, world)
 
 
 def discovery_candidate_record(
@@ -246,8 +204,7 @@ def discovery_candidate_record(
         "product": candidate.vendor,
         "confidence": round(candidate.confidence, 4),
     }
-    row.update(_isp_geography(world, isp_name))
-    return row
+    return _located(row, world)
 
 
 def discovery_epoch(
@@ -283,9 +240,8 @@ def discovery_epoch(
         summary["static_blocked"] = coverage.static_blocked
         summary["discovered_blocked"] = coverage.discovered_blocked
         summary["gain_ratio"] = round(coverage.gain_ratio, 4)
-    summary.update(_isp_geography(world, result.isp_name))
     records = {
-        "discovery_rounds": [summary]
+        "discovery_rounds": [_located(summary, world)]
         + [
             discovery_round_record(trace, result, world)
             for trace in result.rounds

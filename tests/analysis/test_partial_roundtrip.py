@@ -13,7 +13,13 @@ caveat would be worse than no checkpoint.
 
 import pytest
 
-from repro.analysis.export import to_json
+from repro.analysis.export import (
+    characterization_rows,
+    confirmation_record,
+    installations_rows,
+    probe_record,
+    to_json,
+)
 from repro.analysis.report import write_markdown_report
 from repro.analysis.tables import (
     render_category_probe,
@@ -57,17 +63,21 @@ class DescribePartialStudyRoundTrip:
     def test_tables_re_render_identically(self, partial, restored):
         before, after = partial.report, restored.report
         assert render_table2([NETSWEEPER]) == render_table2([NETSWEEPER])
-        assert render_figure1(after.identification) == render_figure1(
-            before.identification
+        assert render_figure1(
+            installations_rows(after.identification),
+            after.identification.products,
+        ) == render_figure1(
+            installations_rows(before.identification),
+            before.identification.products,
         )
-        assert render_table3(after.confirmations) == render_table3(
-            before.confirmations
+        assert render_table3(
+            map(confirmation_record, after.confirmations)
+        ) == render_table3(map(confirmation_record, before.confirmations))
+        assert render_table4(characterization_rows(after)) == render_table4(
+            characterization_rows(before)
         )
-        assert render_table4(after.characterizations) == render_table4(
-            before.characterizations
-        )
-        assert render_category_probe(after.category_probe) == (
-            render_category_probe(before.category_probe)
+        assert render_category_probe(probe_record(after.category_probe)) == (
+            render_category_probe(probe_record(before.category_probe))
         )
 
     def test_annotations_and_summary_re_render_identically(

@@ -53,7 +53,7 @@ class DescribeScorecard:
 
 class DescribeExport:
     def test_installations_rows(self, full_report):
-        rows = installations_rows(full_report)
+        rows = installations_rows(full_report.identification)
         assert len(rows) == len(full_report.identification.installations)
         sample = rows[0]
         assert {"ip", "product", "country", "asn", "org_name"} <= set(sample)
@@ -91,7 +91,7 @@ class DescribeExport:
         assert lines[0].startswith("product,isp,category")
 
     def test_csv_joins_lists(self, full_report):
-        text = to_csv(installations_rows(full_report))
+        text = to_csv(installations_rows(full_report.identification))
         assert ";" in text or "evidence" in text
 
     def test_csv_empty(self):

@@ -20,7 +20,7 @@ import hashlib
 
 import pytest
 
-from repro.analysis.export import to_json
+from repro.analysis.export import characterization_rows, confirmation_record, to_json
 from repro.analysis.report import write_markdown_report
 from repro.analysis.tables import (
     render_table1,
@@ -70,8 +70,8 @@ def test_default_study_tables(default_study, tmp_path):
     texts = [
         render_table1(),
         render_table2(report.identification.products or None),
-        render_table3(report.confirmations),
-        render_table4(report.characterizations),
+        render_table3(map(confirmation_record, report.confirmations)),
+        render_table4(characterization_rows(report)),
     ]
     digest = hashlib.sha256()
     for text in texts:

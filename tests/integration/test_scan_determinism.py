@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.export import installations_rows
 from repro.analysis.tables import render_figure1
 from repro.core.pipeline import FullStudy
 from repro.exec.executor import Executor
@@ -33,7 +34,9 @@ def test_full_study_identification_invariant(workers, shards):
         workers=workers,
         scan_shards=shards,
     ).run_identification()
-    assert render_figure1(report) == render_figure1(baseline)
+    assert render_figure1(
+        installations_rows(report), report.products
+    ) == render_figure1(installations_rows(baseline), baseline.products)
     assert len(report.installations) == len(baseline.installations)
 
 

@@ -6,9 +6,17 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.export import (
+    characterization_rows,
+    confirmation_record,
+    installations_rows,
+    probe_record,
+)
 from repro.analysis.tables import (
     render_category_probe,
     render_figure1,
+    render_table1,
+    render_table2,
     render_table3,
     render_table4,
 )
@@ -103,34 +111,49 @@ class DescribeTableViews:
     def test_table3(self, two_epoch_store):
         store, _first, second = two_epoch_store
         assert QueryEngine(store).table("table3") == render_table3(
-            second.confirmations
+            map(confirmation_record, second.confirmations)
         )
 
     def test_table4(self, two_epoch_store):
         store, _first, second = two_epoch_store
         assert QueryEngine(store).table("table4") == render_table4(
-            second.characterizations
+            characterization_rows(second)
         )
 
     def test_figure1(self, two_epoch_store):
         store, _first, second = two_epoch_store
+        identification = second.identification
         assert QueryEngine(store).table("figure1") == render_figure1(
-            second.identification
+            installations_rows(identification), identification.products
         )
 
     def test_probe(self, two_epoch_store):
         store, _first, second = two_epoch_store
         assert QueryEngine(store).table("probe") == render_category_probe(
-            second.category_probe
+            probe_record(second.category_probe)
         )
 
     def test_older_epoch_renders_its_own_results(self, two_epoch_store):
         store, first, _second = two_epoch_store
         engine = QueryEngine(store)
         old_id = store.epoch_ids()[0]
-        assert engine.table("table3", epoch=old_id) == render_table3(
-            first.confirmations
-        )
+        # The SmartFilter-only run: Table 2 and Figure 1 show one product.
+        products = first.identification.products
+        live = {
+            "table1": render_table1(),
+            "table2": render_table2(products),
+            "figure1": render_figure1(
+                installations_rows(first.identification), products
+            ),
+            "table3": render_table3(
+                map(confirmation_record, first.confirmations)
+            ),
+            "table4": render_table4(characterization_rows(first)),
+        }
+        assert products == ("McAfee SmartFilter",)
+        assert engine.tables_available(epoch=old_id) == list(live)
+        for name in live:
+            assert engine.table(name, epoch=old_id) == live[name], name
 
     def test_available_tables_track_segments(self, two_epoch_store):
         store, _first, _second = two_epoch_store

@@ -9,6 +9,7 @@ from urllib.parse import quote
 
 import pytest
 
+from repro.analysis.export import characterization_rows, confirmation_record
 from repro.analysis.tables import render_table3, render_table4
 from repro.serve import StoreApi
 from repro.store import build_epoch
@@ -138,13 +139,17 @@ class DescribeTables:
         store, _first, second = two_epoch_store
         epoch = store.epoch_ids()[1]
         document = _json(api.handle(f"/epochs/{epoch}/tables/table3"))
-        assert document["rendered"] == render_table3(second.confirmations)
+        assert document["rendered"] == render_table3(
+            map(confirmation_record, second.confirmations)
+        )
 
     def test_table4_byte_identical_to_live_render(self, api, two_epoch_store):
         store, _first, second = two_epoch_store
         epoch = store.epoch_ids()[1]
         document = _json(api.handle(f"/epochs/{epoch}/tables/table4"))
-        assert document["rendered"] == render_table4(second.characterizations)
+        assert document["rendered"] == render_table4(
+            characterization_rows(second)
+        )
 
     def test_unknown_table_404(self, api, two_epoch_store):
         store, _first, _second = two_epoch_store
@@ -303,7 +308,9 @@ class DescribeHttpTransport:
             table = conn.getresponse()
             document = json.loads(table.read())
             assert table.status == 200
-            assert document["rendered"] == render_table3(second.confirmations)
+            assert document["rendered"] == render_table3(
+                map(confirmation_record, second.confirmations)
+            )
 
             conn.request("GET", "/definitely/not/here")
             missing = conn.getresponse()
