@@ -20,7 +20,6 @@ from repro.world.population import (
     PopulationConfig,
     ShardedPopulation,
     ShardedPopulationConfig,
-    SyntheticHost,
     populate,
     shard_bounds_for,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "ShardedPopulationConfig",
     "SimClock",
     "SimTime",
-    "SyntheticHost",
     "Vantage",
     "WebSite",
     "World",

@@ -28,7 +28,6 @@ import random
 from dataclasses import dataclass, field
 from typing import (
     Dict,
-    Iterator,
     List,
     Mapping,
     Optional,
@@ -37,7 +36,6 @@ from typing import (
 )
 
 from repro.net.http import ok_response
-from repro.net.ip import Ipv4Address
 from repro.world.content import ContentClass
 from repro.world.rng import derive_rng
 from repro.world.words import SYLLABLES, WORDS_A, WORDS_B
@@ -363,33 +361,6 @@ class ShardedPopulationConfig:
 
 
 @dataclass(frozen=True)
-class SyntheticHost:
-    """One lazily generated scan target (plain data, picklable)."""
-
-    index: int
-    ip: int  # raw IPv4 value; `address` wraps it on demand
-    port: int
-    country_code: str
-    asn: int
-    banner: str
-    product: Optional[str] = None
-    keyword: Optional[str] = None
-
-    @property
-    def host_id(self) -> str:
-        """Globally unique host identifier (index-addressed)."""
-        return f"host-{self.index}"
-
-    @property
-    def address(self) -> Ipv4Address:
-        return Ipv4Address(self.ip)
-
-    @property
-    def is_install(self) -> bool:
-        return self.product is not None
-
-
-@dataclass(frozen=True)
 class _ProductProfile:
     """Registry-derived banner ingredients for one product (picklable)."""
 
@@ -433,8 +404,9 @@ class ShardedPopulation:
     Every host attribute is a pure function of ``(seed, global index)``
     via counter-based hashing — no sequential RNG stream — so any index
     range can be generated independently, in any order, on any process.
-    Shards are contiguous, balanced index ranges; ``shard(k)`` in
-    isolation equals the same slice of a full build by construction.
+    Shards are contiguous, balanced index ranges; ``raw_at`` over
+    ``shard_bounds(k)`` in isolation equals the same slice of a full
+    build by construction.
     """
 
     def __init__(
@@ -462,25 +434,6 @@ class ShardedPopulation:
             self.config.host_count, self.config.shard_count, shard
         )
 
-    def iter_shard(self, shard: int) -> Iterator[SyntheticHost]:
-        start, stop = self.shard_bounds(shard)
-        return self.iter_range(start, stop)
-
-    def shard(self, shard: int) -> List[SyntheticHost]:
-        return list(self.iter_shard(shard))
-
-    def iter_range(self, start: int, stop: int) -> Iterator[SyntheticHost]:
-        if start < 0 or stop > self.config.host_count:
-            raise IndexError(
-                f"range [{start}, {stop}) outside population "
-                f"[0, {self.config.host_count})"
-            )
-        for index in range(start, stop):
-            yield self.host_at(index)
-
-    def iter_hosts(self) -> Iterator[SyntheticHost]:
-        return self.iter_range(0, self.config.host_count)
-
     # --------------------------------------------------------- generation
     def raw_at(
         self, index: int
@@ -488,8 +441,8 @@ class ShardedPopulation:
         """Host ``index`` as a plain tuple — the million-host hot path.
 
         Returns ``(index, ip, port, country, asn, banner, product,
-        keyword)``; the scan engine works from this directly to avoid
-        paying frozen-dataclass construction per background host.
+        keyword)``: ``ip`` is the raw IPv4 value, and ``product`` and
+        ``keyword`` are set only on a genuine installation.
         """
         config = self.config
         if not 0 <= index < config.host_count:
@@ -533,22 +486,6 @@ class ShardedPopulation:
             f"Content-Type: text/html\nwelcome index page"
         )
         return (index, ip, 80, country, asn, banner, None, None)
-
-    def host_at(self, index: int) -> SyntheticHost:
-        """Generate host ``index`` — pure in (seed, index, config)."""
-        (
-            index, ip, port, country, asn, banner, product, keyword
-        ) = self.raw_at(index)
-        return SyntheticHost(
-            index=index,
-            ip=ip,
-            port=port,
-            country_code=country,
-            asn=asn,
-            banner=banner,
-            product=product,
-            keyword=keyword,
-        )
 
 
 def shard_bounds_for(

@@ -59,15 +59,18 @@ def _check_shard_independence(
 
 def _check_uniqueness(seed: int, host_count: int, shard_count: int) -> None:
     population = ShardedPopulation(seed, _config(host_count, shard_count))
-    seen_ids = set()
+    seen_indexes = set()
     seen_ips = set()
     for shard in range(shard_count):
-        for host in population.iter_shard(shard):
-            assert host.host_id not in seen_ids
-            assert host.ip not in seen_ips
-            seen_ids.add(host.host_id)
-            seen_ips.add(host.ip)
-    assert len(seen_ids) == host_count
+        start, stop = population.shard_bounds(shard)
+        for index in range(start, stop):
+            host_index, ip = population.raw_at(index)[:2]
+            assert host_index == index
+            assert host_index not in seen_indexes
+            assert ip not in seen_ips
+            seen_indexes.add(host_index)
+            seen_ips.add(ip)
+    assert len(seen_indexes) == host_count
 
 
 if HAVE_HYPOTHESIS:
@@ -153,30 +156,25 @@ def test_population_composition():
     ]
     population = ShardedPopulation(5, _config(5000, 8))
     installs = decoys = 0
-    for host in population.iter_hosts():
-        lowered = host.banner.lower()
-        if host.is_install:
-            installs += 1
-            assert CONSOLE_MARKER in lowered
-            assert host.keyword is not None
-        elif any(keyword in lowered for keyword in keywords):
-            decoys += 1
-            assert CONSOLE_MARKER not in lowered
-        assert host.ip >= SHARDED_ADDRESS_BASE
+    for shard in range(population.shard_count):
+        start, stop = population.shard_bounds(shard)
+        for index in range(start, stop):
+            (
+                _index, ip, _port, _country, _asn, banner, product,
+                install_keyword,
+            ) = population.raw_at(index)
+            lowered = banner.lower()
+            if product is not None:
+                installs += 1
+                assert CONSOLE_MARKER in lowered
+                assert install_keyword is not None
+            elif any(keyword in lowered for keyword in keywords):
+                decoys += 1
+                assert CONSOLE_MARKER not in lowered
+            assert ip >= SHARDED_ADDRESS_BASE
     # 1.2% installs / 2% decoys of 5000, generously bracketed.
     assert 20 <= installs <= 130
     assert decoys >= 20
-
-
-def test_host_at_matches_raw_at():
-    population = ShardedPopulation(9, _config(100, 4))
-    for index in (0, 37, 99):
-        host = population.host_at(index)
-        raw = population.raw_at(index)
-        assert (
-            host.index, host.ip, host.port, host.country_code,
-            host.asn, host.banner, host.product, host.keyword,
-        ) == raw
 
 
 def test_config_validation():
