@@ -4,9 +4,10 @@ An epoch's payload is a handful of *record kinds* — ``installations``
 (Figure 1 backing data), ``confirmations`` (Table 3), ``characterizations``
 (Table 4) and ``category_probe`` (§4.4) — each a list of plain JSON rows.
 The rows are the :mod:`repro.analysis.export` flatteners' rows, the
-same ones the report renders its tables from. Confirmation and probe
-rows gain the ISP's country and ASN from the world, so selecting epochs
-by country or ASN never has to re-derive ISP facts at read time.
+same ones the report renders its tables from. Confirmation, probe and
+discovery rows gain the ISP's country and ASN from the world, so
+selecting epochs by country or ASN never has to re-derive ISP facts at
+read time.
 
 Record building happens exactly once, at commit time, against the live
 world; everything downstream (query engine, serving API) works from the
