@@ -18,7 +18,10 @@ scriptable, so the interface is pinned independently of how
   as a run without the flag;
 - ``python -m repro`` exits with the same codes as ``main()``;
 - one SHA-256 over what ``identify``, ``confirm`` and ``probe`` print
-  at seed 2013: Figure 1, a Table 3 row and the YemenNet probe.
+  at seed 2013: Figure 1, a Table 3 row and the YemenNet probe;
+- one SHA-256 over what two ``discover --store`` runs print and the
+  epoch ids they commit: one that converges (exit 0) and one whose
+  round budget runs out first (exit 3, a partial epoch).
 
 The hard-failure (1) and partial (3) exits are covered by
 ``tests/core/test_cli.py`` and not repeated here.
@@ -37,6 +40,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser, main
+from repro.store import ResultsStore
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 OPTION_TABLE_ROWS = 144
@@ -54,6 +58,13 @@ SINGLE_STEP_COMMANDS = [
         "--product", "McAfee SmartFilter", "--isp", "etisalat",
     ],
     ["--seed", "2013", "probe", "--isp", "yemennet"],
+]
+DISCOVER_STDOUT_SHA256 = (
+    "05ee4b1fc2ab1650effee1bb17005a178f731f6075099c5a1768971484bbd494"
+)
+DISCOVER_RUNS = [
+    ("converged", [], 0),
+    ("partial", ["--rounds", "6"], 3),
 ]
 
 
@@ -277,6 +288,18 @@ def test_single_step_stdout(capsys):
         assert main(argv) == 0
         digest.update(capsys.readouterr().out.encode("utf-8") + b"\0")
     assert digest.hexdigest() == SINGLE_STEP_STDOUT_SHA256
+
+
+def test_discover_stdout_and_epochs(tmp_path, capsys):
+    digest = hashlib.sha256()
+    for name, extra, code in DISCOVER_RUNS:
+        store = tmp_path / name
+        argv = ["--seed", "2013", "discover", "--population", "220"]
+        assert main(argv + extra + ["--store", str(store)]) == code
+        out = capsys.readouterr().out.replace(str(store), "{store}")
+        ids = "\n".join(ResultsStore(store).epoch_ids())
+        digest.update(out.encode("utf-8") + b"\0" + ids.encode("utf-8") + b"\0")
+    assert digest.hexdigest() == DISCOVER_STDOUT_SHA256
 
 
 @pytest.mark.parametrize(
