@@ -1,4 +1,4 @@
-"""Analysis: published targets, table renderers, aggregation helpers."""
+"""Analysis: published targets, table renderers, exports and validation."""
 
 from repro.analysis.paper_data import (
     PAPER_FIGURE1,
@@ -21,7 +21,6 @@ from repro.analysis.export import (
     to_json,
 )
 from repro.analysis.report import write_markdown_report
-from repro.analysis.stats import mean, proportion_ci, rate_table, stddev, tally
 from repro.analysis.validation import ArtifactCheck, Scorecard, validate_report
 from repro.analysis.tables import (
     render_category_probe,
@@ -55,9 +54,6 @@ __all__ = [
     "Table1Row",
     "Table3Row",
     "Table4Row",
-    "mean",
-    "proportion_ci",
-    "rate_table",
     "render_category_probe",
     "render_figure1",
     "render_paper_table5",
@@ -66,6 +62,4 @@ __all__ = [
     "render_table3",
     "render_table4",
     "render_table5",
-    "stddev",
-    "tally",
 ]

@@ -1130,7 +1130,6 @@ def _cmd_discover(args) -> int:
         DiscoveryEngine,
         static_baseline,
     )
-    from repro.exec.checkpoint import fingerprint
     from repro.exec.executor import Executor
     from repro.exec.resilience import ResilienceConfig, ResilientRunner
     from repro.net.errors import UrlError
@@ -1203,20 +1202,11 @@ def _cmd_discover(args) -> int:
 
     degraded = result.insufficient_count > 0 or not result.converged
     if args.store:
-        identity = {
-            "kind": "discovery",
-            "seed": _seed(args),
-            "isp": args.isp,
-            "population": args.population,
-            "config": config.identity(),
-            "seed_urls": list(result.seed_urls),
-        }
         epoch = discovery_epoch(
             result,
-            identity=identity,
-            fingerprint=fingerprint(identity),
             world=world,
             window=(window_start, world.now.minutes),
+            population=args.population,
             coverage=coverage,
             partial=(
                 ("discovery_rounds", "discovery_candidates")

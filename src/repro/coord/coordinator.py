@@ -15,7 +15,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, List, Optional, Tuple, Union
 
 from repro.coord.queue import (
     CoordinationError,
@@ -24,9 +24,10 @@ from repro.coord.queue import (
     QueueSnapshot,
     WorkQueue,
 )
+from repro.coord.worker import scan_from_coordinator
 from repro.exec.checkpoint import fingerprint as identity_fingerprint
 from repro.scan.stream import StreamingScan
-from repro.store.merge import ShardSource, reconcile_shards
+from repro.store.merge import ShardSource, check_shard_set, load_segments
 
 
 @dataclass(frozen=True)
@@ -162,10 +163,11 @@ class Coordinator:
 
         Dead letters short-circuit to :class:`PartialScanResult` before
         any store interaction. Otherwise every commit record (winners
-        *and* duplicates — the merge layer is the conflict arbiter)
-        flows into :func:`repro.store.merge.reconcile_shards`, which
-        commits the byte-identical epoch a single-machine scan of the
-        same identity produces.
+        *and* duplicates) passes :func:`repro.store.merge.check_shard_set`,
+        and the scan, rebuilt from the directory as workers rebuild it,
+        commits the verified segments in shard order through
+        :meth:`StreamingScan.commit`: the single-machine write path,
+        hence the single-machine epoch id.
         """
         started = time.perf_counter()
         snapshot = self.queue.snapshot()
@@ -183,34 +185,32 @@ class Coordinator:
                 dead=snapshot.dead,
                 duplicates_discarded=snapshot.duplicates,
             )
-        sources = [
-            ShardSource(
-                shard=commit.shard,
-                path=self.queue.shards_dir / commit.file,
-                rows_sha256=commit.rows_sha256,
-                worker=commit.worker,
-            )
-            for commit in commits
-        ]
-        doc: Dict[str, Any] = self.queue.doc
-        result = reconcile_shards(
-            store,
-            identity=doc["identity"],
-            fingerprint=self.queue.fingerprint,
-            seed=self.queue.seed,
-            shard_count=snapshot.shard_count,
-            sources=sources,
+        scan = scan_from_coordinator(self.queue)
+        chosen = check_shard_set(
+            snapshot.shard_count,
+            [
+                ShardSource(
+                    shard=commit.shard,
+                    path=self.queue.shards_dir / commit.file,
+                    rows_sha256=commit.rows_sha256,
+                    worker=commit.worker,
+                )
+                for commit in commits
+            ],
+        )
+        summary = scan.commit(
+            store, load_segments(chosen, self.queue.fingerprint)
         )
         return DistributedScanSummary(
-            epoch_id=result.epoch_id,
-            created=result.created,
-            shards=result.shards,
+            epoch_id=summary.epoch_id,
+            created=summary.created,
+            shards=summary.batches,
             workers=snapshot.workers,
-            duplicates_discarded=result.duplicates_discarded,
-            scanned=result.scanned,
-            missed=result.missed,
-            decoys=result.decoys,
-            hits=result.hits,
+            duplicates_discarded=len(commits) - len(chosen),
+            scanned=summary.scanned,
+            missed=summary.missed,
+            decoys=summary.decoys,
+            hits=summary.hits,
             elapsed_seconds=time.perf_counter() - started,
         )
 

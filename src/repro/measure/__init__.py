@@ -2,7 +2,6 @@
 
 from repro.measure.classifiers import (
     BlockPagePatternMatcher,
-    FusionPolicy,
     PageRecord,
     PageView,
     VerdictEngine,
@@ -48,7 +47,6 @@ __all__ = [
     "CATEGORY_BY_NAME",
     "Comparison",
     "Detection",
-    "FusionPolicy",
     "PageRecord",
     "PageView",
     "Signal",

@@ -6,7 +6,7 @@ every field/lab fetch pair becomes a structured
 independent classifiers each emit a
 :class:`~repro.measure.verdict.Signal` (verdict, confidence, evidence);
 inconclusive filters contribute demotion evidence; and a deterministic
-weighted-fusion stage (:func:`~repro.measure.classifiers.fusion.fuse`)
+fusion stage (:func:`~repro.measure.classifiers.fusion.fuse`)
 produces the final :class:`~repro.measure.verdict.Comparison` with a
 confidence score and the full per-signal breakdown.
 
@@ -31,9 +31,7 @@ from repro.measure.classifiers.filters import (
     default_filters,
 )
 from repro.measure.classifiers.fusion import (
-    DEFAULT_POLICY,
-    DEFAULT_WEIGHTS,
-    FusionPolicy,
+    INSUFFICIENT_FLOOR,
     VerdictEngine,
     default_classifiers,
     fuse,
@@ -59,12 +57,10 @@ __all__ = [
     "BlockPagePatternMatcher",
     "CdnCaptchaFilter",
     "Comparison",
-    "DEFAULT_POLICY",
-    "DEFAULT_WEIGHTS",
     "DIVERGENT_JACCARD",
     "Detection",
     "DnsTamperingClassifier",
-    "FusionPolicy",
+    "INSUFFICIENT_FLOOR",
     "IspLoginPortalFilter",
     "PageDeltaClassifier",
     "PageRecord",

@@ -1,4 +1,4 @@
-"""Deterministic weighted fusion of classifier signals.
+"""Deterministic fusion of classifier signals.
 
 ``fuse`` is a pure function from a bag of signals to a
 :class:`~repro.measure.verdict.Comparison`: per-verdict scores combine
@@ -6,12 +6,15 @@ signal confidences noisy-or style (two independent weak signals for the
 same verdict reinforce each other, but never exceed certainty), the
 highest score wins, and *all* ties resolve by the fixed verdict
 severity order and then by classifier name — never by signal arrival
-order, so permuting the input changes nothing.
+order, so permuting the input changes nothing. Signals are not
+weighted: each classifier's own confidence calibration already encodes
+how decisive its evidence is (an explicit block page at 0.95 outranks
+any default stack of circumstantial content signals).
 
 Two safety bands preserve the chaos invariant (injected faults may
 degrade a verdict toward INSUFFICIENT, never manufacture one):
 
-- a winner scoring below ``insufficient_floor`` yields INSUFFICIENT —
+- a winner scoring below :data:`INSUFFICIENT_FLOOR` yields INSUFFICIENT —
   weak circumstantial evidence is "we do not know", not a claim; and
 - any inconclusive-filter signal (CDN captcha, seized domain, ISP
   portal) demotes a blocked winner to INSUFFICIENT outright.
@@ -19,7 +22,6 @@ degrade a verdict toward INSUFFICIENT, never manufacture one):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.measure.classifiers.blockpage import (
@@ -47,42 +49,9 @@ from repro.measure.verdict import (
 )
 from repro.net.fetch import FetchOutcome, FetchResult
 
-#: The paper-default per-classifier weights. All 1.0: each classifier's
-#: own confidence calibration already encodes how decisive its evidence
-#: is (an explicit block page at 0.95 outranks any default stack of
-#: circumstantial content signals). Pinned explicitly so a policy change
-#: is a visible diff, not an accident.
-DEFAULT_WEIGHTS: Dict[str, float] = {
-    "blockpage": 1.0,
-    "dns-tampering": 1.0,
-    "rst-timeout": 1.0,
-    "rst-injection": 1.0,
-    "sni-filter": 1.0,
-    "status-anomaly": 1.0,
-    "page-delta": 1.0,
-    "throttle": 1.0,
-    "cdn-captcha": 1.0,
-    "seized-domain": 1.0,
-    "isp-login-portal": 1.0,
-}
-
-
-@dataclass(frozen=True)
-class FusionPolicy:
-    """Tunable fusion knobs; the defaults pin the paper's behavior."""
-
-    weights: Dict[str, float] = dataclass_field(
-        default_factory=lambda: dict(DEFAULT_WEIGHTS)
-    )
-    #: Winning scores below this band yield INSUFFICIENT: weak evidence
-    #: must degrade to "we do not know", never to a censorship claim.
-    insufficient_floor: float = 0.3
-
-    def weight(self, classifier: str) -> float:
-        return self.weights.get(classifier, 1.0)
-
-
-DEFAULT_POLICY = FusionPolicy()
+#: Winning scores below this band yield INSUFFICIENT: weak evidence
+#: must degrade to "we do not know", never to a censorship claim.
+INSUFFICIENT_FLOOR = 0.3
 
 
 def _canonical_order(signals: Iterable[Signal]) -> Tuple[Signal, ...]:
@@ -95,16 +64,13 @@ def _canonical_order(signals: Iterable[Signal]) -> Tuple[Signal, ...]:
     )
 
 
-def fuse(
-    signals: Sequence[Signal], policy: Optional[FusionPolicy] = None
-) -> Comparison:
+def fuse(signals: Sequence[Signal]) -> Comparison:
     """Combine signals into the final comparison (pure, order-invariant).
 
     INSUFFICIENT-verdict signals are demotion evidence from the
     inconclusive filters: they never win on score, but any one of them
     forces a blocked winner down to INSUFFICIENT.
     """
-    policy = policy or DEFAULT_POLICY
     ordered = _canonical_order(signals)
     demotions = [s for s in ordered if s.verdict is Verdict.INSUFFICIENT]
     votes = [s for s in ordered if s.verdict is not Verdict.INSUFFICIENT]
@@ -123,11 +89,8 @@ def fuse(
     # float result is bit-identical under input permutation.
     residual: Dict[Verdict, float] = {}
     for signal in votes:
-        contribution = min(
-            1.0, max(0.0, signal.confidence * policy.weight(signal.classifier))
-        )
         residual[signal.verdict] = residual.get(signal.verdict, 1.0) * (
-            1.0 - contribution
+            1.0 - signal.confidence
         )
     scores = {verdict: 1.0 - r for verdict, r in residual.items()}
 
@@ -140,10 +103,10 @@ def fuse(
     # note; equal strengths resolve by classifier name.
     primary = min(
         (s for s in votes if s.verdict is winner),
-        key=lambda s: (-s.confidence * policy.weight(s.classifier), s.classifier),
+        key=lambda s: (-s.confidence, s.classifier),
     )
 
-    if score < policy.insufficient_floor:
+    if score < INSUFFICIENT_FLOOR:
         return Comparison(
             Verdict.INSUFFICIENT,
             note=(
@@ -174,15 +137,10 @@ def fuse(
 
 def default_classifiers(
     matcher: Optional[BlockPagePatternMatcher] = None,
-    products: Optional[Sequence[str]] = None,
 ) -> Tuple[object, ...]:
     """The standard classifier set, in canonical order."""
     if matcher is None:
-        matcher = (
-            BlockPagePatternMatcher()
-            if products is None
-            else BlockPagePatternMatcher.for_products(products)
-        )
+        matcher = BlockPagePatternMatcher()
     return (
         BlockPageClassifier(matcher),
         DnsTamperingClassifier(),
@@ -210,22 +168,11 @@ class VerdictEngine:
 
     def __init__(
         self,
-        classifiers: Optional[Sequence[object]] = None,
-        filters: Optional[Sequence[object]] = None,
-        policy: Optional[FusionPolicy] = None,
         *,
         matcher: Optional[BlockPagePatternMatcher] = None,
-        products: Optional[Sequence[str]] = None,
     ) -> None:
-        self.classifiers = tuple(
-            default_classifiers(matcher, products)
-            if classifiers is None
-            else classifiers
-        )
-        self.filters = tuple(
-            default_filters() if filters is None else filters
-        )
-        self.policy = policy or DEFAULT_POLICY
+        self.classifiers = default_classifiers(matcher)
+        self.filters = default_filters()
 
     def compare(self, field: FetchResult, lab: FetchResult) -> Comparison:
         """Classify a field result given the lab's view of the same URL."""
@@ -266,4 +213,4 @@ class VerdictEngine:
                 note=f"field outcome {record.field.outcome.value}",
                 confidence=0.5,
             )
-        return fuse(signals, self.policy)
+        return fuse(signals)

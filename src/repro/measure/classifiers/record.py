@@ -121,14 +121,6 @@ class PageRecord:
             return 1.0
         return len(field_tags & lab_tags) / len(union)
 
-    def titles_match(self) -> bool:
-        """Both views carry the same non-empty HTML title."""
-        return bool(
-            self.field.title
-            and self.lab.title
-            and self.field.title == self.lab.title
-        )
-
     def length_ratio(self) -> float:
         """Smaller body over larger body (1.0 = equal length)."""
         larger = max(self.field.body_length, self.lab.body_length)

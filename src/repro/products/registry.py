@@ -165,31 +165,6 @@ class ProductRegistry:
         self._cache.clear()
         return spec
 
-    def discover(self, group: str = "repro.products") -> int:
-        """Load third-party specs advertised as entry points.
-
-        Each entry point in ``group`` must resolve to a callable taking
-        this registry (or to a :class:`ProductSpec`).  Returns the count
-        of specs added.  Silently a no-op where ``importlib.metadata``
-        is unavailable or nothing is advertised.
-        """
-        try:
-            from importlib.metadata import entry_points
-        except ImportError:  # pragma: no cover - py<3.8 guard
-            return 0
-        try:
-            points = entry_points(group=group)
-        except TypeError:  # pragma: no cover - py<3.10 select API
-            points = entry_points().get(group, [])  # type: ignore[call-arg]
-        before = len(self._specs)
-        for point in points:
-            loaded = point.load()
-            if isinstance(loaded, ProductSpec):
-                self.register(loaded)
-            else:
-                loaded(self)
-        return len(self._specs) - before
-
     # -------------------------------------------------------------- lookup
     def get(self, name: str) -> ProductSpec:
         try:
@@ -400,8 +375,8 @@ def default_registry() -> ProductRegistry:
     """The global registry with the built-in products registered.
 
     Importing a vendor module registers its spec; this imports the five
-    built-ins exactly once, then runs entry-point discovery so external
-    packages can add products without touching this repo.
+    built-ins exactly once. Another product is one more module that
+    registers its spec the same way (see :mod:`repro.products.fortiguard`).
     """
     global _BOOTSTRAPPED
     if not _BOOTSTRAPPED:
@@ -411,6 +386,4 @@ def default_registry() -> ProductRegistry:
         import repro.products.netsweeper  # noqa: F401
         import repro.products.websense  # noqa: F401
         import repro.products.fortiguard  # noqa: F401
-
-        REGISTRY.discover()
     return REGISTRY

@@ -1,10 +1,9 @@
-"""repro.query — filter/aggregate/diff over the longitudinal store.
+"""repro.query — filter/diff over the longitudinal store.
 
-The read side of :mod:`repro.store`: typed record filters, grouped
-aggregates, canonical table views, and the APPEARED / WITHDRAWN /
-PERSISTED epoch diffs that the serving API is built on and that read
-the transitions between the round epochs of a
-:class:`repro.monitor.MonitorService`.
+The read side of :mod:`repro.store`: typed record filters, canonical
+table views, and the APPEARED / WITHDRAWN / PERSISTED epoch diffs that
+the serving API is built on and that read the transitions between the
+round epochs of a :class:`repro.monitor.MonitorService`.
 """
 
 from repro.query.diff import (

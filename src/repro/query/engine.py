@@ -1,17 +1,17 @@
 """Typed queries over a results store.
 
-The engine is the read side of the longitudinal subsystem: filters and
-aggregates over stored record rows, the table views, and the epoch
-diffs. Epoch *selection* reads the index keys (country, ASN, product,
-ISP, category) that each epoch's manifest records, so picking epochs
-reads no segment; record-level filtering then happens on the rows of
-the chosen epochs alone.
+The engine is the read side of the longitudinal subsystem: filters
+over stored record rows, the table views, and the epoch diffs. Epoch
+*selection* reads the index keys (country, ASN, product, ISP,
+category) that each epoch's manifest records, so picking epochs reads
+no segment; record-level filtering then happens on the rows of the
+chosen epochs alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.query.diff import EpochDiff, diff_epochs
 from repro.query.views import available_tables, render_epoch_table
@@ -124,28 +124,6 @@ class QueryEngine:
             return rows
         return [row for row in rows if record_filter.matches(row)]
 
-    def aggregate(
-        self,
-        kind: str,
-        by: Sequence[str],
-        *,
-        epoch: Optional[str] = None,
-        record_filter: Optional[RecordFilter] = None,
-    ) -> List[Dict[str, Any]]:
-        """Group-and-count rows by the given dimensions, sorted by key."""
-        if not by:
-            raise StoreError("aggregate needs at least one grouping field")
-        counts: Dict[Tuple[str, ...], int] = {}
-        for row in self.select(
-            kind, epoch=epoch, record_filter=record_filter
-        ):
-            key = tuple(str(row.get(dimension)) for dimension in by)
-            counts[key] = counts.get(key, 0) + 1
-        return [
-            {**dict(zip(by, key)), "count": count}
-            for key, count in sorted(counts.items())
-        ]
-
     # -------------------------------------------------------------- tables
     def table(self, name: str, *, epoch: Optional[str] = None) -> str:
         """A rendered table, byte-identical to the live renderers."""
@@ -170,11 +148,3 @@ class QueryEngine:
             old = old if old is not None else ids[-2]
             new = new if new is not None else ids[-1]
         return diff_epochs(self.store, old, new)
-
-    def churn_series(self) -> List[EpochDiff]:
-        """Pairwise diffs across every consecutive epoch pair."""
-        ids = self.store.epoch_ids()
-        return [
-            diff_epochs(self.store, earlier, later)
-            for earlier, later in zip(ids, ids[1:])
-        ]

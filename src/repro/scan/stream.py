@@ -34,6 +34,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Iterable,
     Iterator,
     List,
     Optional,
@@ -186,28 +187,6 @@ def scan_batch(job: BatchJob) -> BatchResult:
 
 
 @dataclass(frozen=True)
-class ShardScanResult:
-    """Everything one shard contributed, in index order (picklable).
-
-    This is the distributed unit of work: a coordination worker leasing
-    shard *k* produces exactly this, and because every host is a pure
-    function of ``(seed, index)``, any worker that scans shard *k*
-    under the same scan identity produces a byte-identical row tuple —
-    which is what makes duplicate completions discardable and the
-    reconciled epoch id equal to the single-machine one.
-    """
-
-    shard: int
-    start: int
-    stop: int
-    scanned: int
-    missed: int
-    decoys: int
-    batches: int
-    rows: Tuple[Dict[str, Any], ...]
-
-
-@dataclass(frozen=True)
 class ScanSummary:
     """Outcome of one streamed identify pass."""
 
@@ -307,10 +286,14 @@ class StreamingScan:
         shard: int,
         *,
         after_batch: Optional[Callable[[BatchResult], None]] = None,
-    ) -> ShardScanResult:
+    ) -> BatchResult:
         """Scan one shard's batches inline, in index order.
 
-        The unit a coordination worker executes under a lease.
+        The unit a coordination worker executes under a lease: one
+        batch-shaped result covering the whole shard. Because every host
+        is a pure function of ``(seed, index)``, any worker that scans
+        shard *k* under the same scan identity produces byte-identical
+        rows, which is what makes duplicate completions discardable.
         ``after_batch`` is a progress hook invoked after every batch —
         workers use it to heartbeat their lease between batches (and
         the chaos harness to kill a worker mid-shard); a hook that
@@ -320,44 +303,41 @@ class StreamingScan:
         scanned = 0
         missed = 0
         decoys = 0
-        batches = 0
         start, stop = self.population.shard_bounds(shard)
         for job in self.jobs([shard]):
             result = scan_batch(job)
-            batches += 1
             scanned += result.scanned
             missed += result.missed
             decoys += result.decoys
             rows.extend(result.rows)
             if after_batch is not None:
                 after_batch(result)
-        return ShardScanResult(
-            shard=shard,
+        return BatchResult(
             start=start,
             stop=stop,
             scanned=scanned,
             missed=missed,
             decoys=decoys,
-            batches=batches,
             rows=tuple(rows),
         )
 
-    def run(
+    def commit(
         self,
         store: "ResultsStore",
-        executor: Executor,
+        results: Iterable[Any],
         *,
-        window: Optional[int] = None,
         stats: Optional[StreamStats] = None,
     ) -> ScanSummary:
-        """Stream the scan into ``store``; returns the committed epoch.
+        """Write ``results`` as this scan's epoch; returns the summary.
 
-        Rows land in the ``installations`` segment in submission order.
-        A failed batch aborts the stream and re-raises — a partial scan
-        must never publish as if it were complete.
+        Each result is batch-shaped (``scanned``, ``missed``, ``decoys``,
+        ``rows``): a :class:`BatchResult`, or a verified shard segment
+        when a distributed scan reconciles. Rows land in the
+        ``installations`` segment in iteration order, so the same rows
+        commit the same epoch id however they were produced. An error
+        raised while iterating aborts the stream and re-raises — a
+        partial scan must never publish as if it were complete.
         """
-        if stats is None:
-            stats = StreamStats()
         identity = self.identity()
         epoch_stream = store.begin_stream(
             identity=identity,
@@ -375,6 +355,49 @@ class StreamingScan:
             # Touch the segment up front so a zero-hit scan still
             # commits an (empty) installations segment.
             epoch_stream.writer("installations")
+            for result in results:
+                batches += 1
+                scanned += result.scanned
+                missed += result.missed
+                decoys += result.decoys
+                hits += len(result.rows)
+                for row in result.rows:
+                    epoch_stream.write("installations", row)
+        except BaseException:
+            epoch_stream.abort()
+            raise
+        elapsed = time.perf_counter() - started
+        committed = epoch_stream.finalize(window_end=0)
+        return ScanSummary(
+            epoch_id=committed.epoch_id,
+            created=committed.created,
+            hosts=scanned,
+            scanned=scanned,
+            missed=missed,
+            decoys=decoys,
+            hits=hits,
+            batches=batches,
+            peak_inflight=0 if stats is None else stats.peak_inflight,
+            elapsed_seconds=elapsed,
+        )
+
+    def run(
+        self,
+        store: "ResultsStore",
+        executor: Executor,
+        *,
+        window: Optional[int] = None,
+        stats: Optional[StreamStats] = None,
+    ) -> ScanSummary:
+        """Stream the scan into ``store``; returns the committed epoch.
+
+        Batch results are committed in submission order. A failed batch
+        aborts the stream and re-raises.
+        """
+        if stats is None:
+            stats = StreamStats()
+
+        def batches() -> Iterator[BatchResult]:
             for _index, outcome in executor.stream(
                 scan_batch,
                 self.jobs(),
@@ -384,27 +407,6 @@ class StreamingScan:
             ):
                 if isinstance(outcome, TaskFailure):
                     raise outcome
-                batches += 1
-                scanned += outcome.scanned
-                missed += outcome.missed
-                decoys += outcome.decoys
-                for row in outcome.rows:
-                    epoch_stream.write("installations", row)
-                    hits += 1
-        except BaseException:
-            epoch_stream.abort()
-            raise
-        elapsed = time.perf_counter() - started
-        result = epoch_stream.finalize(window_end=0)
-        return ScanSummary(
-            epoch_id=result.epoch_id,
-            created=result.created,
-            hosts=scanned,
-            scanned=scanned,
-            missed=missed,
-            decoys=decoys,
-            hits=hits,
-            batches=batches,
-            peak_inflight=stats.peak_inflight,
-            elapsed_seconds=elapsed,
-        )
+                yield outcome
+
+        return self.commit(store, batches(), stats=stats)

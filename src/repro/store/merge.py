@@ -1,14 +1,14 @@
-"""Partial-epoch reconciliation: per-shard result sets → one epoch.
+"""Shard segments: the durable files a distributed scan reconciles.
 
 Distributed scan workers each commit a durable *shard segment* — the
 rows their leased shard produced, in a CRC envelope — rather than a
-full epoch. This module reconciles those per-shard files, in shard
-order with duplicate and conflict detection, into the exact
-content-addressed epoch a single-machine :class:`StreamingScan.run`
-would commit: byte-identical segments, byte-identical manifest, hence
-the identical epoch id.
+full epoch. This module owns that file format and the checks that turn
+a set of committed files into one verified segment per shard, in shard
+order; the scan itself writes them into its epoch
+(:meth:`repro.scan.stream.StreamingScan.commit`), exactly as a
+single-machine run writes its batches.
 
-The reconciliation contract is all-or-nothing:
+The checks are all-or-nothing:
 
 - every shard in ``range(shard_count)`` must have a source, or
   :class:`MissingShard` is raised;
@@ -19,9 +19,11 @@ The reconciliation contract is all-or-nothing:
 - a shard file that fails its CRC, digest, or identity checks is
   :class:`ShardSegmentDamage`.
 
-Any of these aborts the epoch stream with nothing published: a damaged
-distributed scan degrades to a typed error, never to a committed epoch
-that silently misses hosts.
+The first two are found before any file is read, so nothing is written;
+a damaged file is found while its segment is being written and aborts
+the epoch stream. Either way nothing is published: a damaged distributed
+scan degrades to a typed error, never to a committed epoch that
+silently misses hosts.
 """
 
 from __future__ import annotations
@@ -31,7 +33,16 @@ import json
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.exec.journal import atomic_write, canonical
 from repro.store.store import StoreError
@@ -225,45 +236,19 @@ def load_shard_segment(
     )
 
 
-@dataclass(frozen=True)
-class ReconcileResult:
-    """A successful reconciliation: the committed epoch plus totals."""
+def check_shard_set(
+    shard_count: int, sources: Iterable[ShardSource]
+) -> List[ShardSource]:
+    """The first committed source of every shard, in shard order.
 
-    epoch_id: str
-    created: bool
-    shards: int
-    duplicates_discarded: int
-    scanned: int
-    missed: int
-    decoys: int
-    hits: int
-
-
-def reconcile_shards(
-    store: Any,
-    *,
-    identity: Dict[str, Any],
-    fingerprint: str,
-    seed: int,
-    shard_count: int,
-    sources: Iterable[ShardSource],
-) -> ReconcileResult:
-    """Merge per-shard segment files into one committed epoch.
-
-    Streams rows shard-by-shard in ascending shard order through
-    ``store.begin_stream`` — the same writer path, same (0, 0) window
-    and same up-front ``installations`` touch as ``StreamingScan.run`` —
-    so the sealed segments and manifest are byte-identical to a
-    single-machine scan's, and the epoch id is therefore equal.
-
-    Raises a typed :class:`ReconciliationError` subclass (and aborts
-    the stream, publishing nothing) on any missing, conflicting, or
-    damaged shard.
+    Reads no file, so a shard outside ``range(shard_count)``, a
+    conflicting duplicate (:class:`DuplicateShard`) or a shard with no
+    source (:class:`MissingShard`) is refused before anything is
+    written. Identical duplicates are dropped.
     """
     if shard_count < 1:
         raise ReconciliationError(None, "shard_count must be >= 1")
     chosen: Dict[int, ShardSource] = {}
-    duplicates = 0
     for source in sources:
         if not 0 <= source.shard < shard_count:
             raise ReconciliationError(
@@ -280,10 +265,8 @@ def reconcile_shards(
                 f"conflicting contents (workers {prior.worker!r} and "
                 f"{source.worker!r}) — the scan is not trustworthy",
             )
-        else:
-            # Speculative re-execution produced the identical result;
-            # first valid commit wins, the copy is discarded.
-            duplicates += 1
+        # Otherwise speculative re-execution produced the identical
+        # result; first valid commit wins, the copy is discarded.
     missing = [k for k in range(shard_count) if k not in chosen]
     if missing:
         preview = ", ".join(str(k) for k in missing[:8])
@@ -293,45 +276,22 @@ def reconcile_shards(
             f"(first few: {preview}) — refusing to publish an "
             "incomplete epoch",
         )
-    stream = store.begin_stream(
-        identity=identity,
-        fingerprint=fingerprint,
-        seed=seed,
-        window_start=0,
-    )
-    scanned = 0
-    missed = 0
-    decoys = 0
-    hits = 0
-    try:
-        # Match StreamingScan.run: a zero-hit scan still commits an
-        # (empty) installations segment.
-        stream.writer("installations")
-        for shard in range(shard_count):
-            source = chosen[shard]
-            segment = load_shard_segment(
-                source.path,
-                expected_shard=shard,
-                expected_sha256=source.rows_sha256,
-                fingerprint=fingerprint,
-            )
-            scanned += segment.scanned
-            missed += segment.missed
-            decoys += segment.decoys
-            for row in segment.rows:
-                stream.write("installations", row)
-                hits += 1
-    except BaseException:
-        stream.abort()
-        raise
-    commit = stream.finalize(window_end=0)
-    return ReconcileResult(
-        epoch_id=commit.epoch_id,
-        created=commit.created,
-        shards=shard_count,
-        duplicates_discarded=duplicates,
-        scanned=scanned,
-        missed=missed,
-        decoys=decoys,
-        hits=hits,
-    )
+    return [chosen[k] for k in range(shard_count)]
+
+
+def load_segments(
+    sources: Iterable[ShardSource], fingerprint: str
+) -> Iterator[ShardSegment]:
+    """Load and verify each source's segment file, one at a time.
+
+    A damaged file raises :class:`ShardSegmentDamage` when it is
+    reached, so a consumer writing the segments into an epoch stream
+    aborts it.
+    """
+    for source in sources:
+        yield load_shard_segment(
+            source.path,
+            expected_shard=source.shard,
+            expected_sha256=source.rows_sha256,
+            fingerprint=fingerprint,
+        )

@@ -211,10 +211,9 @@ def discovery_candidate_record(
 def discovery_epoch(
     result: Any,
     *,
-    identity: Dict[str, Any],
-    fingerprint: str,
     world: "World",
     window: Tuple[int, int],
+    population: Optional[int] = None,
     coverage: Optional[Any] = None,
     partial: Sequence[str] = (),
 ) -> EpochData:
@@ -222,9 +221,20 @@ def discovery_epoch(
 
     ``result`` is a :class:`repro.discover.DiscoveryResult`; typed via
     ``Any`` to keep the store layer import-free of the workloads it
-    persists. ``coverage`` (a ``CoverageReport``) annotates the summary
-    row with the gain over the static lists.
+    persists. The identity is the world's seed, the ISP, ``population``
+    (the scenario's website population size if the caller set one),
+    the crawl configuration and the seed URLs. ``coverage`` (a
+    ``CoverageReport``) annotates the summary row with the gain over
+    the static lists.
     """
+    identity = {
+        "kind": "discovery",
+        "seed": world.seed,
+        "isp": result.isp_name,
+        "population": population,
+        "config": result.config.identity(),
+        "seed_urls": list(result.seed_urls),
+    }
     summary: Dict[str, Any] = {
         "isp": result.isp_name,
         "round": 0,
@@ -254,8 +264,8 @@ def discovery_epoch(
     }
     return build_epoch(
         identity=identity,
-        fingerprint=fingerprint,
-        seed=report_seed(identity),
+        fingerprint=checkpoint.fingerprint(identity),
+        seed=world.seed,
         window=window,
         records=records,
         partial=partial,

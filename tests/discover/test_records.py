@@ -10,7 +10,6 @@ from repro.discover import (
     DiscoveryEngine,
     static_baseline,
 )
-from repro.exec.checkpoint import fingerprint
 from repro.store import RECORD_KINDS, ResultsStore, discovery_epoch
 from repro.world.scenario import ScenarioConfig, build_scenario
 
@@ -31,19 +30,11 @@ def run():
 
 def _epoch(run, partial=()):
     world, result, coverage, window = run
-    identity = {
-        "kind": "discovery",
-        "seed": world.seed,
-        "isp": result.isp_name,
-        "config": result.config.identity(),
-        "seed_urls": list(result.seed_urls),
-    }
     return discovery_epoch(
         result,
-        identity=identity,
-        fingerprint=fingerprint(identity),
         world=world,
         window=window,
+        population=160,
         coverage=coverage,
         partial=partial,
     )

@@ -13,11 +13,7 @@ import itertools
 
 import pytest
 
-from repro.measure.classifiers import (
-    DEFAULT_WEIGHTS,
-    FusionPolicy,
-    fuse,
-)
+from repro.measure.classifiers import INSUFFICIENT_FLOOR, fuse
 from repro.measure.verdict import (
     SEVERITY_ORDER,
     Signal,
@@ -123,12 +119,13 @@ class DescribeTieBreaking:
 
 class DescribeInsufficientBand:
     def test_weak_winner_degrades_to_insufficient(self):
-        policy = FusionPolicy(insufficient_floor=0.5)
+        assert 0.25 < INSUFFICIENT_FLOOR
         comparison = fuse(
-            [sig("page-delta", Verdict.BLOCKED_UNATTRIBUTED, 0.4)], policy
+            [sig("page-delta", Verdict.BLOCKED_UNATTRIBUTED, 0.25)]
         )
         assert comparison.verdict is Verdict.INSUFFICIENT
         assert "too weak" in comparison.note
+        assert comparison.confidence == 0.25
 
     def test_default_floor_passes_every_default_classifier(self):
         """Every shipped classifier's solo signal clears the band."""
@@ -137,13 +134,6 @@ class DescribeInsufficientBand:
                 [sig("x", Verdict.BLOCKED_UNATTRIBUTED, confidence)]
             )
             assert comparison.verdict is Verdict.BLOCKED_UNATTRIBUTED
-
-    def test_zero_weight_silences_a_classifier(self):
-        policy = FusionPolicy(weights={**DEFAULT_WEIGHTS, "page-delta": 0.0})
-        comparison = fuse(
-            [sig("page-delta", Verdict.BLOCKED_UNATTRIBUTED, 0.75)], policy
-        )
-        assert comparison.verdict is Verdict.INSUFFICIENT
 
 
 class DescribeDemotions:

@@ -90,20 +90,6 @@ class DescribeRecords:
         with pytest.raises(StoreError, match="record kind"):
             QueryEngine(store).select("surprises")
 
-    def test_aggregate_counts_by_dimension(self, two_epoch_store):
-        store, _first, second = two_epoch_store
-        engine = QueryEngine(store)
-        groups = engine.aggregate("installations", by=["product"])
-        assert sum(group["count"] for group in groups) == len(
-            second.identification.installations
-        )
-        assert groups == sorted(groups, key=lambda g: g["product"])
-
-    def test_aggregate_needs_grouping(self, two_epoch_store):
-        store, _first, _second = two_epoch_store
-        with pytest.raises(StoreError, match="grouping"):
-            QueryEngine(store).aggregate("installations", by=[])
-
 
 class DescribeTableViews:
     """Stored renders must be byte-identical to the live renderers."""
@@ -181,6 +167,10 @@ class DescribeDiff:
         assert diff.by_kind(TransitionKind.APPEARED)
         assert diff.by_kind(TransitionKind.PERSISTED)
         assert not diff.by_kind(TransitionKind.WITHDRAWN)
+        # New vendors' installations appear; none are withdrawn.
+        assert diff.churn is not None
+        assert diff.churn.appeared
+        assert not diff.churn.withdrawn
 
     def test_reverse_diff_withdraws(self, two_epoch_store):
         store, _first, _second = two_epoch_store
@@ -202,12 +192,3 @@ class DescribeDiff:
         )
         with pytest.raises(StoreError, match="two committed epochs"):
             QueryEngine(store).diff()
-
-    def test_churn_series_covers_consecutive_pairs(self, two_epoch_store):
-        store, _first, _second = two_epoch_store
-        series = QueryEngine(store).churn_series()
-        assert len(series) == 1
-        assert series[0].churn is not None
-        # New vendors' installations appear; none are withdrawn.
-        assert series[0].churn.appeared
-        assert not series[0].churn.withdrawn

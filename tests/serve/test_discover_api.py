@@ -12,7 +12,6 @@ from repro.discover import (
     DiscoveryEngine,
     static_baseline,
 )
-from repro.exec.checkpoint import fingerprint
 from repro.serve import StoreApi
 from repro.store import ResultsStore, discovery_epoch
 from repro.world.scenario import ScenarioConfig, build_scenario
@@ -32,19 +31,11 @@ def discovery_store(tmp_path_factory):
     result = DiscoveryEngine(world, "etisalat", config=config).run(
         baseline[:3]
     )
-    identity = {
-        "kind": "discovery",
-        "seed": world.seed,
-        "isp": "etisalat",
-        "config": config.identity(),
-        "seed_urls": list(result.seed_urls),
-    }
     epoch = discovery_epoch(
         result,
-        identity=identity,
-        fingerprint=fingerprint(identity),
         world=world,
         window=(start, world.now.minutes),
+        population=160,
         coverage=CoverageReport.evaluate(result, baseline),
     )
     store = ResultsStore(tmp_path_factory.mktemp("discover-store"))

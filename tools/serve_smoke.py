@@ -55,7 +55,6 @@ def commit_discovery(store) -> None:
         DiscoveryEngine,
         static_baseline,
     )
-    from repro.exec.checkpoint import fingerprint
     from repro.store import discovery_epoch
     from repro.world.scenario import ScenarioConfig, build_scenario
 
@@ -67,21 +66,12 @@ def commit_discovery(store) -> None:
     result = DiscoveryEngine(world, "etisalat", config=config).run(
         baseline[:5]
     )
-    identity = {
-        "kind": "discovery",
-        "seed": world.seed,
-        "isp": "etisalat",
-        "population": 220,
-        "config": config.identity(),
-        "seed_urls": list(result.seed_urls),
-    }
     store.commit(
         discovery_epoch(
             result,
-            identity=identity,
-            fingerprint=fingerprint(identity),
             world=world,
             window=(window_start, world.now.minutes),
+            population=220,
             coverage=CoverageReport.evaluate(result, baseline),
         )
     )
