@@ -11,8 +11,10 @@ uncapped Internet-Census sweep.
 from __future__ import annotations
 
 from repro import FullStudy, build_scenario
+from repro.products import default_registry
 from repro.scan.census import run_census
-from repro.scan.signatures import SHODAN_KEYWORDS
+
+SHODAN_KEYWORDS = default_registry().shodan_keywords()
 
 
 def _visible_ground_truth(scenario) -> int:

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 from repro.analysis import render_table2
 from repro.geo.maxmind import GeoDatabase
+from repro.products import default_registry
 from repro.scan.banner import scan_world
 from repro.scan.shodan import ShodanIndex
-from repro.scan.signatures import SHODAN_KEYWORDS
 from repro.scan.whatweb import WhatWebEngine, world_probe
+
+SHODAN_KEYWORDS = default_registry().shodan_keywords()
 
 
 def test_table2_signatures(benchmark, session_scenario):

@@ -12,10 +12,13 @@ from repro import build_scenario
 from repro.core.identify import IdentificationPipeline
 from repro.geo.cymru import WhoisService
 from repro.geo.maxmind import GeoDatabase
+from repro.products import default_registry
 from repro.scan.banner import scan_world
 from repro.scan.shodan import ShodanIndex
-from repro.scan.signatures import SHODAN_KEYWORDS
 from repro.scan.whatweb import WhatWebEngine, world_probe
+
+#: Table 2, column "Shodan keywords", for the paper's four vendors.
+SHODAN_KEYWORDS = default_registry().shodan_keywords()
 
 
 def main() -> None:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import os
 import sys
 import time
@@ -52,15 +53,22 @@ from repro.world.faults import FaultPlan
 from repro.world.scenario import DEFAULT_SEED, build_scenario
 
 
-def _bounded(kind, bound, *, strict=False):
-    """An argparse ``type``: ``kind(text)``, refused below ``bound`` (and
-    at it when ``strict``)."""
+def _bounded(kind, bound, *, strict=False, upper=None):
+    """An argparse ``type``: ``kind(text)``, refused when not finite,
+    below ``bound`` (and at it when ``strict``) or above ``upper``."""
     relation = ">" if strict else ">="
 
     def parse(text: str):
         value = kind(text)
+        # NaN compares false with everything, so it must be refused first.
+        if kind is float and not math.isfinite(value):
+            raise argparse.ArgumentTypeError("must be finite")
         if value < bound or (strict and value == bound):
             raise argparse.ArgumentTypeError(f"must be {relation} {bound}")
+        if upper is not None and value > upper:
+            raise argparse.ArgumentTypeError(
+                f"must be within [{bound}, {upper}]"
+            )
         return value
 
     # argparse names the type in its "invalid int value: 'x'" message.
@@ -72,6 +80,7 @@ _NON_NEGATIVE_INT = _bounded(int, 0)
 _POSITIVE_INT = _bounded(int, 1)
 _NON_NEGATIVE_FLOAT = _bounded(float, 0)
 _POSITIVE_FLOAT = _bounded(float, 0, strict=True)
+_FRACTION = _bounded(float, 0, upper=1)
 
 
 def _fault_plan(spec: str) -> Optional[FaultPlan]:
@@ -336,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--epoch", help="epoch id or unique prefix (default: newest)"
     )
     q_records.add_argument(
-        "--min-confidence", type=float, metavar="X",
+        "--min-confidence", type=_FRACTION, metavar="X",
         help="filter: keep rows whose fused verdict confidence is >= X "
         "(rows from epochs committed without --record-confidence carry "
         "no confidence and always pass)",
@@ -506,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     identify = commands.add_parser("identify", help="run §3 identification")
     identify.add_argument(
-        "--coverage", type=float, default=1.0,
+        "--coverage", type=_FRACTION, default=1.0,
         help="scanner coverage fraction (default 1.0)",
     )
     identify.add_argument(

@@ -43,7 +43,6 @@ from repro.core.survey import (
     SurveyEntry,
     SurveyReport,
     SurveyTarget,
-    run_global_survey,
 )
 from repro.core.scale import (
     CampaignCost,
@@ -62,7 +61,6 @@ __all__ = [
     "SurveyEntry",
     "SurveyReport",
     "SurveyTarget",
-    "run_global_survey",
     "Candidate",
     "LegacyReport",
     "UserReport",

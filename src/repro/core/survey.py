@@ -13,7 +13,7 @@ are blocked in each ISP before creating test sites".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.confirm import ConfirmationConfig, ConfirmationResult, ConfirmationStudy
 from repro.core.identify import IdentificationReport
@@ -126,16 +126,11 @@ class GlobalSurvey:
         world: World,
         products: Dict[str, UrlFilterProduct],
         hosting_asn: int,
-        *,
-        isp_of_asn: Optional[Callable[[Optional[int]], Optional[str]]] = None,
     ) -> None:
         self._world = world
         self._products = products
         self._hosting_asn = hosting_asn
-        if isp_of_asn is None:
-            asn_map = {isp.asn: name for name, isp in world.isps.items()}
-            isp_of_asn = asn_map.get
-        self._isp_of_asn = isp_of_asn
+        self._isp_by_asn = {isp.asn: name for name, isp in world.isps.items()}
 
     # ---------------------------------------------------------------- plan
     def plan(self, identification: IdentificationReport) -> List[SurveyTarget]:
@@ -148,7 +143,7 @@ class GlobalSurvey:
         targets: List[SurveyTarget] = []
         seen = set()
         for installation in identification.installations:
-            isp_name = self._isp_of_asn(installation.asn)
+            isp_name = self._isp_by_asn.get(installation.asn)
             if isp_name is None:
                 continue
             key = (installation.product, isp_name)
@@ -204,14 +199,3 @@ class GlobalSurvey:
             submit_count=4,
             pre_validate=spec.pre_validate if spec else True,
         )
-
-
-def run_global_survey(
-    world: World,
-    products: Dict[str, UrlFilterProduct],
-    hosting_asn: int,
-    identification: IdentificationReport,
-) -> SurveyReport:
-    """Convenience wrapper: plan + run in one call."""
-    survey = GlobalSurvey(world, products, hosting_asn)
-    return survey.run(survey.plan(identification))

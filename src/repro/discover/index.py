@@ -53,10 +53,6 @@ class SearchPage:
     total: int
     results: Tuple[str, ...]  # URL strings, ranked
 
-    @property
-    def has_next(self) -> bool:
-        return self.page * self.per_page < self.total
-
 
 @dataclass
 class SearchIndex:
@@ -117,10 +113,6 @@ class SearchIndex:
             total=len(ranked),
             results=tuple(ranked[start:start + per_page]),
         )
-
-    @property
-    def term_count(self) -> int:
-        return len(self.postings)
 
 
 def _rank(entry: Tuple[int, str]) -> Tuple[int, str]:

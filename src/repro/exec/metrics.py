@@ -66,19 +66,6 @@ class Metrics:
                 stats = self._timers.setdefault(name, TimerStats())
                 stats.record(elapsed)
 
-    def timer_stats(self, name: str) -> TimerStats:
-        """A snapshot copy — the live stats object keeps mutating under
-        concurrent ``timer`` exits and must not escape the lock."""
-        with self._lock:
-            stats = self._timers.get(name)
-            if stats is None:
-                return TimerStats()
-            return TimerStats(
-                calls=stats.calls,
-                total_seconds=stats.total_seconds,
-                max_seconds=stats.max_seconds,
-            )
-
     # ------------------------------------------------------------ reports
     def as_dict(self) -> Dict[str, object]:
         with self._lock:

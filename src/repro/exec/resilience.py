@@ -81,20 +81,8 @@ class CircuitBreaker:
     sequencer), which is also what makes its transitions deterministic.
     """
 
-    def __init__(
-        self,
-        name: str,
-        *,
-        threshold: int = BREAKER_THRESHOLD,
-        cooldown_minutes: int = BREAKER_COOLDOWN_MINUTES,
-    ) -> None:
-        if threshold < 1:
-            raise ValueError("threshold must be >= 1")
-        if cooldown_minutes <= 0:
-            raise ValueError("cooldown_minutes must be > 0")
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.threshold = threshold
-        self.cooldown_minutes = cooldown_minutes
         self.state = BreakerState.CLOSED
         self.consecutive_failures = 0
         self.opened_at: Optional[SimTime] = None
@@ -110,7 +98,7 @@ class CircuitBreaker:
             return True
         if self.state is BreakerState.OPEN:
             assert self.opened_at is not None
-            if now - self.opened_at >= self.cooldown_minutes:
+            if now - self.opened_at >= BREAKER_COOLDOWN_MINUTES:
                 self.state = BreakerState.HALF_OPEN
                 return True
             return False
@@ -132,7 +120,7 @@ class CircuitBreaker:
         self.consecutive_failures += 1
         if (
             self.state is BreakerState.CLOSED
-            and self.consecutive_failures >= self.threshold
+            and self.consecutive_failures >= BREAKER_THRESHOLD
         ):
             self.state = BreakerState.OPEN
             self.opened_at = now
@@ -339,8 +327,6 @@ class ResilientRunner:
                 "quarantine": list(self._quarantine),
                 "breakers": {
                     name: {
-                        "threshold": breaker.threshold,
-                        "cooldown_minutes": breaker.cooldown_minutes,
                         "state": breaker.state.value,
                         "consecutive_failures": breaker.consecutive_failures,
                         "opened_at": (
@@ -362,12 +348,10 @@ class ResilientRunner:
             }
             self._quarantine = list(state["quarantine"])
             self._breakers = {}
+            # Older snapshots also carry each breaker's "threshold" and
+            # "cooldown_minutes", which always held the module constants.
             for name, saved in state["breakers"].items():
-                breaker = CircuitBreaker(
-                    name,
-                    threshold=saved["threshold"],
-                    cooldown_minutes=saved["cooldown_minutes"],
-                )
+                breaker = CircuitBreaker(name)
                 breaker.state = BreakerState(saved["state"])
                 breaker.consecutive_failures = saved["consecutive_failures"]
                 breaker.opened_at = (

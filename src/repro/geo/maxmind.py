@@ -1,17 +1,15 @@
 """MaxMind-style IP geolocation.
 
 §3.1: "we use geolocation data from MaxMind to map the IP addresses
-matching WhatWeb signatures to country-level location". Real GeoIP data
-is imperfect, so the database supports a configurable per-prefix error
-rate — mislocated prefixes get a country drawn from the registry — which
-the identification pipeline must tolerate.
+matching WhatWeb signatures to country-level location". The database is
+derived from the world's AS registrations, so every prefix maps to the
+country its AS is registered in.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Optional
 
 from repro.net.ip import Ipv4Address, Ipv4Prefix, PrefixTable
 from repro.world.world import World
@@ -21,7 +19,6 @@ from repro.world.world import World
 class GeoRecord:
     prefix: Ipv4Prefix
     country_code: str
-    mislocated: bool = False
 
 
 class GeoDatabase:
@@ -29,52 +26,20 @@ class GeoDatabase:
 
     def __init__(self) -> None:
         self._table = PrefixTable()
-        self._records: List[GeoRecord] = []
 
-    def add(self, prefix: Ipv4Prefix, country_code: str, mislocated: bool = False) -> None:
-        record = GeoRecord(prefix, country_code.lower(), mislocated)
-        self._records.append(record)
-        self._table.add(prefix, record)
+    def add(self, prefix: Ipv4Prefix, country_code: str) -> None:
+        self._table.add(prefix, GeoRecord(prefix, country_code.lower()))
 
     def country_code(self, address: Ipv4Address) -> Optional[str]:
         record = self._table.lookup(address)
         return record.country_code if isinstance(record, GeoRecord) else None
 
-    @property
-    def records(self) -> List[GeoRecord]:
-        return list(self._records)
-
-    def error_count(self) -> int:
-        return sum(1 for record in self._records if record.mislocated)
-
     @classmethod
-    def build_from_world(
-        cls,
-        world: World,
-        *,
-        error_rate: float = 0.0,
-        rng: Optional[random.Random] = None,
-    ) -> "GeoDatabase":
-        """Derive a database from AS registrations, with optional noise.
-
-        With ``error_rate`` > 0, that fraction of prefixes is tagged with
-        a uniformly chosen wrong country — the kind of stale-allocation
-        error real GeoIP data carries.
-        """
-        if error_rate and rng is None:
-            raise ValueError("error_rate > 0 requires an rng")
+    def build_from_world(cls, world: World) -> "GeoDatabase":
+        """Derive a database from AS registrations."""
         database = cls()
-        codes = sorted(world.countries)
         for asn in sorted(world.autonomous_systems):
             autonomous_system = world.autonomous_systems[asn]
-            true_code = autonomous_system.country.code
             for prefix in autonomous_system.prefixes:
-                code = true_code
-                mislocated = False
-                if error_rate and rng is not None and rng.random() < error_rate:
-                    wrong = [c for c in codes if c != true_code]
-                    if wrong:
-                        code = rng.choice(wrong)
-                        mislocated = True
-                database.add(prefix, code, mislocated)
+                database.add(prefix, autonomous_system.country.code)
         return database

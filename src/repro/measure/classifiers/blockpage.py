@@ -138,10 +138,6 @@ class BlockPagePatternMatcher:
         """A matcher over the registry corpus for a product selection."""
         return cls(default_registry().block_page_patterns(products))
 
-    def without_branded_patterns(self) -> "BlockPagePatternMatcher":
-        """A matcher limited to structural signals (evasion studies)."""
-        return type(self)([p for p in self._patterns if not p.branded])
-
     def detect(self, result: FetchResult) -> Optional[Detection]:
         """Attribute a fetch to a vendor's block flow, if any pattern hits.
 

@@ -81,12 +81,6 @@ class MeasurementRun:
                 counts[vendor] = counts.get(vendor, 0) + 1
         return counts
 
-    def result_for(self, url: Url) -> Optional[UrlTest]:
-        for test in self.tests:
-            if test.url == url:
-                return test
-        return None
-
     def __len__(self) -> int:
         return len(self.tests)
 

@@ -77,7 +77,6 @@ class TestDomainFactory:
         self._hosting_asn = hosting_asn
         self._tld = tld
         self._synthesizer = DomainSynthesizer(derive_rng(world.seed, rng_label))
-        self.created: List[TestDomain] = []
 
     def create(self, content_class: ContentClass) -> TestDomain:
         """Register one fresh two-word domain hosting the given content."""
@@ -90,9 +89,7 @@ class TestDomainFactory:
             domain, content_class, self._hosting_asn
         )
         self._install_content(site, content_class)
-        test_domain = TestDomain(domain, content_class, site)
-        self.created.append(test_domain)
-        return test_domain
+        return TestDomain(domain, content_class, site)
 
     def create_batch(
         self, count: int, content_class: ContentClass
@@ -134,9 +131,3 @@ class TestDomainFactory:
             # Ground truth changes too: the host no longer serves adult
             # content, so future analyst reviews see a benign site.
             site.content_class = ContentClass.BENIGN
-
-    def teardown(self) -> None:
-        """Unregister every created domain (end-of-study cleanup)."""
-        for test_domain in self.created:
-            self._world.unregister_website(test_domain.domain)
-        self.created.clear()

@@ -157,38 +157,23 @@ class TestList:
     def urls(self) -> List[Url]:
         return [entry.url for entry in self.entries]
 
-    def category_of(self, url: Url) -> Optional[ListCategory]:
-        for entry in self.entries:
-            if entry.url.host == url.host:
-                return entry.category
-        return None
-
-    def by_theme(self, theme: Theme) -> List[TestListEntry]:
-        return [entry for entry in self.entries if entry.theme is theme]
-
     def __len__(self) -> int:
         return len(self.entries)
 
 
-def build_global_list(
-    world: World, *, per_category: int = 3, rng_label: str = "global-list"
-) -> TestList:
+def build_global_list(world: World, *, per_category: int = 3) -> TestList:
     """Sample internationally relevant sites (generic TLDs) per category."""
     return _build_list(
         world,
         name="global",
         per_category=per_category,
-        rng_label=rng_label,
+        rng_label="global-list",
         predicate=lambda site: site.domain.rsplit(".", 1)[-1] in GENERIC_TLDS,
     )
 
 
 def build_local_list(
-    world: World,
-    country_code: str,
-    *,
-    per_category: int = 2,
-    rng_label: str = "local-list",
+    world: World, country_code: str, *, per_category: int = 2
 ) -> TestList:
     """Sample locally relevant sites: ccTLD or operated in-country."""
     code = country_code.lower()
@@ -205,7 +190,7 @@ def build_local_list(
         world,
         name=f"local-{code}",
         per_category=per_category,
-        rng_label=f"{rng_label}-{code}",
+        rng_label=f"local-list-{code}",
         predicate=is_local,
     )
 

@@ -29,6 +29,7 @@ monitor exactly where it died.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -57,22 +58,24 @@ class ScheduleConfig:
     def __post_init__(self) -> None:
         if self.min_interval_days <= 0:
             raise ValueError("min_interval_days must be > 0")
+        # The chain is false for a NaN anywhere in it.
         if not (
             self.min_interval_days
             <= self.base_interval_days
             <= self.max_interval_days
+            < math.inf
         ):
             raise ValueError(
-                "intervals must satisfy min <= base <= max "
+                "intervals must be finite and satisfy min <= base <= max "
                 f"(got {self.min_interval_days}/{self.base_interval_days}"
                 f"/{self.max_interval_days})"
             )
         if not 0 < self.shorten_factor <= 1.0:
             raise ValueError("shorten_factor must be in (0, 1]")
-        if self.decay_factor < 1.0:
-            raise ValueError("decay_factor must be >= 1")
-        if self.retry_interval_days <= 0:
-            raise ValueError("retry_interval_days must be > 0")
+        if not 1.0 <= self.decay_factor < math.inf:
+            raise ValueError("decay_factor must be finite and >= 1")
+        if not 0 < self.retry_interval_days < math.inf:
+            raise ValueError("retry_interval_days must be finite and > 0")
         if self.quarantine_after < 1:
             raise ValueError("quarantine_after must be >= 1")
 

@@ -29,6 +29,7 @@ NOT_CONFIRMED state fabricated from a broken measurement.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, TypeVar
@@ -62,8 +63,10 @@ class SupervisorConfig:
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.watchdog_seconds is not None and self.watchdog_seconds <= 0:
-            raise ValueError("watchdog_seconds must be > 0")
+        if self.watchdog_seconds is not None and not (
+            0 < self.watchdog_seconds < math.inf
+        ):
+            raise ValueError("watchdog_seconds must be finite and > 0")
 
 
 @dataclass

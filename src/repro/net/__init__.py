@@ -28,14 +28,8 @@ from repro.net.ip import (
     PrefixPool,
     PrefixTable,
 )
-from repro.net.url import (
-    COUNTRY_CODE_TLDS,
-    GENERIC_TLDS,
-    Url,
-    hostname_key,
-    url_key,
-)
-from repro.net.dns import DnsRecord, DnsZone, Resolver
+from repro.net.url import COUNTRY_CODE_TLDS, GENERIC_TLDS, Url
+from repro.net.dns import DnsRecord, DnsZone
 
 __all__ = [
     "AddressError",
@@ -62,13 +56,10 @@ __all__ = [
     "NxDomain",
     "PrefixPool",
     "PrefixTable",
-    "Resolver",
     "Url",
     "UrlError",
-    "hostname_key",
     "html_page",
     "not_found_response",
     "ok_response",
     "redirect_response",
-    "url_key",
 ]

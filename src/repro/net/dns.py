@@ -3,24 +3,19 @@
 The study never depends on DNS trickery (blocking in the measured ISPs is
 performed by on-path HTTP middleboxes), but the substrate still resolves
 hostnames to addresses so that fetches, banner grabs, and hosting all go
-through one consistent name system. DNS-level censorship (a resolver that
-lies for some names) is supported so the comparison layer can classify it
-separately from block pages.
+through one consistent name system. DNS-level censorship (an ISP that
+refuses or lies for some names) is applied by the world's resolution, in
+front of this zone, so the comparison layer can classify it separately
+from block pages.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, Optional, Set
+from dataclasses import dataclass
+from typing import Dict, Iterator, Optional
 
 from repro.net.errors import NxDomain
 from repro.net.ip import Ipv4Address
-
-#: A fault-injection hook: given the normalized name being resolved,
-#: return an exception to raise (a chaos plan's injected DNS timeout or
-#: NXDOMAIN flap) or None to let resolution proceed. Kept as a callable
-#: so the net layer stays ignorant of the world's fault machinery.
-FaultHook = Callable[[str], Optional[Exception]]
 
 
 @dataclass
@@ -79,37 +74,3 @@ class DnsZone:
 
     def names(self) -> Iterator[str]:
         return iter(self._records)
-
-
-@dataclass
-class Resolver:
-    """A client-facing resolver, optionally poisoned for censored names.
-
-    ``poisoned`` maps hostnames to the address the resolver lies with
-    (commonly a block-page server); names in ``refused`` yield NXDOMAIN.
-    """
-
-    zone: DnsZone
-    poisoned: Dict[str, Ipv4Address] = field(default_factory=dict)
-    refused: Set[str] = field(default_factory=set)
-    #: Optional chaos hook consulted before any lookup logic; may return
-    #: an exception (injected timeout/flap) for this resolver to raise.
-    fault_hook: Optional[FaultHook] = None
-
-    def resolve(self, name: str) -> Ipv4Address:
-        key = name.lower().rstrip(".")
-        if self.fault_hook is not None:
-            fault = self.fault_hook(key)
-            if fault is not None:
-                raise fault
-        if key in self.refused:
-            raise NxDomain(name)
-        if key in self.poisoned:
-            return self.poisoned[key]
-        return self.zone.resolve(name)
-
-    def poison(self, name: str, address: Ipv4Address) -> None:
-        self.poisoned[name.lower().rstrip(".")] = address
-
-    def refuse(self, name: str) -> None:
-        self.refused.add(name.lower().rstrip("."))

@@ -75,10 +75,6 @@ class FetchResult:
         return self.hops[-1].response if self.hops else None
 
     @property
-    def first_response(self) -> Optional[HttpResponse]:
-        return self.hops[0].response if self.hops else None
-
-    @property
     def ok(self) -> bool:
         return self.outcome is FetchOutcome.OK
 
@@ -86,19 +82,6 @@ class FetchResult:
     def status(self) -> Optional[int]:
         response = self.response
         return response.status if response else None
-
-    def redirect_hosts(self) -> List[str]:
-        """Hosts named in Location headers along the chain (for signatures)."""
-        hosts = []
-        for hop in self.hops:
-            location = hop.response.location
-            if not location:
-                continue
-            try:
-                hosts.append(Url.parse(location).host)
-            except Exception:
-                continue
-        return hosts
 
     @classmethod
     def failure(

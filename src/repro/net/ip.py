@@ -66,15 +66,6 @@ class Ipv4Address:
     def __add__(self, offset: int) -> "Ipv4Address":
         return Ipv4Address(self.value + offset)
 
-    def is_private(self) -> bool:
-        """True for RFC 1918 space (10/8, 172.16/12, 192.168/16)."""
-        v = self.value
-        return (
-            (v >> 24) == 10
-            or (v >> 20) == (172 << 4 | 1)  # 172.16.0.0/12
-            or (v >> 16) == (192 << 8 | 168)
-        )
-
 
 @dataclass(frozen=True, order=True)
 class Ipv4Prefix:
@@ -137,20 +128,6 @@ class Ipv4Prefix:
             start, stop = 1, self.num_addresses - 1
         for offset in range(start, stop):
             yield Ipv4Address(self.network.value + offset)
-
-    def subnets(self, new_length: int) -> Iterator["Ipv4Prefix"]:
-        """Iterate the child prefixes of size ``new_length``."""
-        if new_length < self.length:
-            raise AddressError(
-                f"cannot split /{self.length} into larger /{new_length}"
-            )
-        step = 1 << (32 - new_length)
-        for base in range(
-            self.network.value,
-            self.network.value + self.num_addresses,
-            step,
-        ):
-            yield Ipv4Prefix(Ipv4Address(base), new_length)
 
 
 @dataclass
@@ -232,14 +209,6 @@ class PrefixTable:
         for prefix, value in self._entries:
             if address in prefix:
                 return value
-        return None
-
-    def lookup_prefix(self, address: Ipv4Address) -> Optional[Ipv4Prefix]:
-        """Return the longest prefix covering ``address`` itself."""
-        self._ensure_sorted()
-        for prefix, _value in self._entries:
-            if address in prefix:
-                return prefix
         return None
 
     def __len__(self) -> int:

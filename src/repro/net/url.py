@@ -10,7 +10,7 @@ tailored to those needs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict
 
 from repro.net.errors import UrlError
 from repro.net.ip import is_ascii_number
@@ -120,10 +120,6 @@ class Url:
         return "" if is_ascii_number(label) else label
 
     @property
-    def is_cctld(self) -> bool:
-        return self.tld in COUNTRY_CODE_TLDS
-
-    @property
     def registered_domain(self) -> str:
         """Best-effort registrable domain, e.g. ``a.b.example.com`` -> ``example.com``.
 
@@ -162,24 +158,3 @@ class Url:
             key, _, value = piece.partition("=")
             params[key] = value
         return params
-
-
-def hostname_key(url: Url) -> str:
-    """Blocking key at hostname granularity (§4.6: whole host blocked)."""
-    return url.host
-
-
-def url_key(url: Url) -> str:
-    """Blocking key at full-URL granularity (scheme/port insensitive)."""
-    query = f"?{url.query}" if url.query else ""
-    return f"{url.host}{url.path}{query}"
-
-
-def split_host_port(authority: str) -> Tuple[str, Optional[int]]:
-    """Split ``host[:port]`` into its parts; port is None when absent."""
-    host, _, port_text = authority.partition(":")
-    if not port_text:
-        return host, None
-    if not is_ascii_number(port_text):
-        raise UrlError(f"bad port in authority {authority!r}")
-    return host, int(port_text)

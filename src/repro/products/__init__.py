@@ -18,7 +18,7 @@ from repro.products.categories import (
     WEBSENSE_TAXONOMY,
 )
 from repro.products.database import DatabaseSubscription, DbEntry, UrlDatabase
-from repro.products.licensing import LicenseModel, always_active
+from repro.products.licensing import LicenseModel
 from repro.products.registry import (
     BLUE_COAT,
     FORTIGUARD,
@@ -102,7 +102,6 @@ __all__ = [
     "WEBSENSE_BLOCKPAGE_PORT",
     "WEBSENSE_TAXONOMY",
     "Websense",
-    "always_active",
     "body_contains",
     "default_registry",
     "header_contains",

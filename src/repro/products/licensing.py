@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.world.clock import SimTime
 from repro.world.rng import derive_rng
@@ -63,8 +62,3 @@ class LicenseModel:
             return 1.0 if self.mean_load > self.seats else 0.0
         z = (self.seats + 0.5 - self.mean_load) / self.load_stddev
         return 0.5 * math.erfc(z / math.sqrt(2.0))
-
-
-def always_active() -> Optional[LicenseModel]:
-    """Sentinel for deployments without license pressure (None)."""
-    return None

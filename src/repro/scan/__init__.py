@@ -12,12 +12,6 @@ from repro.scan.shodan import (
     ShodanIndex,
     ShodanQueryLog,
 )
-from repro.products.registry import (
-    BLUE_COAT,
-    NETSWEEPER,
-    SMARTFILTER,
-    WEBSENSE,
-)
 from repro.scan.stream import (
     BatchJob,
     BatchResult,
@@ -27,14 +21,6 @@ from repro.scan.stream import (
     StreamingScan,
     scan_batch,
 )
-from repro.scan.signatures import (
-    DEFAULT_PROBE_PLAN,
-    Evidence,
-    PRODUCT_NAMES,
-    ProbeObservation,
-    SHODAN_KEYWORDS,
-    WHATWEB_SIGNATURES,
-)
 from repro.scan.whatweb import (
     ProductMatch,
     WhatWebEngine,
@@ -43,30 +29,20 @@ from repro.scan.whatweb import (
 )
 
 __all__ = [
-    "BLUE_COAT",
     "BannerRecord",
     "BatchJob",
     "BatchResult",
     "CensusDataset",
     "DEFAULT_BATCH_SIZE",
-    "DEFAULT_PROBE_PLAN",
     "DEFAULT_RESULT_CAP",
     "DEFAULT_SCAN_PORTS",
-    "Evidence",
     "SCAN_VANTAGE",
     "ScanSummary",
     "StreamingScan",
     "scan_batch",
-    "NETSWEEPER",
-    "PRODUCT_NAMES",
-    "ProbeObservation",
     "ProductMatch",
-    "SHODAN_KEYWORDS",
-    "SMARTFILTER",
     "ShodanIndex",
     "ShodanQueryLog",
-    "WEBSENSE",
-    "WHATWEB_SIGNATURES",
     "WhatWebEngine",
     "WhatWebReport",
     "grab_banner",

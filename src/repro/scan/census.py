@@ -28,9 +28,6 @@ class CensusDataset:
         """Uncapped local filtering over the full dataset."""
         return [r for r in self.records if r.matches_keyword(keyword)]
 
-    def by_port(self, port: int) -> List[BannerRecord]:
-        return [r for r in self.records if r.port == port]
-
 
 def run_census(
     world: World, ports: Sequence[int] = DEFAULT_SCAN_PORTS

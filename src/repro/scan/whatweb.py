@@ -18,13 +18,8 @@ from repro.net.fetch import FetchOutcome
 from repro.net.http import HttpResponse
 from repro.net.ip import Ipv4Address
 from repro.net.url import Url
-from repro.scan.signatures import (
-    DEFAULT_PROBE_PLAN,
-    Evidence,
-    ProbeObservation,
-    SignatureFn,
-    WHATWEB_SIGNATURES,
-)
+from repro.products.registry import default_registry
+from repro.products.signatures import Evidence, ProbeObservation, SignatureFn
 from repro.world.world import World
 
 # A probe function fetches (ip, port, path) and returns the raw response.
@@ -74,19 +69,20 @@ class WhatWebEngine:
         self,
         probe: ProbeFn,
         signatures: Optional[Dict[str, SignatureFn]] = None,
-        probe_plan: Sequence = DEFAULT_PROBE_PLAN,
+        probe_plan: Optional[Sequence] = None,
     ) -> None:
+        """``signatures`` and ``probe_plan`` default to the registry's
+        Table 2 for the paper's four vendors."""
+        registry = default_registry()
         self._probe = probe
-        self._signatures = dict(signatures or WHATWEB_SIGNATURES)
-        self._probe_plan = list(probe_plan)
+        self._signatures = dict(signatures or registry.whatweb_signatures())
+        self._probe_plan = list(
+            registry.probe_plan() if probe_plan is None else probe_plan
+        )
         self.probe_count = 0
         # identify() runs concurrently under the parallel executor; the
         # probe counter must not lose increments to racing threads.
         self._count_lock = threading.Lock()
-
-    def add_signature(self, product: str, signature: SignatureFn) -> None:
-        """Register a custom signature (the paper created several)."""
-        self._signatures[product] = signature
 
     def identify(self, ip: Ipv4Address) -> WhatWebReport:
         """Probe one IP and apply every signature."""

@@ -17,19 +17,12 @@ from repro.world.entities import (
 from repro.world.population import (
     DEFAULT_CLASS_MIX,
     DomainSynthesizer,
-    PopulationConfig,
     ShardedPopulation,
     ShardedPopulationConfig,
     populate,
     shard_bounds_for,
 )
-from repro.world.rng import (
-    derive_rng,
-    derive_seed,
-    stable_sample,
-    stable_shuffle,
-    weighted_choice,
-)
+from repro.world.rng import derive_rng, derive_seed
 from repro.world.world import MAX_REDIRECTS, Vantage, World
 
 
@@ -62,7 +55,6 @@ __all__ = [
     "OnPathDevice",
     "Organization",
     "OrgKind",
-    "PopulationConfig",
     "ShardedPopulation",
     "ShardedPopulationConfig",
     "SimClock",
@@ -74,7 +66,4 @@ __all__ = [
     "derive_seed",
     "populate",
     "shard_bounds_for",
-    "stable_sample",
-    "stable_shuffle",
-    "weighted_choice",
 ]

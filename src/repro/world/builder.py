@@ -39,7 +39,7 @@ from repro.products.registry import default_registry
 from repro.products.submission import ReviewPolicy
 from repro.world.content import ContentClass
 from repro.world.entities import OrgKind
-from repro.world.population import PopulationConfig, populate
+from repro.world.population import populate
 from repro.world.rng import derive_rng
 from repro.world.world import World
 
@@ -68,15 +68,11 @@ class CustomScenario:
 class WorldBuilder:
     """Chainable world construction; call :meth:`build` once at the end."""
 
-    def __init__(
-        self,
-        seed: int = 0,
-        *,
-        address_space: str = "24.0.0.0/6",
-        prefix_length: int = 16,
-    ) -> None:
+    def __init__(self, seed: int = 0) -> None:
         self._world = World(seed=seed)
-        self._pool = PrefixPool(Ipv4Prefix.parse(address_space), prefix_length)
+        # Each AS gets a /16 from 24.0.0.0/6, disjoint from the scenario
+        # pool and the sharded scan space.
+        self._pool = PrefixPool(Ipv4Prefix.parse("24.0.0.0/6"), 16)
         self._hosting_asns: List[int] = []
         self._population_size = 0
         self._seed_coverage: Dict[str, float] = {}
@@ -192,8 +188,7 @@ class WorldBuilder:
             raise ValueError("declare at least one hosting AS")
 
         if self._population_size:
-            config = PopulationConfig(site_count=self._population_size)
-            populate(world, self._hosting_asns, config)
+            populate(world, self._hosting_asns, self._population_size)
 
         scenario = CustomScenario(
             world=world,

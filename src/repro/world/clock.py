@@ -66,9 +66,6 @@ class SimTime:
     def plus_days(self, days: float) -> "SimTime":
         return SimTime(self.minutes + int(round(days * MINUTES_PER_DAY)))
 
-    def plus_minutes(self, minutes: int) -> "SimTime":
-        return SimTime(self.minutes + minutes)
-
     def __sub__(self, other: "SimTime") -> int:
         """Difference in minutes."""
         return self.minutes - other.minutes

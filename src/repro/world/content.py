@@ -66,59 +66,3 @@ class ContentClass(enum.Enum):
     ENTERTAINMENT = "entertainment"
     HEALTH = "health"
     BENIGN = "benign"
-
-    @property
-    def is_sensitive(self) -> bool:
-        """Content commonly targeted by national censorship policies."""
-        return self in _SENSITIVE
-
-    @property
-    def is_rights_protected(self) -> bool:
-        """Speech protected by international human-rights norms (§5).
-
-        These are the classes whose blocking the paper flags as
-        contradicting Article 19 of the Universal Declaration of Human
-        Rights: political speech, rights advocacy, independent media,
-        LGBT content, and religious discussion.
-        """
-        return self in _RIGHTS_PROTECTED
-
-
-_SENSITIVE = frozenset(
-    {
-        ContentClass.PROXY_ANONYMIZER,
-        ContentClass.VPN_TOOLS,
-        ContentClass.PORNOGRAPHY,
-        ContentClass.ADULT_IMAGES,
-        ContentClass.DATING,
-        ContentClass.LGBT,
-        ContentClass.GAMBLING,
-        ContentClass.ALCOHOL_DRUGS,
-        ContentClass.POLITICAL_OPPOSITION,
-        ContentClass.POLITICAL_REFORM,
-        ContentClass.HUMAN_RIGHTS,
-        ContentClass.MEDIA_FREEDOM,
-        ContentClass.INDEPENDENT_MEDIA,
-        ContentClass.RELIGIOUS_CRITICISM,
-        ContentClass.MINORITY_RELIGION,
-        ContentClass.MINORITY_GROUPS,
-        ContentClass.MILITANT,
-        ContentClass.PHISHING,
-        ContentClass.MALWARE,
-    }
-)
-
-_RIGHTS_PROTECTED = frozenset(
-    {
-        ContentClass.POLITICAL_OPPOSITION,
-        ContentClass.POLITICAL_REFORM,
-        ContentClass.HUMAN_RIGHTS,
-        ContentClass.MEDIA_FREEDOM,
-        ContentClass.INDEPENDENT_MEDIA,
-        ContentClass.LGBT,
-        ContentClass.RELIGIOUS_CRITICISM,
-        ContentClass.MINORITY_RELIGION,
-        ContentClass.MINORITY_GROUPS,
-        ContentClass.WOMENS_RIGHTS,
-    }
-)

@@ -243,6 +243,8 @@ class ISP:
     #: with the given address, typically a block-page server) or refuses
     #: (NXDOMAIN). The products studied block over HTTP, but the
     #: comparator must be able to tell DNS tampering apart (§4.1).
+    #: Names are lower-case without a trailing dot, the form
+    #: ``World._resolve`` looks them up in.
     dns_poisoned: Dict[str, Ipv4Address] = field(default_factory=dict)
     dns_refused: List[str] = field(default_factory=list)
 

@@ -29,6 +29,7 @@ hot paths, keeping the fault-free baseline byte-identical.
 
 from __future__ import annotations
 
+import math
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -41,7 +42,7 @@ from repro.net.errors import (
     NetError,
     NxDomain,
 )
-from repro.world.clock import MINUTES_PER_DAY, SimTime
+from repro.world.clock import SimTime
 from repro.world.rng import derive_seed
 
 
@@ -165,8 +166,8 @@ class FaultPlan:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be within [0, 1], got {value}")
-        if self.slow_seconds < 0:
-            raise ValueError("slow_seconds must be >= 0")
+        if not 0 <= self.slow_seconds < math.inf:
+            raise ValueError("slow_seconds must be finite and >= 0")
 
     @property
     def active(self) -> bool:
@@ -335,11 +336,3 @@ def corrupt_text(mode: str, text: str) -> str:
     if mode == "garble":
         return "".join("#" if ch.isalnum() else ch for ch in text)
     raise ValueError(f"unknown corruption mode {mode!r}")
-
-
-def default_outage_span(start_day: float, days: float, isp_name: str) -> VantageOutage:
-    """Convenience constructor: an outage of ``days`` from ``start_day``."""
-    start = SimTime.from_days(start_day)
-    return VantageOutage(
-        isp_name, start, SimTime(start.minutes + int(days * MINUTES_PER_DAY))
-    )

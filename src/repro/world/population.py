@@ -25,7 +25,7 @@ Two population models live here:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Dict,
     List,
@@ -85,16 +85,8 @@ DEFAULT_CLASS_MIX: Dict[ContentClass, float] = {
 
 _TLD_CHOICES = ["com", "net", "org", "info"]
 
-
-@dataclass
-class PopulationConfig:
-    """Knobs for the synthetic web."""
-
-    site_count: int = 2000
-    class_mix: Dict[ContentClass, float] = field(
-        default_factory=lambda: dict(DEFAULT_CLASS_MIX)
-    )
-    local_tld_fraction: float = 0.15  # sites under a ccTLD
+#: Share of the synthetic web registered under a ccTLD.
+LOCAL_TLD_FRACTION = 0.15
 
 
 class DomainSynthesizer:
@@ -152,32 +144,28 @@ def _page_body(content_class: ContentClass, domain: str) -> str:
 
 
 def populate(
-    world: World,
-    hosting_asns: Sequence[int],
-    config: Optional[PopulationConfig] = None,
-    *,
-    rng_label: str = "population",
+    world: World, hosting_asns: Sequence[int], site_count: int
 ) -> List[WebSite]:
-    """Fill the world with a synthetic website population.
+    """Fill the world with ``site_count`` synthetic websites.
 
-    Sites are spread round-robin-with-jitter across ``hosting_asns`` and
+    Content classes are drawn from :data:`DEFAULT_CLASS_MIX`. Sites are
+    spread round-robin-with-jitter across ``hosting_asns`` and
     registered in world DNS. Returns the created sites in creation order.
     """
     if not hosting_asns:
         raise ValueError("need at least one hosting AS")
-    config = config or PopulationConfig()
-    rng = derive_rng(world.seed, rng_label)
+    rng = derive_rng(world.seed, "population")
     synthesizer = DomainSynthesizer(rng)
     for domain in world.websites:
         synthesizer.reserve(domain)
 
-    classes = list(config.class_mix)
-    weights = [config.class_mix[c] for c in classes]
+    classes = list(DEFAULT_CLASS_MIX)
+    weights = [DEFAULT_CLASS_MIX[c] for c in classes]
     cctlds = sorted(world.countries)
     sites: List[WebSite] = []
-    for _index in range(config.site_count):
+    for _index in range(site_count):
         content_class = rng.choices(classes, weights=weights, k=1)[0]
-        if cctlds and rng.random() < config.local_tld_fraction:
+        if cctlds and rng.random() < LOCAL_TLD_FRACTION:
             tld = rng.choice(cctlds)
         else:
             tld = rng.choice(_TLD_CHOICES)

@@ -10,9 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Iterable, List, Sequence, TypeVar
-
-T = TypeVar("T")
 
 
 def derive_seed(seed: int, *path: str) -> int:
@@ -28,39 +25,3 @@ def derive_seed(seed: int, *path: str) -> int:
 def derive_rng(seed: int, *path: str) -> random.Random:
     """A fresh Random stream addressed by ``seed`` and a name path."""
     return random.Random(derive_seed(seed, *path))
-
-
-def stable_shuffle(items: Sequence[T], rng: random.Random) -> List[T]:
-    """Return a shuffled copy without mutating the input."""
-    copied = list(items)
-    rng.shuffle(copied)
-    return copied
-
-
-def stable_sample(items: Sequence[T], k: int, rng: random.Random) -> List[T]:
-    """Sample ``k`` items without replacement (ValueError if too few)."""
-    if k > len(items):
-        raise ValueError(f"cannot sample {k} from {len(items)} items")
-    return rng.sample(list(items), k)
-
-
-def weighted_choice(
-    items: Iterable[T], weights: Iterable[float], rng: random.Random
-) -> T:
-    """Choose one item with the given relative weights."""
-    item_list = list(items)
-    weight_list = list(weights)
-    if len(item_list) != len(weight_list):
-        raise ValueError("items and weights length mismatch")
-    if not item_list:
-        raise ValueError("cannot choose from empty sequence")
-    total = sum(weight_list)
-    if total <= 0:
-        raise ValueError("weights must sum to a positive value")
-    threshold = rng.random() * total
-    cumulative = 0.0
-    for item, weight in zip(item_list, weight_list):
-        cumulative += weight
-        if threshold < cumulative:
-            return item
-    return item_list[-1]

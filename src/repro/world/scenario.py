@@ -42,7 +42,7 @@ from repro.products.websense import Websense
 from repro.world.clock import SimTime
 from repro.world.content import ContentClass
 from repro.world.entities import Host, OrgKind, WebSite
-from repro.world.population import PopulationConfig, populate
+from repro.world.population import populate
 from repro.world.rng import derive_rng
 from repro.world.weave import weave_content
 from repro.world.world import World
@@ -318,11 +318,7 @@ def build_scenario(
         for key, asn, *_rest in _NETWORKS
     }
 
-    population = populate(
-        world,
-        hosting_asns,
-        PopulationConfig(site_count=config.population_size),
-    )
+    population = populate(world, hosting_asns, config.population_size)
     population.extend(_add_local_content(world, hosting_asns))
     # Content substrate for the discovery workload: token vocabularies
     # and a cross-site link graph, woven before vendor infrastructure

@@ -11,9 +11,9 @@ act.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
-from repro.net.dns import DnsZone, Resolver
+from repro.net.dns import DnsZone
 from repro.net.errors import NxDomain
 from repro.net.fetch import FetchOutcome, FetchResult, Hop
 from repro.net.http import HttpRequest
@@ -232,9 +232,6 @@ class World:
         owner = self.owner_of(address)
         return owner.country if owner else None
 
-    def all_websites(self) -> Iterator[WebSite]:
-        return iter(self.websites.values())
-
     # ------------------------------------------------------------ routing
     @property
     def now(self) -> SimTime:
@@ -267,21 +264,18 @@ class World:
             return Ipv4Address.parse(hostname)
         key = hostname.lower().rstrip(".")
         faults = self.faults
-        if isp is not None and (isp.dns_poisoned or isp.dns_refused):
-            # The fault hook fires before the poisoned/refused tables so
-            # a flap can hit censored names too.
-            resolver = Resolver(self.zone)
-            if faults.active:
-                resolver.fault_hook = lambda name: faults.dns_fault(
-                    self._vantage_label(isp), name
-                )
-            resolver.poisoned.update(isp.dns_poisoned)
-            resolver.refused.update(isp.dns_refused)
-            return resolver.resolve(hostname)
+        # An injected fault fires before the ISP's refused and poisoned
+        # names, so a flap can hit censored names too.
         if faults.active:
             fault = faults.dns_fault(self._vantage_label(isp), key)
             if fault is not None:
                 raise fault
+        if isp is not None:
+            if key in isp.dns_refused:
+                raise NxDomain(hostname)
+            poisoned = isp.dns_poisoned.get(key)
+            if poisoned is not None:
+                return poisoned
         return self.zone.resolve(hostname)
 
     def fetch(

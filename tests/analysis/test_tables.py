@@ -16,8 +16,10 @@ from repro.analysis.tables import (
     render_table3,
 )
 from repro.core.confirm import ConfirmationResult
+from repro.products import default_registry
 from repro.products.categories import NETSWEEPER_TAXONOMY
-from repro.scan.signatures import PRODUCT_NAMES
+
+PRODUCT_NAMES = default_registry().default_names()
 
 
 class DescribePaperData:

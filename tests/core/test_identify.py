@@ -93,9 +93,11 @@ class DescribePipeline:
         world, visible, _hidden = small_deployment
         shodan = ShodanIndex(scan_world(world))
         whatweb = WhatWebEngine(world_probe(world))
-        geo = GeoDatabase.build_from_world(
-            world, error_rate=1.0, rng=derive_rng(3, "geoerr")
-        )
+        # A stale database that places every prefix in Canada.
+        geo = GeoDatabase()
+        for autonomous_system in world.autonomous_systems.values():
+            for prefix in autonomous_system.prefixes:
+                geo.add(prefix, "ca")
         whois = WhoisService.build_from_world(world)
         pipeline = IdentificationPipeline(
             shodan, whatweb, geo, whois, cctlds=("tl", "ca")
@@ -104,4 +106,4 @@ class DescribePipeline:
         installation = report.by_product("Netsweeper")[0]
         # whois is authoritative; geo is wrong — the mismatch is visible.
         assert installation.asn == 65001
-        assert installation.country_code != "tl"
+        assert installation.country_code == "ca"

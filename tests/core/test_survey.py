@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.identify import IdentificationReport, Installation
-from repro.core.survey import GlobalSurvey, SurveyTarget, run_global_survey
+from repro.core.survey import GlobalSurvey, SurveyTarget
 from repro.middlebox.deploy import deploy
 from repro.net.ip import Ipv4Address
 from repro.products.smartfilter import make_smartfilter
@@ -24,15 +24,20 @@ def build_world(blocked):
     return world, product
 
 
-def identification_for(world, product_name="McAfee SmartFilter"):
+def identification_for(world, product_name="McAfee SmartFilter", asn=65001):
     report = IdentificationReport()
     report.installations = [
         Installation(
-            Ipv4Address.parse("20.1.0.9"), product_name, "tl", 65001,
+            Ipv4Address.parse("20.1.0.9"), product_name, "tl", asn,
             "TESTNET", "Testland Telecom", None,
         )
     ]
     return report
+
+
+def run_survey(world, products):
+    survey = GlobalSurvey(world, products, 65002)
+    return survey.run(survey.plan(identification_for(world)))
 
 
 class DescribePlanning:
@@ -44,13 +49,9 @@ class DescribePlanning:
 
     def test_plan_skips_unreachable_asns(self):
         world, product = build_world(["Anonymizers"])
-        survey = GlobalSurvey(
-            world,
-            {"McAfee SmartFilter": product},
-            65002,
-            isp_of_asn=lambda asn: None,
-        )
-        assert survey.plan(identification_for(world)) == []
+        survey = GlobalSurvey(world, {"McAfee SmartFilter": product}, 65002)
+        # 65002 is the hosting AS: no ISP, so no vantage point, owns it.
+        assert survey.plan(identification_for(world, asn=65002)) == []
 
     def test_plan_deduplicates_pairs(self):
         world, product = build_world(["Anonymizers"])
@@ -63,10 +64,7 @@ class DescribePlanning:
 class DescribeLadder:
     def test_proxy_blocking_confirms_on_first_rung(self):
         world, product = build_world(["Anonymizers"])
-        report = run_global_survey(
-            world, {"McAfee SmartFilter": product}, 65002,
-            identification_for(world),
-        )
+        report = run_survey(world, {"McAfee SmartFilter": product})
         entry = report.entries[0]
         assert entry.confirmed
         assert len(entry.attempts) == 1
@@ -75,10 +73,7 @@ class DescribeLadder:
     def test_porn_only_policy_needs_second_rung(self):
         """The Saudi lesson (§4.3) handled automatically."""
         world, product = build_world(["Pornography"])
-        report = run_global_survey(
-            world, {"McAfee SmartFilter": product}, 65002,
-            identification_for(world),
-        )
+        report = run_survey(world, {"McAfee SmartFilter": product})
         entry = report.entries[0]
         assert entry.confirmed
         assert len(entry.attempts) == 2
@@ -89,10 +84,7 @@ class DescribeLadder:
         """§7's caveat: without knowing the blocked categories, a
         deployment blocking only off-ladder content is missed."""
         world, product = build_world(["Gambling"])
-        report = run_global_survey(
-            world, {"McAfee SmartFilter": product}, 65002,
-            identification_for(world),
-        )
+        report = run_survey(world, {"McAfee SmartFilter": product})
         entry = report.entries[0]
         assert not entry.confirmed
         assert len(entry.attempts) == 3  # the whole ladder was tried
@@ -100,19 +92,14 @@ class DescribeLadder:
 
     def test_unknown_product_skipped(self):
         world, product = build_world(["Anonymizers"])
-        report = run_global_survey(
-            world, {}, 65002, identification_for(world)
-        )
+        report = run_survey(world, {})
         assert report.entries == []
 
 
 class DescribeReport:
     def test_aggregations(self):
         world, product = build_world(["Anonymizers"])
-        report = run_global_survey(
-            world, {"McAfee SmartFilter": product}, 65002,
-            identification_for(world),
-        )
+        report = run_survey(world, {"McAfee SmartFilter": product})
         assert report.confirmed_count() == 1
         assert report.confirmed_pairs() == [("McAfee SmartFilter", "testnet")]
         assert len(report.by_product("McAfee SmartFilter")) == 1

@@ -38,7 +38,7 @@ class DescribeSearchIndex:
     def test_indexes_every_page(self, world, index):
         pages = sum(len(s.pages) for s in world.websites.values())
         assert index.page_count == pages
-        assert index.term_count > 0
+        assert index.postings
 
     def test_class_token_finds_same_class_sites(self, world, index):
         site = world.websites[sorted(world.websites)[0]]
@@ -65,7 +65,6 @@ class DescribeSearchIndex:
         assert page1.total == page2.total == len(index.postings[term])
         assert list(page1.results) == index.postings[term][:3]
         assert list(page2.results) == index.postings[term][3:6]
-        assert page1.has_next
 
     def test_unknown_term_is_empty(self, index):
         page = index.query("zzzznotaword")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.exec.metrics import Metrics
 from repro.exec.resilience import (
+    BREAKER_COOLDOWN_MINUTES,
     BREAKER_THRESHOLD,
     BreakerState,
     CircuitBreaker,
@@ -101,14 +102,14 @@ class DescribeCircuitBreaker:
     def test_full_state_cycle(self):
         # closed → open (threshold) → half-open (cooldown) → closed.
         clock = SimClock()
-        breaker = CircuitBreaker("e", threshold=3, cooldown_minutes=MINUTES_PER_DAY)
-        for _ in range(2):
+        breaker = CircuitBreaker("e")
+        for _ in range(BREAKER_THRESHOLD - 1):
             assert not breaker.record_failure(clock.now)
             assert breaker.state is BreakerState.CLOSED
-        assert breaker.record_failure(clock.now)  # third failure trips
+        assert breaker.record_failure(clock.now)  # the threshold trips it
         assert breaker.state is BreakerState.OPEN
         assert not breaker.allow(clock.now)
-        clock.advance_days(1.0)
+        clock.advance_days(BREAKER_COOLDOWN_MINUTES / MINUTES_PER_DAY)
         assert breaker.allow(clock.now)  # cooldown elapsed: trial probe
         assert breaker.state is BreakerState.HALF_OPEN
         breaker.record_success(clock.now)
@@ -117,9 +118,10 @@ class DescribeCircuitBreaker:
 
     def test_failed_trial_probe_reopens(self):
         clock = SimClock()
-        breaker = CircuitBreaker("e", threshold=1, cooldown_minutes=60)
-        breaker.record_failure(clock.now)
-        clock.advance_days(1.0)
+        breaker = CircuitBreaker("e")
+        for _ in range(BREAKER_THRESHOLD):
+            breaker.record_failure(clock.now)
+        clock.advance_days(BREAKER_COOLDOWN_MINUTES / MINUTES_PER_DAY)
         assert breaker.allow(clock.now)
         assert breaker.record_failure(clock.now)  # trial failed
         assert breaker.state is BreakerState.OPEN
@@ -127,14 +129,11 @@ class DescribeCircuitBreaker:
         assert breaker.trips == 2
 
     @settings(max_examples=40, deadline=None)
-    @given(
-        events=st.lists(st.booleans(), max_size=40),
-        threshold=st.integers(1, 5),
-    )
-    def test_state_machine_invariants(self, events, threshold):
+    @given(events=st.lists(st.booleans(), max_size=40))
+    def test_state_machine_invariants(self, events):
         """Property: the breaker never reaches an inconsistent state."""
         clock = SimClock()
-        breaker = CircuitBreaker("e", threshold=threshold, cooldown_minutes=30)
+        breaker = CircuitBreaker("e")
         for success in events:
             allowed = breaker.allow(clock.now)
             if allowed:
@@ -142,12 +141,14 @@ class DescribeCircuitBreaker:
                     breaker.record_success(clock.now)
                 else:
                     breaker.record_failure(clock.now)
-            clock.advance_days(0.01)  # ~14 minutes per event
+            # A quarter cooldown per event: an open breaker half-opens
+            # four events after it trips.
+            clock.advance_days(BREAKER_COOLDOWN_MINUTES / MINUTES_PER_DAY / 4)
             # Invariants after every event:
             if breaker.state is BreakerState.OPEN:
                 assert breaker.opened_at is not None
             if breaker.state is BreakerState.CLOSED:
-                assert breaker.consecutive_failures < threshold
+                assert breaker.consecutive_failures < BREAKER_THRESHOLD
                 assert breaker.opened_at is None
             else:
                 # Any non-closed state was reached by tripping.
@@ -223,7 +224,3 @@ class DescribeConfigValidation:
     def test_bad_values_rejected(self):
         with pytest.raises(ValueError):
             ResilienceConfig(max_retries=-1)
-        with pytest.raises(ValueError):
-            CircuitBreaker("e", threshold=0)
-        with pytest.raises(ValueError):
-            CircuitBreaker("e", cooldown_minutes=0)

@@ -2,11 +2,8 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.geo.maxmind import GeoDatabase
 from repro.net.ip import Ipv4Address, Ipv4Prefix
-from repro.world.rng import derive_rng
 
 
 class DescribeGeoDatabase:
@@ -27,25 +24,3 @@ class DescribeGeoDatabase:
         database = GeoDatabase.build_from_world(mini_world)
         site = mini_world.websites["daily-news.example.com"]
         assert database.country_code(site.ip) == "ca"
-        assert database.error_count() == 0
-
-    def test_build_with_errors_requires_rng(self, mini_world):
-        with pytest.raises(ValueError):
-            GeoDatabase.build_from_world(mini_world, error_rate=0.5)
-
-    def test_build_with_errors_mislocates(self, mini_world):
-        database = GeoDatabase.build_from_world(
-            mini_world, error_rate=1.0, rng=derive_rng(1, "geo")
-        )
-        assert database.error_count() == len(database.records)
-        site = mini_world.websites["daily-news.example.com"]
-        assert database.country_code(site.ip) != "ca"
-
-    def test_error_rate_statistics(self, scenario):
-        database = GeoDatabase.build_from_world(
-            scenario.world, error_rate=0.3, rng=derive_rng(2, "geo")
-        )
-        total = len(database.records)
-        errors = database.error_count()
-        assert 0 < errors < total
-        assert abs(errors / total - 0.3) < 0.2

@@ -166,6 +166,25 @@ USAGE_ERRORS = [
         "--max-retries",
     ),
     ("discover-population", ["discover", "--population", "0"], "--population"),
+    ("study-latency-nan", ["study", "--latency", "nan"], "--latency"),
+    ("scan-latency-nan", _SCAN + ["--latency", "nan"], "--latency"),
+    ("scan-latency-inf", _SCAN + ["--latency", "inf"], "--latency"),
+    (
+        "scan-lease-ttl-nan",
+        _COORD
+        + ["--local-workers", "0", "--lease-ttl", "nan", "--wait-timeout", "1"],
+        "--lease-ttl",
+    ),
+    ("identify-coverage", ["identify", "--coverage", "2"], "--coverage"),
+    ("identify-coverage-nan", ["identify", "--coverage", "nan"], "--coverage"),
+    (
+        "query-min-confidence",
+        [
+            "query", "--store", "{tmp}/empty", "records",
+            "--kind", "confirmations", "--min-confidence", "2",
+        ],
+        "--min-confidence",
+    ),
     # Values no range check can express.
     ("study-fault-plan", ["study", "--fault-plan", "bogus=1"], "bad --fault-plan"),
     ("scan-fault-plan", _SCAN + ["--fault-plan", "bogus=1"], "bad --fault-plan"),
@@ -193,6 +212,26 @@ USAGE_ERRORS = [
         "monitor-min-interval",
         _MONITOR + ["--min-interval", "100"],
         "bad monitor configuration",
+    ),
+    (
+        "monitor-watchdog-nan",
+        _MONITOR + ["--rounds", "1", "--watchdog", "nan"],
+        "bad monitor configuration",
+    ),
+    (
+        "monitor-max-interval-inf",
+        _MONITOR + ["--rounds", "1", "--max-interval", "inf"],
+        "bad monitor configuration",
+    ),
+    (
+        "monitor-retry-interval-nan",
+        _MONITOR + ["--rounds", "1", "--retry-interval", "nan"],
+        "bad monitor configuration",
+    ),
+    (
+        "monitor-slow-seconds-nan",
+        _MONITOR + ["--rounds", "1", "--fault-plan", "slow=1,slow_seconds=nan"],
+        "bad --fault-plan",
     ),
     ("discover-rounds", ["discover", "--rounds", "0"] + _SMALL_WORLD, "--rounds"),
     (

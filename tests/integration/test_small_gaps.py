@@ -72,12 +72,6 @@ class DescribeCustomBlockMessage:
         assert "national regulation 42" in result.response.body
 
 
-class DescribeWorldInventory:
-    def test_all_websites_iterates_everything(self, mini_world):
-        domains = {site.domain for site in mini_world.all_websites()}
-        assert domains == set(mini_world.websites)
-
-
 class DescribeTable5Renderer:
     def test_renders_outcomes(self):
         text = render_table5(

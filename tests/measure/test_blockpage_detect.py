@@ -83,14 +83,6 @@ class DescribeVendorDetection:
         )
         assert BlockPagePatternMatcher().detect(result) is None
 
-    def test_without_branded_patterns(self):
-        structural = BlockPagePatternMatcher().without_branded_patterns()
-        result = blocked_fetch("Netsweeper", branding=False)
-        detection = structural.detect(result)
-        assert detection is not None
-        assert detection.vendor == "Netsweeper"
-        assert all("netsweeper" not in p for p in detection.matched)
-
 
 def fortiguard_unbranded_fetch() -> FetchResult:
     """A FortiGuard block with branding off.

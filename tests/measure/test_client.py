@@ -81,12 +81,6 @@ class DescribeTesting:
         assert len(run.accessible_tests()) == 2
         assert run.vendors_seen() == {"McAfee SmartFilter": 1}
 
-    def test_result_for_lookup(self, client):
-        url = Url.parse("http://daily-news.example.com/")
-        run = client.run_list([url])
-        assert run.result_for(url) is run.tests[0]
-        assert run.result_for(Url.parse("http://other.example.com/")) is None
-
     def test_measured_at_timestamp(self, client, filtered_world):
         test = client.test_url(Url.parse("http://daily-news.example.com/"))
         assert test.measured_at == filtered_world.now

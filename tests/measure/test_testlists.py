@@ -69,19 +69,6 @@ class DescribeListBuilding:
         qa = {str(e.url) for e in build_local_list(scenario.world, "qa").entries}
         assert ye != qa
 
-    def test_category_of(self, scenario):
-        test_list = build_global_list(scenario.world, per_category=1)
-        entry = test_list.entries[0]
-        assert test_list.category_of(entry.url) is entry.category
-        from repro.net.url import Url
-
-        assert test_list.category_of(Url.parse("http://none.example/")) is None
-
-    def test_by_theme_partition(self, scenario):
-        test_list = build_global_list(scenario.world, per_category=1)
-        total = sum(len(test_list.by_theme(theme)) for theme in Theme)
-        assert total == len(test_list)
-
     def test_entries_reference_live_sites(self, scenario):
         test_list = build_global_list(scenario.world, per_category=1)
         for entry in test_list.entries[:10]:

@@ -1,4 +1,4 @@
-"""Unit tests for the simulated DNS zone and resolver."""
+"""Unit tests for the simulated DNS zone."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import threading
 
 import pytest
 
-from repro.net.dns import DnsZone, Resolver
+from repro.net.dns import DnsZone
 from repro.net.errors import NxDomain
 from repro.net.ip import Ipv4Address
 
@@ -108,22 +108,3 @@ class DescribeZone:
         assert 42 not in zone
         assert len(zone) == 2
 
-
-class DescribeResolver:
-    def test_passthrough(self, zone):
-        resolver = Resolver(zone)
-        assert str(resolver.resolve("example.com")) == "192.0.2.1"
-
-    def test_poisoning(self, zone):
-        resolver = Resolver(zone)
-        liar_ip = Ipv4Address.parse("203.0.113.99")
-        resolver.poison("Blocked.Example.COM", liar_ip)
-        assert resolver.resolve("blocked.example.com") == liar_ip
-        # Other names unaffected.
-        assert str(resolver.resolve("example.com")) == "192.0.2.1"
-
-    def test_refusal(self, zone):
-        resolver = Resolver(zone)
-        resolver.refuse("example.com")
-        with pytest.raises(NxDomain):
-            resolver.resolve("example.com")

@@ -27,7 +27,6 @@ class DescribeFetchResult:
         )
         assert result.ok
         assert result.response is final
-        assert result.first_response is not final
         assert result.status == 200
 
     def test_empty_result_has_no_response(self):
@@ -41,26 +40,6 @@ class DescribeFetchResult:
     def test_failure_rejects_ok_outcome(self):
         with pytest.raises(ValueError):
             FetchResult.failure(Url.parse("http://a.com/"), FetchOutcome.OK)
-
-    def test_redirect_hosts_collects_location_hosts(self):
-        result = FetchResult(
-            Url.parse("http://a.com/"),
-            FetchOutcome.OK,
-            [
-                _hop("http://a.com/", redirect_response("http://deny.example:8080/x")),
-                _hop("http://deny.example:8080/x", ok_response("deny", "")),
-            ],
-        )
-        assert result.redirect_hosts() == ["deny.example"]
-
-    def test_redirect_hosts_skips_unparseable_locations(self):
-        bad_redirect = redirect_response("not a url")
-        result = FetchResult(
-            Url.parse("http://a.com/"),
-            FetchOutcome.OK,
-            [_hop("http://a.com/", bad_redirect)],
-        )
-        assert result.redirect_hosts() == []
 
     @pytest.mark.parametrize(
         "outcome",

@@ -55,21 +55,6 @@ class DescribeAddressParsing:
         base = Ipv4Address.parse("10.0.0.0")
         assert str(base + 258) == "10.0.1.2"
 
-    @pytest.mark.parametrize(
-        "address,private",
-        [
-            ("10.1.2.3", True),
-            ("172.16.0.1", True),
-            ("172.31.255.255", True),
-            ("172.32.0.0", False),
-            ("192.168.4.4", True),
-            ("192.169.0.1", False),
-            ("8.8.8.8", False),
-        ],
-    )
-    def test_private_detection(self, address, private):
-        assert Ipv4Address.parse(address).is_private() is private
-
     @given(st.integers(min_value=0, max_value=0xFFFFFFFF))
     def test_string_roundtrip_property(self, value):
         address = Ipv4Address(value)
@@ -124,16 +109,6 @@ class DescribePrefixes:
 
     def test_hosts_on_point_to_point(self):
         assert len(list(Ipv4Prefix.parse("192.0.2.0/31").hosts())) == 2
-
-    def test_subnets_enumerates_children(self):
-        children = list(Ipv4Prefix.parse("10.0.0.0/14").subnets(16))
-        assert [str(c) for c in children] == [
-            "10.0.0.0/16", "10.1.0.0/16", "10.2.0.0/16", "10.3.0.0/16",
-        ]
-
-    def test_subnets_rejects_supernet_size(self):
-        with pytest.raises(AddressError):
-            list(Ipv4Prefix.parse("10.0.0.0/16").subnets(8))
 
     @given(
         st.integers(min_value=0, max_value=24),
@@ -203,13 +178,6 @@ class DescribePrefixTable:
         table = PrefixTable()
         table.add(Ipv4Prefix.parse("10.0.0.0/8"), "x")
         assert table.lookup(Ipv4Address.parse("11.0.0.1")) is None
-
-    def test_lookup_prefix_returns_covering_prefix(self):
-        table = PrefixTable()
-        fine = Ipv4Prefix.parse("10.1.0.0/16")
-        table.add(Ipv4Prefix.parse("10.0.0.0/8"), "coarse")
-        table.add(fine, "fine")
-        assert table.lookup_prefix(Ipv4Address.parse("10.1.9.9")) == fine
 
     def test_add_after_lookup_resorts(self):
         table = PrefixTable()

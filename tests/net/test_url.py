@@ -6,13 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.net.errors import UrlError
-from repro.net.url import (
-    COUNTRY_CODE_TLDS,
-    Url,
-    hostname_key,
-    split_host_port,
-    url_key,
-)
+from repro.net.url import COUNTRY_CODE_TLDS, Url
 
 
 class DescribeParsing:
@@ -95,10 +89,6 @@ class DescribeClassification:
         """Only an all-ASCII-digit label marks an IP literal."""
         assert Url.parse("http://x.example.\u00b2/").tld == "\u00b2"
 
-    def test_cctld_detection(self):
-        assert Url.parse("http://site.qa/").is_cctld
-        assert not Url.parse("http://site.com/").is_cctld
-
     def test_country_code_tlds_are_two_letters(self):
         assert all(len(code) == 2 for code in COUNTRY_CODE_TLDS)
 
@@ -129,11 +119,6 @@ class DescribeAsciiDigits:
         with pytest.raises(UrlError):
             Url.parse(text)
 
-    @pytest.mark.parametrize("authority", ["a.com:\u00b2", "a.com:\u0668\u0660"])
-    def test_split_host_port_rejects_non_ascii_digit(self, authority):
-        with pytest.raises(UrlError):
-            split_host_port(authority)
-
 
 class DescribeManipulation:
     def test_with_path(self):
@@ -153,19 +138,3 @@ class DescribeManipulation:
 
     def test_query_params_last_wins(self):
         assert Url.parse("http://x.com/?a=1&a=2").query_params() == {"a": "2"}
-
-
-class DescribeKeys:
-    def test_hostname_key(self):
-        assert hostname_key(Url.parse("http://a.example.com:8080/x")) == "a.example.com"
-
-    def test_url_key_ignores_scheme_and_port(self):
-        a = url_key(Url.parse("http://x.com:8080/p?q=1"))
-        b = url_key(Url.parse("https://x.com/p?q=1"))
-        assert a == b == "x.com/p?q=1"
-
-    def test_split_host_port(self):
-        assert split_host_port("x.com:8080") == ("x.com", 8080)
-        assert split_host_port("x.com") == ("x.com", None)
-        with pytest.raises(UrlError):
-            split_host_port("x.com:no")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.products.licensing import LicenseModel, always_active
+from repro.products.licensing import LicenseModel
 from repro.world.clock import SimTime
 
 
@@ -77,6 +77,3 @@ class DescribeLicenseModel:
     def test_zero_stddev_overflow_edges(self):
         assert make_model(seats=10, mean=11.0, stddev=0.0).overflow_probability() == 1.0
         assert make_model(seats=10, mean=9.0, stddev=0.0).overflow_probability() == 0.0
-
-    def test_always_active_sentinel(self):
-        assert always_active() is None

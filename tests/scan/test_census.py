@@ -17,8 +17,3 @@ class DescribeCensus:
         census = run_census(mini_world)
         hits = census.grep("example.com")
         assert len(hits) >= 3 * 2  # three sites on ports 80+443
-
-    def test_by_port(self, mini_world):
-        census = run_census(mini_world)
-        assert all(r.port == 443 for r in census.by_port(443))
-        assert census.by_port(12345) == []

@@ -6,18 +6,11 @@ import pytest
 
 from repro.middlebox.deploy import deploy, deploy_stacked
 from repro.net.http import Headers, HttpResponse, html_page
-from repro.products.bluecoat import make_bluecoat
-from repro.products.netsweeper import make_netsweeper
-from repro.products.smartfilter import make_smartfilter
-from repro.products.websense import make_websense
-from repro.scan.signatures import (
-    Evidence,
-    ProbeObservation,
-    bluecoat_signature,
-    netsweeper_signature,
-    smartfilter_signature,
-    websense_signature,
-)
+from repro.products import Evidence, ProbeObservation, default_registry
+from repro.products.bluecoat import bluecoat_signature, make_bluecoat
+from repro.products.netsweeper import make_netsweeper, netsweeper_signature
+from repro.products.smartfilter import make_smartfilter, smartfilter_signature
+from repro.products.websense import make_websense, websense_signature
 from repro.scan.whatweb import WhatWebEngine, world_probe
 from repro.world.rng import derive_rng
 
@@ -143,16 +136,17 @@ class DescribeEngineAgainstWorld:
         assert report.matched("Blue Coat")
         assert report.matched("McAfee SmartFilter")
 
-    def test_custom_signature_registration(self, mini_world, engine):
-        engine.add_signature(
-            "MyBox",
+    def test_custom_signature_registration(self, mini_world):
+        signatures = dict(default_registry().whatweb_signatures())
+        signatures["MyBox"] = (
             lambda observations: [Evidence("header", "X")]
             if any(
                 o.response is not None and o.response.headers.get("Server") == "nginx"
                 for o in observations
             )
-            else [],
+            else []
         )
+        engine = WhatWebEngine(world_probe(mini_world), signatures=signatures)
         site = mini_world.websites["daily-news.example.com"]
         report = engine.identify(site.ip)
         assert report.matched("MyBox")

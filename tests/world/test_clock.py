@@ -16,7 +16,7 @@ class DescribeSimTime:
         assert SimTime(MINUTES_PER_DAY * 3).days == 3.0
 
     def test_plus_days_and_minutes(self):
-        t = SimTime(0).plus_days(1.5).plus_minutes(30)
+        t = SimTime(0).plus_days(1.5).plus_days(30 / MINUTES_PER_DAY)
         assert t.minutes == MINUTES_PER_DAY + MINUTES_PER_DAY // 2 + 30
 
     def test_subtraction_gives_minutes(self):

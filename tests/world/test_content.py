@@ -6,38 +6,6 @@ from repro.world.content import ContentClass
 
 
 class DescribeContentClasses:
-    def test_rights_protected_subset_of_sensitive_or_not(self):
-        # Every rights-protected class the paper names is flagged.
-        for content_class in (
-            ContentClass.HUMAN_RIGHTS,
-            ContentClass.POLITICAL_REFORM,
-            ContentClass.LGBT,
-            ContentClass.RELIGIOUS_CRITICISM,
-            ContentClass.MINORITY_RELIGION,
-            ContentClass.INDEPENDENT_MEDIA,
-            ContentClass.MEDIA_FREEDOM,
-        ):
-            assert content_class.is_rights_protected
-
-    def test_everyday_content_not_protected_flagged(self):
-        for content_class in (
-            ContentClass.SHOPPING,
-            ContentClass.SPORTS,
-            ContentClass.BENIGN,
-            ContentClass.TECHNOLOGY,
-        ):
-            assert not content_class.is_rights_protected
-            assert not content_class.is_sensitive
-
-    def test_sensitive_includes_censorship_targets(self):
-        for content_class in (
-            ContentClass.PROXY_ANONYMIZER,
-            ContentClass.PORNOGRAPHY,
-            ContentClass.GAMBLING,
-            ContentClass.POLITICAL_OPPOSITION,
-        ):
-            assert content_class.is_sensitive
-
     def test_values_unique(self):
         values = [c.value for c in ContentClass]
         assert len(values) == len(set(values))

@@ -28,7 +28,6 @@ from repro.world.faults import (
     VantageOutage,
     corrupt_text,
     current_attempt,
-    default_outage_span,
     fault_attempt,
 )
 
@@ -123,7 +122,11 @@ class DescribePlanValidation:
         assert not NO_FAULTS.active
         assert FaultPlan(seed=42).active is False
         assert FaultPlan(slow_rate=0.01).active
-        assert FaultPlan(outages=(default_outage_span(1, 2, "isp"),)).active
+        assert FaultPlan(
+            outages=(
+                VantageOutage("isp", SimTime.from_days(1), SimTime.from_days(3)),
+            )
+        ).active
 
     def test_outage_window_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -132,7 +135,9 @@ class DescribePlanValidation:
 
 class DescribeOutages:
     def test_outage_covers_exactly_its_window(self):
-        outage = default_outage_span(10, 2, "yemennet")
+        outage = VantageOutage(
+            "yemennet", SimTime.from_days(10), SimTime.from_days(12)
+        )
         plan = FaultPlan(outages=(outage,))
         before = SimTime.from_days(9.5)
         during = SimTime.from_days(11)
@@ -143,7 +148,10 @@ class DescribeOutages:
         assert plan.outage_fault("yemennet", after) is None
 
     def test_outage_is_vantage_specific(self):
-        plan = FaultPlan(outages=(default_outage_span(0, 5, "yemennet"),))
+        outage = VantageOutage(
+            "yemennet", SimTime.from_days(0), SimTime.from_days(5)
+        )
+        plan = FaultPlan(outages=(outage,))
         assert plan.outage_fault("etisalat", SimTime.from_days(1)) is None
 
 

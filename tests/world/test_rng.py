@@ -2,16 +2,9 @@
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, strategies as st
 
-from repro.world.rng import (
-    derive_rng,
-    derive_seed,
-    stable_sample,
-    stable_shuffle,
-    weighted_choice,
-)
+from repro.world.rng import derive_rng, derive_seed
 
 
 class DescribeDerivation:
@@ -38,49 +31,6 @@ class DescribeDerivation:
 
 
 class DescribeHelpers:
-    def test_stable_shuffle_does_not_mutate(self):
-        items = [1, 2, 3, 4, 5]
-        shuffled = stable_shuffle(items, derive_rng(1, "s"))
-        assert items == [1, 2, 3, 4, 5]
-        assert sorted(shuffled) == items
-
-    def test_stable_shuffle_deterministic(self):
-        a = stable_shuffle(list(range(20)), derive_rng(1, "s"))
-        b = stable_shuffle(list(range(20)), derive_rng(1, "s"))
-        assert a == b
-
-    def test_stable_sample(self):
-        sample = stable_sample(list(range(10)), 3, derive_rng(1, "x"))
-        assert len(sample) == 3
-        assert len(set(sample)) == 3
-
-    def test_stable_sample_rejects_oversize(self):
-        with pytest.raises(ValueError):
-            stable_sample([1, 2], 3, derive_rng(1, "x"))
-
-    def test_weighted_choice_respects_zero_weight(self):
-        rng = derive_rng(1, "w")
-        for _ in range(50):
-            assert weighted_choice(["a", "b"], [1.0, 0.0], rng) == "a"
-
-    def test_weighted_choice_validates(self):
-        rng = derive_rng(1, "w")
-        with pytest.raises(ValueError):
-            weighted_choice(["a"], [1.0, 2.0], rng)
-        with pytest.raises(ValueError):
-            weighted_choice([], [], rng)
-        with pytest.raises(ValueError):
-            weighted_choice(["a"], [0.0], rng)
-
     @given(st.integers(), st.lists(st.text(max_size=8), min_size=1, max_size=4))
     def test_derivation_is_pure(self, seed, path):
         assert derive_seed(seed, *path) == derive_seed(seed, *path)
-
-
-class DescribeWeightDistribution:
-    def test_weighted_choice_tracks_weights(self):
-        rng = derive_rng(3, "dist")
-        counts = {"heavy": 0, "light": 0}
-        for _ in range(2000):
-            counts[weighted_choice(["heavy", "light"], [9.0, 1.0], rng)] += 1
-        assert counts["heavy"] > counts["light"] * 4
