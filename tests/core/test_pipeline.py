@@ -5,9 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.paper_data import PAPER_TABLE3
-from repro.core.pipeline import StudyReport, config_for_row
+from repro.core.pipeline import FullStudy, StudyReport, config_for_row
 from repro.core.identify import IdentificationReport
+from repro.products.registry import FORTIGUARD, NETSWEEPER, SMARTFILTER
 from repro.world.content import ContentClass
+from repro.world.scenario import ScenarioConfig, build_scenario
 
 
 class DescribeConfigForRow:
@@ -52,3 +54,63 @@ class DescribeStudyReport:
         report = StudyReport(identification=IdentificationReport())
         assert report.confirmation_for("X", "y", "z") is None
         assert report.confirmed_pairs() == []
+
+
+def _plan(products=None):
+    scenario = build_scenario(seed=2013, config=ScenarioConfig(population_size=50))
+    study = FullStudy(scenario, products=products)
+    return [(unit.key, unit.stage) for unit in study.plan()]
+
+
+_CHARACTERIZE = [
+    ("characterize:etisalat", "characterize"),
+    ("characterize:du", "characterize"),
+    ("characterize:yemennet", "characterize"),
+    ("characterize:ooredoo", "characterize"),
+]
+
+
+class DescribePlan:
+    """The campaign's unit keys and stages, in run order.
+
+    The keys name journal records and snapshot results, so a change
+    here strands every journal written before it.
+    """
+
+    def test_default_selection(self):
+        assert _plan() == [
+            ("identify", "identify"),
+            ("confirm:McAfee SmartFilter:bayanat:Pornography", "confirm"),
+            ("confirm:McAfee SmartFilter:etisalat:Anonymizers", "confirm"),
+            ("probe:yemennet", "probe"),
+            ("confirm:Netsweeper:du:Proxy anonymizer", "confirm"),
+            ("confirm:Netsweeper:yemennet:Proxy anonymizer", "confirm"),
+            ("confirm:Blue Coat:etisalat:Proxy Avoidance", "confirm"),
+            ("confirm:Blue Coat:ooredoo:Proxy Avoidance", "confirm"),
+            ("confirm:McAfee SmartFilter:ooredoo:Pornography", "confirm"),
+            ("confirm:McAfee SmartFilter:etisalat:Pornography", "confirm"),
+            ("confirm:McAfee SmartFilter:nournet:Pornography", "confirm"),
+            ("confirm:Netsweeper:ooredoo:Proxy anonymizer", "confirm"),
+        ] + _CHARACTERIZE
+
+    def test_netsweeper_only(self):
+        assert _plan([NETSWEEPER]) == [
+            ("identify", "identify"),
+            ("probe:yemennet", "probe"),
+            ("confirm:Netsweeper:du:Proxy anonymizer", "confirm"),
+            ("confirm:Netsweeper:yemennet:Proxy anonymizer", "confirm"),
+            ("confirm:Netsweeper:ooredoo:Proxy anonymizer", "confirm"),
+        ] + _CHARACTERIZE[1:]
+
+    def test_smartfilter_only(self):
+        assert _plan([SMARTFILTER]) == [
+            ("identify", "identify"),
+            ("confirm:McAfee SmartFilter:bayanat:Pornography", "confirm"),
+            ("confirm:McAfee SmartFilter:etisalat:Anonymizers", "confirm"),
+            ("confirm:McAfee SmartFilter:ooredoo:Pornography", "confirm"),
+            ("confirm:McAfee SmartFilter:etisalat:Pornography", "confirm"),
+            ("confirm:McAfee SmartFilter:nournet:Pornography", "confirm"),
+        ] + _CHARACTERIZE[:1]
+
+    def test_product_without_case_studies_only_identifies(self):
+        assert _plan([FORTIGUARD]) == [("identify", "identify")]
