@@ -284,7 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
         "(default 3)",
     )
     scan.add_argument(
-        "--wait-timeout", type=float, default=None, metavar="SECONDS",
+        "--wait-timeout", type=_POSITIVE_FLOAT, default=None,
+        metavar="SECONDS",
         help="with --coordinator: give up (exit 1, queue kept on disk) "
         "if the fleet has not finished by then (default: wait forever)",
     )
@@ -672,16 +673,11 @@ def _cmd_study(args) -> int:
     )
     with _journal_errors():
         try:
-            if args.journal:
-                journal_dir = Path(args.journal)
-                journal_dir.mkdir(parents=True, exist_ok=True)
-                outcome = study.run_journaled(
-                    journal_dir,
-                    resume=args.resume,
-                    checkpoint_every=args.checkpoint_every,
-                )
-            else:
-                outcome = study.run()
+            outcome = study.run(
+                Path(args.journal) if args.journal else None,
+                resume=args.resume,
+                checkpoint_every=args.checkpoint_every,
+            )
         except NetError as exc:
             # Only --fail-fast lets a fault propagate out of the study.
             raise CommandError(

@@ -123,15 +123,10 @@ class ScanWorker:
     def run(self) -> WorkerSummary:
         """Work until the queue is terminal (all shards done or dead)."""
         while True:
-            grant = self.queue.claim(self.worker_id)
-            if grant is None:
+            if self.run_one() is None:
                 if self.queue.snapshot().terminal:
                     return self.summary
                 time.sleep(self.poll)
-                continue
-            if grant.speculative:
-                self.summary.speculative += 1
-            self.run_grant(grant)
 
     def run_one(self) -> Optional[ShardGrant]:
         """Claim and execute at most one shard (test-sized step)."""

@@ -19,9 +19,20 @@ byte-identical output (see docs/methodology.md, "Durability & resume").
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.analysis.paper_data import PAPER_TABLE3, Table3Row
 from repro.core.characterize import CharacterizationResult, ContentCharacterization
@@ -58,12 +69,7 @@ from repro.scan.whatweb import WhatWebEngine, world_probe
 from repro.world.clock import SimTime
 from repro.world.content import ContentClass
 from repro.world.faults import FaultPlan
-from repro.world.scenario import (
-    DEFAULT_SEED,
-    Scenario,
-    ScenarioConfig,
-    build_scenario,
-)
+from repro.world.scenario import DEFAULT_SEED, Scenario, build_scenario
 
 _CATEGORY_CONTENT: Dict[str, ContentClass] = {
     "Proxy Avoidance": ContentClass.PROXY_ANONYMIZER,
@@ -201,7 +207,7 @@ class PartialStudyResult:
         return lines
 
 
-class StudyUnit:
+class StudyUnit(NamedTuple):
     """One sequential step of the campaign: a key, a stage, a runner.
 
     Units are the durability granularity: the runner executes with the
@@ -209,13 +215,9 @@ class StudyUnit:
     everything it mutates is covered by the checkpoint state inventory.
     """
 
-    def __init__(self, key: str, stage: str, runner: Callable[[], Any]) -> None:
-        self.key = key
-        self.stage = stage
-        self.runner = runner
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<StudyUnit {self.key}>"
+    key: str
+    stage: str
+    runner: Callable[[], Any]
 
 
 class FullStudy:
@@ -280,15 +282,12 @@ class FullStudy:
         # delta against this set. Must be captured before any unit runs.
         self._baseline_domains = frozenset(scenario.world.websites)
         self._results: Dict[str, Any] = {}
-        self._characterization: Optional[ContentCharacterization] = None
         #: Recovery account of the last journaled run (resume damage,
         #: snapshot choice, replayed units); None for plain runs.
         self.last_recovery: Optional[RecoveryReport] = None
         # The epoch window opens where the scenario's clock starts; it
         # closes at commit time, after the last unit has advanced it.
         self._window_start = scenario.world.now.minutes
-        #: Epoch id of the last store commit this study made, if any.
-        self.last_epoch_id: Optional[str] = None
         # The resilience layer exists only when a chaos plan is active:
         # the fault-free baseline takes the untouched code paths and
         # stays byte-identical.
@@ -336,28 +335,37 @@ class FullStudy:
             return pipeline.run(self._products)
 
     # ---------------------------------------------------------- unit plan
-    def _selection(self) -> Sequence[str]:
-        return self._products or default_registry().default_names()
+    def plan(self) -> List[StudyUnit]:
+        """The campaign as an ordered list of checkpointable units.
 
-    def _confirm_schedule(
-        self,
-    ) -> List[Tuple[SimTime, Optional[Table3Row]]]:
-        selection = self._selection()
-        schedule: List[Tuple[SimTime, Optional[Table3Row]]] = [
-            (SimTime.from_date(row.date[0], row.date[1], 10), row)
-            for row in PAPER_TABLE3
-            if row.product in selection
-        ]
+        Identification comes first. The selected products' Table 3 case
+        studies follow in date order, each on the 10th of its month, with
+        ties in Table 3's order; with Netsweeper selected, the YemenNet
+        category probe (§4.4, January 2013) goes among them. The §5
+        characterizations of the selected products close the campaign.
+        """
+        selection = self._products or default_registry().default_names()
+        dated: List[Tuple[SimTime, int, StudyUnit]] = []
+        for index, row in enumerate(PAPER_TABLE3):
+            if row.product not in selection:
+                continue
+            when = SimTime.from_date(row.date[0], row.date[1], 10)
+            key = f"confirm:{row.product}:{row.isp_key}:{row.category}"
+            runner = functools.partial(self._unit_confirm, when, row)
+            dated.append((when, index, StudyUnit(key, "confirm", runner)))
         if NETSWEEPER in selection:
-            # The YemenNet category probe ran in January 2013 (§4.4).
-            schedule.append((SimTime.from_date(2013, 1, 15), None))
-        schedule.sort(key=lambda item: (item[0], _row_order(item[1])))
-        return schedule
-
-    def _characterize_pairs(self) -> Tuple[Tuple[str, str], ...]:
-        selection = self._selection()
-        return tuple(
-            (isp, product)
+            when = SimTime.from_date(2013, 1, 15)
+            runner = functools.partial(self._unit_probe, when)
+            dated.append((when, -1, StudyUnit("probe:yemennet", "probe", runner)))
+        dated.sort(key=lambda item: item[:2])
+        units = [StudyUnit("identify", "identify", self.run_identification)]
+        units.extend(unit for _when, _index, unit in dated)
+        units.extend(
+            StudyUnit(
+                f"characterize:{isp}",
+                "characterize",
+                functools.partial(self._unit_characterize, isp, product),
+            )
             for isp, product in (
                 ("etisalat", SMARTFILTER),
                 ("du", NETSWEEPER),
@@ -366,45 +374,6 @@ class FullStudy:
             )
             if product in selection
         )
-
-    def _confirm_units(self) -> List[StudyUnit]:
-        units: List[StudyUnit] = []
-        for when, row in self._confirm_schedule():
-            if row is None:
-                units.append(
-                    StudyUnit(
-                        "probe:yemennet",
-                        "probe",
-                        lambda when=when: self._unit_probe(when),
-                    )
-                )
-            else:
-                units.append(
-                    StudyUnit(
-                        f"confirm:{row.product}:{row.isp_key}:{row.category}",
-                        "confirm",
-                        lambda when=when, row=row: self._unit_confirm(when, row),
-                    )
-                )
-        return units
-
-    def _characterize_units(self) -> List[StudyUnit]:
-        return [
-            StudyUnit(
-                f"characterize:{isp}",
-                "characterize",
-                lambda isp=isp, product=product: self._unit_characterize(
-                    isp, product
-                ),
-            )
-            for isp, product in self._characterize_pairs()
-        ]
-
-    def plan(self) -> List[StudyUnit]:
-        """The campaign as an ordered list of checkpointable units."""
-        units = [StudyUnit("identify", "identify", self.run_identification)]
-        units.extend(self._confirm_units())
-        units.extend(self._characterize_units())
         return units
 
     # --------------------------------------------------------- unit bodies
@@ -438,47 +407,105 @@ class FullStudy:
             )
 
     def _unit_characterize(self, isp: str, product: str) -> CharacterizationResult:
-        if self._characterization is None:
-            self._characterization = ContentCharacterization(
+        with self.metrics.timer("stage.characterize"):
+            return ContentCharacterization(
                 self._scenario.world,
                 executor=self.executor,
                 link_latency=self._link_latency,
                 resilience=self.resilience,
-            )
-        with self.metrics.timer("stage.characterize"):
-            return self._characterization.run(isp, product)
+            ).run(isp, product)
 
-    # ------------------------------------------------------- stage drivers
+    # ------------------------------------------------------------ run loop
     def _assemble(self) -> StudyReport:
-        confirmations: List[ConfirmationResult] = []
-        probe: Optional[CategoryProbeResult] = None
-        characterizations: Dict[str, CharacterizationResult] = {}
-        for unit in self._confirm_units():
+        report = StudyReport(identification=self._results["identify"])
+        for unit in self.plan():
             outcome = self._results[unit.key]
-            if unit.stage == "probe":
-                probe = outcome
-            else:
-                confirmations.append(outcome)
-        for isp, _product in self._characterize_pairs():
-            characterizations[isp] = self._results[f"characterize:{isp}"]
-        return StudyReport(
-            identification=self._results["identify"],
-            confirmations=confirmations,
-            category_probe=probe,
-            characterizations=characterizations,
-        )
+            if unit.stage == "confirm":
+                report.confirmations.append(outcome)
+            elif unit.stage == "probe":
+                report.category_probe = outcome
+            elif unit.stage == "characterize":
+                report.characterizations[outcome.isp_name] = outcome
+        return report
 
-    def run(self) -> Union[StudyReport, PartialStudyResult]:
+    def run(
+        self,
+        journal_dir: Optional[Path] = None,
+        *,
+        resume: bool = False,
+        checkpoint_every: int = 1,
+        after_write: Optional[Callable[..., None]] = None,
+    ) -> Union[StudyReport, PartialStudyResult]:
         """The full campaign in paper order.
 
         Under an active fault plan the report comes wrapped in a
         :class:`PartialStudyResult` with the resilience layer's account
         of it: a study degrades rather than raises, so every table that
         can still be derived is, and the gaps are reported alongside.
+
+        Without ``journal_dir`` nothing is written. With it the run
+        keeps a write-ahead journal (``journal.jsonl``) in that
+        directory and snapshots after every ``checkpoint_every``-th
+        completed unit (always after the last). With ``resume=True`` a
+        prior run's durable state is recovered first
+        (:func:`open_journal`): the journal's valid prefix is kept
+        (torn/corrupt/skewed suffixes truncated and reported), the
+        newest verifying snapshot is restored, and only the remaining
+        units execute. Output is byte-identical to an uninterrupted
+        run; ``self.last_recovery`` records what recovery did.
+
+        ``after_write`` is the crash-matrix test seam, forwarded to
+        :class:`JournalWriter` — a hook that raises after the Nth
+        durable record simulates a SIGKILL at that journal position.
         """
-        with self.metrics.timer("study"):
-            for unit in self.plan():
-                self._results[unit.key] = unit.runner()
+        if checkpoint_every < 1:
+            raise ValueError("checkpoint_every must be >= 1")
+        writer = None
+        if journal_dir is not None:
+            identity_fp = self.config_fingerprint()
+            writer, snapshot, self.last_recovery = open_journal(
+                journal_dir,
+                identity_fingerprint=identity_fp,
+                resume=resume,
+                after_write=after_write,
+            )
+            if snapshot is not None:
+                self.restore_state(snapshot.state)
+
+        units = self.plan()
+        pending = [unit for unit in units if unit.key not in self._results]
+        done = len(units) - len(pending)
+
+        def record(kind: str, **payload: Any) -> None:
+            if writer is not None:
+                writer.append(kind, payload)
+
+        try:
+            if writer is not None:
+                self.last_recovery.units_replayed = [u.key for u in pending]
+                if writer.next_seq == 0:
+                    seed = self._scenario.world.seed
+                    record("begin", fingerprint=identity_fp, seed=seed)
+            with self.metrics.timer("study"):
+                for unit in pending:
+                    record("unit-start", key=unit.key)
+                    self._results[unit.key] = unit.runner()
+                    done += 1
+                    record("unit-commit", key=unit.key, done=done)
+                    if writer is not None and (
+                        done == len(units) or done % checkpoint_every == 0
+                    ):
+                        path = write_snapshot(
+                            journal_dir,
+                            seq=done,
+                            identity_fingerprint=identity_fp,
+                            state=self.capture_state(),
+                        )
+                        record("snapshot", file=path.name, done=done)
+            record("final", units=len(units))
+        finally:
+            if writer is not None:
+                writer.close()
         return self._outcome()
 
     def _outcome(self) -> Union[StudyReport, PartialStudyResult]:
@@ -526,9 +553,7 @@ class FullStudy:
             partial=partial,
             record_confidence=self._record_confidence,
         )
-        result = store.commit(epoch)
-        self.last_epoch_id = result.epoch_id
-        return result
+        return store.commit(epoch)
 
     # ----------------------------------------------------------- durability
     def identity(self) -> Dict[str, Any]:
@@ -602,80 +627,6 @@ class FullStudy:
         self._results = dict(state["results"])
         return self._results
 
-    def run_journaled(
-        self,
-        journal_dir: Path,
-        *,
-        resume: bool = False,
-        checkpoint_every: int = 1,
-        after_write: Optional[Callable[..., None]] = None,
-    ):
-        """The full campaign with a write-ahead journal and snapshots.
-
-        Fresh runs create ``journal.jsonl`` in ``journal_dir`` and
-        snapshot after every ``checkpoint_every``-th completed unit
-        (always after the last). With ``resume=True`` a prior run's
-        durable state is recovered first (:func:`open_journal`): the
-        journal's valid prefix is kept (torn/corrupt/skewed suffixes
-        truncated and reported), the newest verifying snapshot is
-        restored, and only the remaining units execute. Output is
-        byte-identical to an uninterrupted run; ``self.last_recovery``
-        records what recovery did.
-
-        ``after_write`` is the crash-matrix test seam, forwarded to
-        :class:`JournalWriter` — a hook that raises after the Nth
-        durable record simulates a SIGKILL at that journal position.
-        """
-        if checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be >= 1")
-        identity_fp = self.config_fingerprint()
-        writer, snapshot, report = open_journal(
-            journal_dir,
-            identity_fingerprint=identity_fp,
-            resume=resume,
-            after_write=after_write,
-        )
-        if snapshot is not None:
-            self.restore_state(snapshot.state)
-        self.last_recovery = report
-        try:
-            if writer.next_seq == 0:
-                writer.append(
-                    "begin",
-                    {
-                        "fingerprint": identity_fp,
-                        "seed": self._scenario.world.seed,
-                    },
-                )
-            units = self.plan()
-            report.units_replayed = [
-                unit.key for unit in units if unit.key not in self._results
-            ]
-            done = sum(1 for unit in units if unit.key in self._results)
-            with self.metrics.timer("study"):
-                for index, unit in enumerate(units):
-                    if unit.key in self._results:
-                        continue
-                    writer.append("unit-start", {"key": unit.key})
-                    self._results[unit.key] = unit.runner()
-                    done += 1
-                    writer.append("unit-commit", {"key": unit.key, "done": done})
-                    last = index == len(units) - 1
-                    if last or done % checkpoint_every == 0:
-                        path = write_snapshot(
-                            journal_dir,
-                            seq=done,
-                            identity_fingerprint=identity_fp,
-                            state=self.capture_state(),
-                        )
-                        writer.append(
-                            "snapshot", {"file": path.name, "done": done}
-                        )
-            writer.append("final", {"units": len(units)})
-        finally:
-            writer.close()
-        return self._outcome()
-
 
 def run_full_study(
     seed: int = DEFAULT_SEED,
@@ -684,66 +635,41 @@ def run_full_study(
     workers: int = 1,
     link_latency: float = 0.0,
     metrics: Optional[Metrics] = None,
-    shodan_coverage: float = 1.0,
     fault_plan: Optional[FaultPlan] = None,
-    max_retries: int = 2,
-    fail_fast: bool = False,
-    scenario_config: Optional[ScenarioConfig] = None,
     journal_dir: Optional[Path] = None,
     resume: bool = False,
     checkpoint_every: int = 1,
     store_dir: Optional[Path] = None,
-    scan_shards: Optional[int] = None,
-    record_confidence: bool = False,
 ):
-    """Build the scenario for ``seed`` and run the whole campaign.
+    """Build the scenario for ``seed``, run the whole campaign with
+    :meth:`FullStudy.run`, and return its outcome.
 
-    The report is a pure function of ``seed``, ``products`` and the
-    scenario knobs: ``workers``/``link_latency``/``metrics`` change only
-    wall-clock and instrumentation, never the result.
+    The report is a pure function of ``seed``, ``products`` and
+    ``fault_plan``: ``workers``/``link_latency``/``metrics`` change only
+    wall-clock and instrumentation, never the result. Without a fault
+    plan (or with an inert one) the outcome is the plain
+    :class:`StudyReport`; with an active plan it is a
+    :class:`PartialStudyResult` wrapping the report plus its
+    coverage/quarantine accounting.
 
-    Without a fault plan (or with an inert one) this returns the plain
-    :class:`StudyReport`, byte-identical to earlier versions. With an
-    active plan it returns a :class:`PartialStudyResult` wrapping the
-    report plus coverage/quarantine accounting — itself a pure function
-    of ``(seed, products, plan)``, identical at any worker count.
-
-    With ``journal_dir`` the run is durable: a write-ahead journal plus
-    periodic snapshots land in that directory, and ``resume=True``
-    continues a killed run from its newest valid snapshot — producing
-    the same pure-function output as an uninterrupted run.
-
-    With ``store_dir`` the completed run is additionally committed to
-    the longitudinal results store at that directory as one immutable
-    epoch (readable back through :mod:`repro.query` and servable by
-    :mod:`repro.serve`).
+    ``journal_dir``, ``resume`` and ``checkpoint_every`` go to
+    :meth:`FullStudy.run`: with a journal the run is durable and a
+    killed run resumes to the uninterrupted output. With ``store_dir``
+    the outcome is also committed to the results store at that
+    directory as one epoch. Scenario knobs, the retry budget and the
+    other study options are set by building :class:`FullStudy` directly.
     """
-    scenario = build_scenario(seed=seed, config=scenario_config)
     study = FullStudy(
-        scenario,
+        build_scenario(seed=seed),
         products=products,
-        shodan_coverage=shodan_coverage,
         workers=workers,
         link_latency=link_latency,
         metrics=metrics,
         fault_plan=fault_plan,
-        max_retries=max_retries,
-        fail_fast=fail_fast,
-        scan_shards=scan_shards,
-        record_confidence=record_confidence,
     )
-    if journal_dir is not None:
-        outcome = study.run_journaled(
-            journal_dir, resume=resume, checkpoint_every=checkpoint_every
-        )
-    else:
-        outcome = study.run()
+    outcome = study.run(
+        journal_dir, resume=resume, checkpoint_every=checkpoint_every
+    )
     if store_dir is not None:
         study.commit_epoch(store_dir, outcome)
     return outcome
-
-
-def _row_order(row: Optional[Table3Row]) -> int:
-    if row is None:
-        return -1
-    return PAPER_TABLE3.index(row)

@@ -172,10 +172,9 @@ def build_global_list(world: World, *, per_category: int = 3) -> TestList:
     )
 
 
-def build_local_list(
-    world: World, country_code: str, *, per_category: int = 2
-) -> TestList:
-    """Sample locally relevant sites: ccTLD or operated in-country."""
+def build_local_list(world: World, country_code: str) -> TestList:
+    """Sample locally relevant sites, two per category: ccTLD or
+    operated in-country."""
     code = country_code.lower()
 
     def is_local(site) -> bool:
@@ -189,7 +188,7 @@ def build_local_list(
     return _build_list(
         world,
         name=f"local-{code}",
-        per_category=per_category,
+        per_category=2,
         rng_label=f"local-list-{code}",
         predicate=is_local,
     )

@@ -190,7 +190,6 @@ class MonitorService:
         self._decided_frames: Dict[str, ListFrames] = defaultdict(ListFrames)
         self._timeline_frames = ListFrames()
         self.last_recovery: Optional[RecoveryReport] = None
-        self.last_store_error: Optional[str] = None
 
     # ------------------------------------------------------------ scenario
     @property
@@ -303,8 +302,7 @@ class MonitorService:
     def _try_commit(self, epoch: Any) -> Optional[str]:
         try:
             result = self.store.commit(epoch)
-        except (StoreError, OSError) as exc:
-            self.last_store_error = repr(exc)
+        except (StoreError, OSError):
             return None
         return result.epoch_id
 

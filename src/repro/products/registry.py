@@ -132,9 +132,9 @@ class ProductRegistry:
         self._cache: Dict[object, object] = {}
 
     # -------------------------------------------------------- registration
-    def register(self, spec: ProductSpec, *, replace: bool = False) -> ProductSpec:
+    def register(self, spec: ProductSpec) -> ProductSpec:
         """Validate and add ``spec``; returns it for chaining."""
-        if spec.name in self._specs and not replace:
+        if spec.name in self._specs:
             raise ValueError(f"product {spec.name!r} already registered")
         if not spec.shodan_keywords:
             raise ValueError(f"{spec.name}: at least one Shodan keyword")
@@ -145,7 +145,7 @@ class ProductRegistry:
                 f"{spec.name}: at least one structural block-page pattern"
             )
         for slug_owner in self._specs.values():
-            if slug_owner.name != spec.name and slug_owner.slug == spec.slug:
+            if slug_owner.slug == spec.slug:
                 raise ValueError(
                     f"{spec.name}: slug {spec.slug!r} already used by "
                     f"{slug_owner.name}"

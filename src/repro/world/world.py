@@ -71,7 +71,6 @@ class World:
         self.websites: Dict[str, WebSite] = {}
         self._pools: Dict[int, AddressPool] = {}
         self._prefix_owners = PrefixTable()
-        self.lab_country: Optional[Country] = None
 
     def install_faults(self, plan: Optional[FaultPlan]) -> None:
         """Install (or clear, with None) a chaos fault plan.
@@ -259,11 +258,12 @@ class World:
     def _vantage_label(self, isp: Optional[ISP]) -> str:
         return isp.name if isp is not None else "lab"
 
-    def _resolve(self, isp: Optional[ISP], hostname: str) -> Ipv4Address:
+    def _resolve(
+        self, isp: Optional[ISP], hostname: str, faults: FaultPlan
+    ) -> Ipv4Address:
         if _is_ip_literal(hostname):
             return Ipv4Address.parse(hostname)
         key = hostname.lower().rstrip(".")
-        faults = self.faults
         # An injected fault fires before the ISP's refused and poisoned
         # names, so a flap can hit censored names too.
         if faults.active:
@@ -319,10 +319,14 @@ class World:
                 rst_injected=rst_injected,
             )
 
-        for _hop_index in range(MAX_REDIRECTS + 1):
+        for hop_index in range(MAX_REDIRECTS + 1):
             elapsed += HOP_BASE_MS
             try:
-                destination = self._resolve(isp, current.host)
+                # The first hop's DNS fault was rolled with its other
+                # faults above; only a redirect target rolls here.
+                destination = self._resolve(
+                    isp, current.host, faults if hop_index else NO_FAULTS
+                )
             except InjectedFault:
                 raise
             except NxDomain as exc:

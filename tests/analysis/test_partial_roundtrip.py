@@ -28,22 +28,21 @@ from repro.analysis.tables import (
     render_table3,
     render_table4,
 )
-from repro.core.pipeline import PartialStudyResult, run_full_study
+from repro.core.pipeline import FullStudy, PartialStudyResult
 from repro.exec.checkpoint import decode_state, encode_state
 from repro.products.registry import NETSWEEPER
 from repro.world.faults import FaultPlan
-from repro.world.scenario import ScenarioConfig
+from repro.world.scenario import ScenarioConfig, build_scenario
 
 
 @pytest.fixture(scope="module")
 def partial():
-    result = run_full_study(
-        seed=17,
+    result = FullStudy(
+        build_scenario(seed=17, config=ScenarioConfig(population_size=300)),
         products=[NETSWEEPER],
         fault_plan=FaultPlan.parse("seed=11,nxdomain=0.25,reset=0.2"),
         max_retries=1,
-        scenario_config=ScenarioConfig(population_size=300),
-    )
+    ).run()
     assert isinstance(result, PartialStudyResult)
     return result
 

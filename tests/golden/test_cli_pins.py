@@ -175,6 +175,21 @@ USAGE_ERRORS = [
         + ["--local-workers", "0", "--lease-ttl", "nan", "--wait-timeout", "1"],
         "--lease-ttl",
     ),
+    (
+        "scan-wait-timeout",
+        _COORD + ["--local-workers", "0", "--wait-timeout", "-1"],
+        "--wait-timeout",
+    ),
+    (
+        "scan-wait-timeout-nan",
+        _COORD + ["--local-workers", "1", "--wait-timeout", "nan"],
+        "--wait-timeout",
+    ),
+    (
+        "scan-wait-timeout-inf",
+        _COORD + ["--local-workers", "1", "--wait-timeout", "inf"],
+        "--wait-timeout",
+    ),
     ("identify-coverage", ["identify", "--coverage", "2"], "--coverage"),
     ("identify-coverage-nan", ["identify", "--coverage", "nan"], "--coverage"),
     (

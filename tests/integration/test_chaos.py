@@ -21,13 +21,14 @@ import os
 
 from repro.analysis.export import to_json
 from repro.cli import main
-from repro.core.pipeline import PartialStudyResult, run_full_study
+from repro.core.pipeline import FullStudy, PartialStudyResult, run_full_study
 from repro.exec.metrics import Metrics
 from repro.exec.resilience import ResilienceConfig, ResilientRunner
 from repro.measure.client import MeasurementClient
 from repro.measure.verdict import Verdict
 from repro.net.url import Url
 from repro.world.faults import FaultPlan
+from repro.world.scenario import build_scenario
 
 from tests.integration.test_failure_injection import filtered_world
 
@@ -158,9 +159,12 @@ class DescribeStudyDegradation:
 
     def test_annotations_map_gaps_onto_paper_artifacts(self):
         plan = FaultPlan(seed=11, nxdomain_rate=0.25, reset_rate=0.2)
-        partial = run_full_study(
-            products=["McAfee SmartFilter"], fault_plan=plan, max_retries=1
-        )
+        partial = FullStudy(
+            build_scenario(),
+            products=["McAfee SmartFilter"],
+            fault_plan=plan,
+            max_retries=1,
+        ).run()
         assert isinstance(partial, PartialStudyResult)
         assert not partial.complete
         notes = partial.annotations()

@@ -91,7 +91,7 @@ def run_killed(tmp_path, seed, kill_at, *, fault_plan=None):
         fault_plan=None if fault_plan is None else FaultPlan.parse(fault_plan),
     )
     try:
-        study.run_journaled(tmp_path, after_write=kill_after(kill_at))
+        study.run(tmp_path, after_write=kill_after(kill_at))
     except SimulatedKill:
         return True
     return False
@@ -103,7 +103,7 @@ def run_resumed(tmp_path, seed, *, workers=1, fault_plan=None):
         workers=workers,
         fault_plan=None if fault_plan is None else FaultPlan.parse(fault_plan),
     )
-    outcome = study.run_journaled(tmp_path, resume=True)
+    outcome = study.run(tmp_path, resume=True)
     return outcome, study.last_recovery
 
 
@@ -120,7 +120,7 @@ def goldens():
 def journal_length(tmp_path, seed):
     """How many records an uninterrupted journaled run writes."""
     directory = tmp_path / "length-probe"
-    make_study(seed).run_journaled(directory)
+    make_study(seed).run(directory)
     records, _report = read_journal(directory / JOURNAL_FILENAME)
     return len(records)
 
@@ -161,7 +161,7 @@ class DescribeCrashMatrix:
         # Second attempt dies too, further along.
         study = make_study(seed)
         with pytest.raises(SimulatedKill):
-            study.run_journaled(
+            study.run(
                 tmp_path, resume=True, after_write=kill_after(6)
             )
         outcome, _recovery = run_resumed(tmp_path, seed)
@@ -171,7 +171,7 @@ class DescribeCrashMatrix:
         self, tmp_path, goldens
     ):
         seed = _seeds()[0]
-        first = make_study(seed).run_journaled(tmp_path)
+        first = make_study(seed).run(tmp_path)
         again, recovery = run_resumed(tmp_path, seed)
         assert fingerprint_output(first, seed) == goldens[seed]
         assert fingerprint_output(again, seed) == goldens[seed]
@@ -216,13 +216,13 @@ class DescribeDamagedDurabilityState:
         assert run_killed(tmp_path, seed, 5)
         other = make_study(seed + 1000)
         with pytest.raises(CheckpointError, match="different"):
-            other.run_journaled(tmp_path, resume=True)
+            other.run(tmp_path, resume=True)
 
     def test_existing_journal_without_resume_is_refused(self, tmp_path):
         seed = _seeds()[0]
         assert run_killed(tmp_path, seed, 2)
         with pytest.raises(JournalError, match="resume"):
-            make_study(seed).run_journaled(tmp_path)
+            make_study(seed).run(tmp_path)
 
 
 def older_lookup_caches(seed):
@@ -268,7 +268,7 @@ class DescribeOlderSnapshots:
             state=state,
         )
         resumed = make_study(seed)
-        outcome = resumed.run_journaled(journal, resume=True)
+        outcome = resumed.run(journal, resume=True)
         assert resumed.last_recovery.snapshot_used == snapshot.path.name
         assert fingerprint_output(outcome, seed) == goldens[seed]
         uninterrupted = make_study(seed)

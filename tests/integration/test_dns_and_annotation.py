@@ -101,6 +101,26 @@ class DescribeDnsCensorship:
                 vantage.fetch(Url.parse(f"http://adult-site.example.com{path}"))
 
 
+    def test_one_dns_fault_roll_per_resolution(self, tampered_world):
+        """A fetch rolls the DNS fault once for its own host and once
+        for each redirect target, never twice for one resolution."""
+        rolls = []
+
+        class CountingPlan(FaultPlan):
+            def dns_fault(self, vantage, hostname):
+                rolls.append(hostname)
+                return super().dns_fault(vantage, hostname)
+
+        # Active through a banner fault, which no fetch consults.
+        tampered_world.install_faults(CountingPlan(garble_rate=1.0))
+        vantage = tampered_world.vantage("testnet")
+        vantage.fetch(Url.parse("http://adult-site.example.com/"))
+        assert rolls == ["adult-site.example.com"]
+        rolls.clear()
+        vantage.fetch(Url.parse("http://adult-site.example.com/to-poisoned"))
+        assert rolls == ["adult-site.example.com", "free-proxy.example.com"]
+
+
 class DescribeProxyAnnotation:
     @pytest.fixture()
     def proxied_world(self, mini_world):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.pipeline import run_full_study
+from repro.core.pipeline import FullStudy, run_full_study
 from repro.measure.classifiers import VerdictEngine
 from repro.measure.verdict import Verdict
 from repro.middlebox.deploy import deploy
@@ -26,6 +26,7 @@ from repro.net.url import Url
 from repro.products.smartfilter import make_smartfilter
 from repro.store import ResultsStore
 from repro.world.rng import derive_rng
+from repro.world.scenario import build_scenario
 
 from tests.conftest import make_content_oracle, make_mini_world
 from tests.integration.legacy_compare import legacy_compare
@@ -181,17 +182,14 @@ class DescribeConfidencePersistence:
             products=products,
             store_dir=root / "default",
         )
-        run_full_study(
-            products=products,
-            store_dir=root / "confident-w1",
-            record_confidence=True,
-        )
-        run_full_study(
-            products=products,
-            workers=8,
-            store_dir=root / "confident-w8",
-            record_confidence=True,
-        )
+        for name, workers in (("confident-w1", 1), ("confident-w8", 8)):
+            study = FullStudy(
+                build_scenario(),
+                products=products,
+                workers=workers,
+                record_confidence=True,
+            )
+            study.commit_epoch(root / name, study.run())
         return {
             name: ResultsStore(root / name)
             for name in ("default", "confident-w1", "confident-w8")

@@ -60,14 +60,11 @@ class DescribeRegistration:
         assert registry.names() == ("Acme Filter",)
         assert list(registry) == [spec]
 
-    def test_duplicate_rejected_unless_replace(self):
+    def test_duplicate_rejected(self):
         registry = ProductRegistry()
         registry.register(make_spec())
         with pytest.raises(ValueError, match="already registered"):
             registry.register(make_spec())
-        replacement = make_spec(shodan_keywords=("acme", "acme2"))
-        assert registry.register(replacement, replace=True) is replacement
-        assert registry.get("Acme Filter").shodan_keywords == ("acme", "acme2")
 
     def test_unknown_get_lists_registered_names(self):
         registry = ProductRegistry()
