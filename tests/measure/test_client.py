@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
+from repro.exec.executor import Executor
 from repro.measure.client import MeasurementClient
+from repro.measure.testlists import build_global_list
 from repro.middlebox.deploy import deploy
 from repro.net.url import Url
 from repro.products.smartfilter import make_smartfilter
 from repro.world.rng import derive_rng
+from repro.world.scenario import build_scenario
 
 from tests.conftest import make_content_oracle
 
@@ -84,3 +89,28 @@ class DescribeTesting:
     def test_measured_at_timestamp(self, client, filtered_world):
         test = client.test_url(Url.parse("http://daily-news.example.com/"))
         assert test.measured_at == filtered_world.now
+
+
+class DescribeFanOut:
+    def test_workers_overlap_link_latency(self):
+        """Four workers hide the per-URL link wait behind each other,
+        and the verdicts do not depend on the worker count."""
+        world = build_scenario().world
+        urls = build_global_list(world).urls()[:16]
+
+        def timed_run(workers):
+            client = MeasurementClient(
+                world.vantage("etisalat"),
+                world.lab_vantage(),
+                executor=Executor(workers=workers),
+                link_latency=0.02,
+            )
+            started = time.perf_counter()
+            run = client.run_list(urls)
+            elapsed = time.perf_counter() - started
+            return [(t.url, t.comparison.verdict) for t in run.tests], elapsed
+
+        sequential, sequential_seconds = timed_run(1)
+        parallel, parallel_seconds = timed_run(4)
+        assert parallel == sequential
+        assert parallel_seconds < sequential_seconds / 2

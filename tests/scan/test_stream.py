@@ -10,6 +10,7 @@ identity/determinism contract, and failure/abort semantics of
 from __future__ import annotations
 
 import pickle
+import time
 
 import pytest
 
@@ -204,3 +205,24 @@ class DescribeStreamingScanRun:
         document = summary.to_document()
         assert document["epoch"] == summary.epoch_id
         assert document["hosts_per_second"] == summary.hosts_per_second
+
+    def test_workers_overlap_batch_latency(self, tmp_path):
+        """Four thread workers hide the per-batch wait behind each
+        other and commit the epoch one worker commits."""
+        scan = StreamingScan(
+            SEED,
+            _config(host_count=4_000, shard_count=4),
+            batch_size=500,
+            latency=0.05,
+        )
+
+        def timed_run(workers):
+            store = ResultsStore(tmp_path / f"workers-{workers}")
+            started = time.perf_counter()
+            summary = scan.run(store, Executor(workers=workers))
+            return summary.epoch_id, time.perf_counter() - started
+
+        sequential, sequential_seconds = timed_run(1)
+        parallel, parallel_seconds = timed_run(4)
+        assert parallel == sequential
+        assert parallel_seconds < sequential_seconds / 2
