@@ -156,6 +156,8 @@ USAGE_ERRORS = [
         ["serve", "--store", "{tmp}/s", "--cache-size", "-1"],
         "--cache-size",
     ),
+    ("serve-port-high", ["serve", "--store", "{tmp}/s", "--port", "70000"], "--port"),
+    ("serve-port-negative", ["serve", "--store", "{tmp}/s", "--port", "-5"], "--port"),
     ("monitor-rounds", _MONITOR + ["--rounds", "0"], "--rounds"),
     ("monitor-round-delay", _MONITOR + ["--round-delay", "-1"], "--round-delay"),
     ("discover-workers", ["discover", "--workers", "0"], "--workers"),
@@ -295,6 +297,14 @@ USAGE_ERRORS = [
         "confirm-unknown-pair",
         ["confirm", "--product", "Websense", "--isp", "bayanat"],
         "known (product, isp) pairs",
+    ),
+    (
+        "confirm-unknown-category",
+        [
+            "confirm", "--product", "McAfee SmartFilter", "--isp", "etisalat",
+            "--category", "Nope",
+        ],
+        "'Nope'",
     ),
     # Rejected by argparse itself.
     ("no-subcommand", [], "required"),
