@@ -1,38 +1,16 @@
-"""Shared fixtures for the benchmark harness.
+"""Shared fixtures for the paper-artifact modules.
 
-The full campaign is expensive (several seconds), so it runs once per
-session; individual benchmarks time their own pipeline stage against
-fresh worlds with ``benchmark.pedantic`` and then assert the paper's
-shape on the shared report.
+The full campaign runs once per session; individual modules time their
+own pipeline stage against fresh worlds with ``benchmark.pedantic`` and
+then assert the paper's shape on the shared report.
 """
 
 from __future__ import annotations
-
-import json
-from pathlib import Path
-from typing import Callable, Dict
 
 import pytest
 
 from repro import FullStudy, build_scenario
 from repro.world.scenario import Scenario
-
-BENCH_DIR = Path(__file__).parent
-
-
-@pytest.fixture(scope="session")
-def write_bench() -> Callable[[str, Dict], Path]:
-    """Writer for committed BENCH_*.json artifacts (stable formatting)."""
-
-    def _write(name: str, payload: Dict) -> Path:
-        path = BENCH_DIR / name
-        path.write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        return path
-
-    return _write
 
 
 @pytest.fixture(scope="session")
