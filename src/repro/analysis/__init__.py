@@ -14,7 +14,6 @@ from repro.analysis.paper_data import (
 from repro.analysis.export import (
     characterization_rows,
     confirmation_record,
-    confirmations_rows,
     installations_rows,
     probe_record,
     to_csv,
@@ -39,7 +38,6 @@ __all__ = [
     "Scorecard",
     "characterization_rows",
     "confirmation_record",
-    "confirmations_rows",
     "installations_rows",
     "probe_record",
     "to_csv",

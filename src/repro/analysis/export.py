@@ -1,12 +1,12 @@
 """Structured export of study results (JSON / CSV).
 
 The paper publishes its data (§1 footnote: "Data available at ..."); a
-reproduction should too. These exporters flatten a
-:class:`~repro.core.pipeline.StudyReport` into machine-readable rows.
-The installation, confirmation, characterization and probe rows are
-also what an epoch stores and what :mod:`repro.analysis.tables`
-renders, so a table served from the store and the report's copy are
-rendered from the same rows.
+reproduction should too. These flatteners turn a
+:class:`~repro.core.pipeline.StudyReport` into the rows an epoch stores
+and :mod:`repro.analysis.tables` renders. :func:`to_json` publishes an
+epoch's rows keyed by record kind, as ``repro query records --kind``
+names them, and :func:`to_csv` one kind's rows, so every table renders
+the same from the report, the store and the exports.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ if TYPE_CHECKING:  # avoid a circular import at runtime
     from repro.core.confirm import CategoryProbeResult, ConfirmationResult
     from repro.core.identify import IdentificationReport
     from repro.core.pipeline import StudyReport
+    from repro.store.records import EpochData
 
 
 def installations_rows(
@@ -76,20 +77,6 @@ def confirmation_record(
     return row
 
 
-def confirmations_rows(report: "StudyReport") -> List[Dict[str, Any]]:
-    """Table 3 backing data for the JSON and CSV exports.
-
-    The stored rows without the outcome count and the submission
-    minute, which the exports have never carried.
-    """
-    rows = []
-    for result in report.confirmations:
-        row = confirmation_record(result)
-        del row["submitted_at_minutes"], row["submitted_outcomes"]
-        rows.append(row)
-    return rows
-
-
 def characterization_rows(
     report: "StudyReport", *, include_confidence: bool = False
 ) -> List[Dict[str, Any]]:
@@ -127,16 +114,9 @@ def probe_record(probe: "CategoryProbeResult") -> Dict[str, Any]:
     }
 
 
-def to_json(report: "StudyReport", *, indent: int = 2) -> str:
-    """The whole campaign as one JSON document."""
-    document = {
-        "installations": installations_rows(report.identification),
-        "confirmations": confirmations_rows(report),
-        "characterization": characterization_rows(report),
-    }
-    if report.category_probe is not None:
-        document["category_probe"] = probe_record(report.category_probe)
-    return json.dumps(document, indent=indent, sort_keys=True)
+def to_json(epoch: "EpochData") -> str:
+    """An epoch's rows as one JSON document, keyed by record kind."""
+    return json.dumps(epoch.records, indent=2, sort_keys=True)
 
 
 def to_csv(rows: List[Dict[str, Any]]) -> str:

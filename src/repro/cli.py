@@ -642,9 +642,17 @@ def _cmd_study(args) -> int:
     from repro.analysis.export import to_json
     from repro.analysis.validation import validate_report
     from repro.net.errors import NetError
+    from repro.store import ResultsStore
 
     if args.resume and not args.journal:
         raise CommandError(EXIT_USAGE, "--resume requires --journal DIR")
+    for path in filter(None, (args.output, args.json_output)):
+        # Refused before the campaign runs, not after it committed.
+        directory = os.path.dirname(path) or "."
+        if not os.path.isdir(directory):
+            raise CommandError(
+                EXIT_HARD, f"error: no directory {directory!r} for {path!r}"
+            )
     study = FullStudy(
         build_scenario(seed=_seed(args)),
         products=args.products,
@@ -670,8 +678,9 @@ def _cmd_study(args) -> int:
     if study.last_recovery is not None and not study.last_recovery.clean:
         for line in study.last_recovery.describe():
             print(f"recovery: {line}")
+    epoch = study.epoch(outcome)
     if args.store:
-        commit = study.commit_epoch(Path(args.store), outcome)
+        commit = ResultsStore(Path(args.store)).commit(epoch)
         verb = "committed" if commit.created else "already committed"
         print(f"epoch {commit.epoch_id[:12]} {verb} to {args.store}")
     document = write_markdown_report(report, seed=_seed(args))
@@ -683,7 +692,7 @@ def _cmd_study(args) -> int:
         print(document)
     if args.json_output:
         with open(args.json_output, "w", encoding="utf-8") as handle:
-            handle.write(to_json(report))
+            handle.write(to_json(epoch))
         print(f"raw results written to {args.json_output}")
     if partial is not None:
         for line in partial.summary_lines():

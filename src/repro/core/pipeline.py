@@ -64,7 +64,7 @@ from repro.geo.maxmind import GeoDatabase
 from repro.products.registry import NETSWEEPER, SMARTFILTER, default_registry
 from repro.scan.banner import scan_world
 from repro.scan.shodan import ShodanIndex
-from repro.store import CommitResult, ResultsStore, study_epoch
+from repro.store import CommitResult, EpochData, ResultsStore, study_epoch
 from repro.scan.whatweb import WhatWebEngine, world_probe
 from repro.world.clock import SimTime
 from repro.world.content import ContentClass
@@ -521,21 +521,16 @@ class FullStudy:
         )
 
     # ------------------------------------------------------- results store
-    def commit_epoch(self, store, outcome=None) -> CommitResult:
-        """Commit a completed (or partial) run to a results store.
+    def epoch(self, outcome=None) -> EpochData:
+        """A completed (or partial) run as one epoch: the rows a store
+        keeps and ``repro study --json`` publishes.
 
-        ``store`` is a :class:`~repro.store.ResultsStore` or a directory
-        path; ``outcome`` defaults to assembling the completed units.
-        The epoch carries the study's identity fingerprint (the same one
-        the checkpoint layer uses), the sim-clock window the campaign
+        ``outcome`` defaults to assembling the completed units. The
+        epoch carries the study's identity fingerprint (the same one the
+        checkpoint layer uses), the sim-clock window the campaign
         spanned, and — for a :class:`PartialStudyResult` — the
-        partial-data annotations. Committing is idempotent: the epoch id
-        is a content hash, so re-committing an identical run (or the
-        same run re-executed at a different ``--workers``) lands on the
-        already-durable epoch.
+        partial-data annotations.
         """
-        if not isinstance(store, ResultsStore):
-            store = ResultsStore(Path(store))
         if outcome is None:
             outcome = self._assemble()
         if isinstance(outcome, PartialStudyResult):
@@ -544,7 +539,7 @@ class FullStudy:
         else:
             report = outcome
             partial = ()
-        epoch = study_epoch(
+        return study_epoch(
             report,
             identity=self.identity(),
             fingerprint=self.config_fingerprint(),
@@ -553,7 +548,17 @@ class FullStudy:
             partial=partial,
             record_confidence=self._record_confidence,
         )
-        return store.commit(epoch)
+
+    def commit_epoch(self, store, outcome=None) -> CommitResult:
+        """Commit :meth:`epoch` to ``store`` (a ResultsStore or a path).
+
+        Idempotent: the epoch id is a content hash, so re-committing an
+        identical run (or the same run at another ``--workers``) lands
+        on the already-durable epoch.
+        """
+        if not isinstance(store, ResultsStore):
+            store = ResultsStore(Path(store))
+        return store.commit(self.epoch(outcome))
 
     # ----------------------------------------------------------- durability
     def identity(self) -> Dict[str, Any]:

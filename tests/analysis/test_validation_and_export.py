@@ -9,7 +9,6 @@ import pytest
 from repro import FullStudy, build_scenario
 from repro.analysis.export import (
     characterization_rows,
-    confirmations_rows,
     installations_rows,
     to_csv,
     to_json,
@@ -20,8 +19,18 @@ from repro.core.pipeline import StudyReport
 
 
 @pytest.fixture(scope="module")
-def full_report():
-    return FullStudy(build_scenario()).run()
+def study():
+    return FullStudy(build_scenario())
+
+
+@pytest.fixture(scope="module")
+def full_report(study):
+    return study.run()
+
+
+@pytest.fixture(scope="module")
+def epoch(study, full_report):
+    return study.epoch(full_report)
 
 
 class DescribeScorecard:
@@ -58,13 +67,15 @@ class DescribeExport:
         sample = rows[0]
         assert {"ip", "product", "country", "asn", "org_name"} <= set(sample)
 
-    def test_confirmations_rows(self, full_report):
-        rows = confirmations_rows(full_report)
+    def test_confirmations_rows(self, epoch):
+        rows = epoch.records["confirmations"]
         assert len(rows) == 10
         bayanat = next(r for r in rows if r["isp"] == "bayanat")
         assert bayanat["blocked_submitted"] == 5
+        assert bayanat["submitted_outcomes"] == 5
         assert bayanat["confirmed"] is True
         assert bayanat["blocked_control"] == 0
+        assert (bayanat["country"], bayanat["asn"]) == ("sa", 48237)
 
     def test_characterization_rows(self, full_report):
         rows = characterization_rows(full_report)
@@ -73,22 +84,27 @@ class DescribeExport:
         }
         assert all(r["tested"] >= r["blocked"] >= 0 for r in rows)
 
-    def test_json_roundtrip(self, full_report):
-        document = json.loads(to_json(full_report))
+    def test_json_roundtrip(self, epoch):
+        document = json.loads(to_json(epoch))
+        assert document == epoch.records
         assert set(document) == {
             "installations",
             "confirmations",
-            "characterization",
+            "characterizations",
             "category_probe",
         }
-        assert document["category_probe"]["tested"] == 66
+        [probe] = document["category_probe"]
+        assert probe["tested"] == 66
         assert len(document["confirmations"]) == 10
+        for row in document["confirmations"]:
+            assert "submitted_outcomes" in row
 
-    def test_csv_rendering(self, full_report):
-        text = to_csv(confirmations_rows(full_report))
+    def test_csv_rendering(self, epoch):
+        text = to_csv(epoch.records["confirmations"])
         lines = text.strip().splitlines()
         assert len(lines) == 11  # header + 10 rows
         assert lines[0].startswith("product,isp,category")
+        assert "submitted_outcomes" in lines[0].split(",")
 
     def test_csv_joins_lists(self, full_report):
         text = to_csv(installations_rows(full_report.identification))

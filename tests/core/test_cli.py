@@ -249,6 +249,28 @@ class DescribeStoreCommands:
         assert code == 2
         assert "no committed epochs" in capsys.readouterr().err
 
+    def test_json_publishes_the_rows_the_epoch_stores(self, tmp_path, capsys):
+        import json
+
+        from repro.analysis.tables import render_table3
+
+        store_dir, json_path = str(tmp_path / "S"), tmp_path / "J.json"
+        argv = ["study", "--store", store_dir, "--json", str(json_path)]
+        assert main(argv + _ONE_PRODUCT) == 0
+        capsys.readouterr()
+        document = json.loads(json_path.read_text())
+        assert set(document) == {
+            "installations", "confirmations", "characterizations",
+        }
+        for kind, rows in document.items():
+            argv = ["query", "--store", store_dir, "records", "--kind", kind]
+            assert main(argv) == 0
+            assert json.loads(capsys.readouterr().out) == rows
+        argv = ["query", "--store", store_dir, "tables", "--name", "table3"]
+        assert main(argv) == 0
+        table = render_table3(document["confirmations"])
+        assert capsys.readouterr().out == table + "\n"
+
     def test_serve_rejects_negative_cache(self, tmp_path, capsys):
         store_dir = tmp_path / "results"
         assert main(["study", "--store", str(store_dir)] + _ONE_PRODUCT) == 0
@@ -470,6 +492,20 @@ class DescribeMainContract:
         assert err.count("\n") == 1
         assert "Traceback" not in err
         assert named in err
+
+    @pytest.mark.parametrize("flag", ["--output", "--json"])
+    def test_missing_output_directory_ends_before_the_campaign(
+        self, tmp_path, capsys, flag
+    ):
+        store_dir = tmp_path / "s"
+        named = str(tmp_path / "absent" / "out")
+        argv = ["study", "--store", str(store_dir), flag, named]
+        assert main(argv + _ONE_PRODUCT) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ")
+        assert named in err
+        assert not (store_dir / "epochs.jsonl").exists()
 
     def test_unusable_listen_address_ends_in_one_line(self, tmp_path, capsys):
         store_dir = str(tmp_path / "s")

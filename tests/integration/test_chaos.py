@@ -21,7 +21,7 @@ import os
 
 from repro.analysis.export import to_json
 from repro.cli import main
-from repro.core.pipeline import FullStudy, PartialStudyResult, run_full_study
+from repro.core.pipeline import FullStudy, PartialStudyResult
 from repro.exec.metrics import Metrics
 from repro.exec.resilience import ResilienceConfig, ResilientRunner
 from repro.measure.client import MeasurementClient
@@ -123,8 +123,11 @@ class DescribeNeverWrongInvariant:
 class DescribeStudyDegradation:
     def test_full_study_completes_and_is_worker_invariant(self):
         plan = env_or_default_plan()
-        sequential = run_full_study(fault_plan=plan, workers=1)
-        fanned_out = run_full_study(fault_plan=plan, workers=4)
+        studies = [
+            FullStudy(build_scenario(), fault_plan=plan, workers=workers)
+            for workers in (1, 4)
+        ]
+        sequential, fanned_out = [study.run() for study in studies]
         for partial in (sequential, fanned_out):
             assert isinstance(partial, PartialStudyResult)
         assert {
@@ -138,7 +141,9 @@ class DescribeStudyDegradation:
             str(q) for q in fanned_out.quarantined
         ]
         assert sequential.breaker_states == fanned_out.breaker_states
-        assert to_json(sequential.report) == to_json(fanned_out.report)
+        assert to_json(studies[0].epoch(sequential)) == to_json(
+            studies[1].epoch(fanned_out)
+        )
         # The degradation summary renders and names the plan.
         lines = sequential.summary_lines()
         assert lines[0] == f"fault plan: {plan.describe()}"
@@ -146,16 +151,22 @@ class DescribeStudyDegradation:
             assert any("partial data" in note for note in lines)
 
     def test_inert_plan_preserves_baseline_bytes(self):
-        baseline = run_full_study(products=["McAfee SmartFilter"])
-        replay = run_full_study(
+        baseline_study = FullStudy(
+            build_scenario(), products=["McAfee SmartFilter"]
+        )
+        replay_study = FullStudy(
+            build_scenario(),
             products=["McAfee SmartFilter"],
             fault_plan=FaultPlan(seed=5),  # all rates zero: inert
             workers=4,
         )
+        baseline, replay = baseline_study.run(), replay_study.run()
         # Inert plan → plain StudyReport, not a partial wrapper, and
         # byte-identical to the fault-free single-worker baseline.
         assert not isinstance(replay, PartialStudyResult)
-        assert to_json(replay) == to_json(baseline)
+        assert to_json(replay_study.epoch(replay)) == to_json(
+            baseline_study.epoch(baseline)
+        )
 
     def test_annotations_map_gaps_onto_paper_artifacts(self):
         plan = FaultPlan(seed=11, nxdomain_rate=0.25, reset_rate=0.2)

@@ -71,7 +71,7 @@ def kill_after(n):
     return hook
 
 
-def fingerprint_output(outcome, seed):
+def fingerprint_output(study, outcome, seed):
     """Everything a run publishes, as comparable bytes."""
     if isinstance(outcome, PartialStudyResult):
         report = outcome.report
@@ -80,7 +80,9 @@ def fingerprint_output(outcome, seed):
         report = outcome
         extra = ""
     return (
-        write_markdown_report(report, seed=seed) + to_json(report) + extra
+        write_markdown_report(report, seed=seed)
+        + to_json(study.epoch(outcome))
+        + extra
     )
 
 
@@ -98,13 +100,13 @@ def run_killed(tmp_path, seed, kill_at, *, fault_plan=None):
 
 
 def run_resumed(tmp_path, seed, *, workers=1, fault_plan=None):
+    """Resume the journal in ``tmp_path``; returns (study, outcome)."""
     study = make_study(
         seed,
         workers=workers,
         fault_plan=None if fault_plan is None else FaultPlan.parse(fault_plan),
     )
-    outcome = study.run(tmp_path, resume=True)
-    return outcome, study.last_recovery
+    return study, study.run(tmp_path, resume=True)
 
 
 @pytest.fixture(scope="module")
@@ -112,8 +114,8 @@ def goldens():
     """Uninterrupted reference outputs, one study per seed."""
     results = {}
     for seed in _seeds():
-        outcome = make_study(seed).run()
-        results[seed] = fingerprint_output(outcome, seed)
+        study = make_study(seed)
+        results[seed] = fingerprint_output(study, study.run(), seed)
     return results
 
 
@@ -135,12 +137,12 @@ class DescribeCrashMatrix:
         for kill_at in range(total):
             directory = tmp_path / f"kill-{kill_at}"
             assert run_killed(directory, seed, kill_at)
-            outcome, recovery = run_resumed(directory, seed)
-            assert fingerprint_output(outcome, seed) == goldens[seed], (
+            study, outcome = run_resumed(directory, seed)
+            assert fingerprint_output(study, outcome, seed) == goldens[seed], (
                 f"seed {seed}: resume after kill at record {kill_at} "
                 "diverged from the uninterrupted run"
             )
-            assert recovery is not None
+            assert study.last_recovery is not None
             # The journal must land complete after the resumed run.
             records, report = read_journal(directory / JOURNAL_FILENAME)
             assert records[-1].kind == "final"
@@ -152,8 +154,8 @@ class DescribeCrashMatrix:
     ):
         seed = _seeds()[0]
         assert run_killed(tmp_path, seed, kill_at)
-        outcome, _recovery = run_resumed(tmp_path, seed, workers=8)
-        assert fingerprint_output(outcome, seed) == goldens[seed]
+        study, outcome = run_resumed(tmp_path, seed, workers=8)
+        assert fingerprint_output(study, outcome, seed) == goldens[seed]
 
     def test_double_crash_then_resume(self, tmp_path, goldens):
         seed = _seeds()[0]
@@ -164,18 +166,19 @@ class DescribeCrashMatrix:
             study.run(
                 tmp_path, resume=True, after_write=kill_after(6)
             )
-        outcome, _recovery = run_resumed(tmp_path, seed)
-        assert fingerprint_output(outcome, seed) == goldens[seed]
+        study, outcome = run_resumed(tmp_path, seed)
+        assert fingerprint_output(study, outcome, seed) == goldens[seed]
 
     def test_resume_of_a_finished_run_is_a_noop_replay(
         self, tmp_path, goldens
     ):
         seed = _seeds()[0]
-        first = make_study(seed).run(tmp_path)
-        again, recovery = run_resumed(tmp_path, seed)
-        assert fingerprint_output(first, seed) == goldens[seed]
-        assert fingerprint_output(again, seed) == goldens[seed]
-        assert recovery.units_replayed == []
+        study = make_study(seed)
+        first = study.run(tmp_path)
+        resumed, again = run_resumed(tmp_path, seed)
+        assert fingerprint_output(study, first, seed) == goldens[seed]
+        assert fingerprint_output(resumed, again, seed) == goldens[seed]
+        assert resumed.last_recovery.units_replayed == []
 
 
 class DescribeDamagedDurabilityState:
@@ -185,9 +188,9 @@ class DescribeDamagedDurabilityState:
         journal = tmp_path / JOURNAL_FILENAME
         raw = journal.read_bytes()
         journal.write_bytes(raw[:-9])  # shear the final record mid-line
-        outcome, recovery = run_resumed(tmp_path, seed)
-        assert fingerprint_output(outcome, seed) == goldens[seed]
-        assert any("torn tail" in note for note in recovery.notes)
+        study, outcome = run_resumed(tmp_path, seed)
+        assert fingerprint_output(study, outcome, seed) == goldens[seed]
+        assert any("torn tail" in note for note in study.last_recovery.notes)
 
     def test_corrupt_newest_snapshot_falls_back(self, tmp_path, goldens):
         seed = _seeds()[0]
@@ -195,10 +198,10 @@ class DescribeDamagedDurabilityState:
         snapshots = sorted(tmp_path.glob("snapshot-*.ckpt"))
         assert len(snapshots) >= 2
         snapshots[-1].write_text("not a snapshot")
-        outcome, recovery = run_resumed(tmp_path, seed)
-        assert fingerprint_output(outcome, seed) == goldens[seed]
-        assert recovery.snapshots_rejected
-        assert recovery.snapshot_used == snapshots[-2].name
+        study, outcome = run_resumed(tmp_path, seed)
+        assert fingerprint_output(study, outcome, seed) == goldens[seed]
+        assert study.last_recovery.snapshots_rejected
+        assert study.last_recovery.snapshot_used == snapshots[-2].name
 
     def test_all_snapshots_corrupt_replays_from_scratch(
         self, tmp_path, goldens
@@ -207,9 +210,9 @@ class DescribeDamagedDurabilityState:
         assert run_killed(tmp_path, seed, 12)
         for path in tmp_path.glob("snapshot-*.ckpt"):
             path.write_text("garbage")
-        outcome, recovery = run_resumed(tmp_path, seed)
-        assert fingerprint_output(outcome, seed) == goldens[seed]
-        assert recovery.snapshot_used is None
+        study, outcome = run_resumed(tmp_path, seed)
+        assert fingerprint_output(study, outcome, seed) == goldens[seed]
+        assert study.last_recovery.snapshot_used is None
 
     def test_identity_mismatch_is_refused(self, tmp_path):
         seed = _seeds()[0]
@@ -270,7 +273,7 @@ class DescribeOlderSnapshots:
         resumed = make_study(seed)
         outcome = resumed.run(journal, resume=True)
         assert resumed.last_recovery.snapshot_used == snapshot.path.name
-        assert fingerprint_output(outcome, seed) == goldens[seed]
+        assert fingerprint_output(resumed, outcome, seed) == goldens[seed]
         uninterrupted = make_study(seed)
         expected = uninterrupted.commit_epoch(
             tmp_path / "uninterrupted", uninterrupted.run()
@@ -289,7 +292,7 @@ class DescribeChaosCrashResume:
         seed = _seeds()[0]
         study = make_study(seed, fault_plan=FaultPlan.parse(_CHAOS))
         outcome = study.run()
-        return seed, fingerprint_output(outcome, seed), outcome
+        return seed, fingerprint_output(study, outcome, seed), outcome
 
     @pytest.mark.parametrize("kill_at", [2, 8, 14])
     def test_chaos_plus_crash_plus_resume_matches_chaos_golden(
@@ -297,9 +300,9 @@ class DescribeChaosCrashResume:
     ):
         seed, golden_bytes, golden = chaos_golden
         assert run_killed(tmp_path, seed, kill_at, fault_plan=_CHAOS)
-        outcome, _recovery = run_resumed(tmp_path, seed, fault_plan=_CHAOS)
+        study, outcome = run_resumed(tmp_path, seed, fault_plan=_CHAOS)
         assert isinstance(outcome, PartialStudyResult)
-        assert fingerprint_output(outcome, seed) == golden_bytes
+        assert fingerprint_output(study, outcome, seed) == golden_bytes
         # Belt and braces on the headline safety property: the resumed
         # chaotic run confirms exactly what the uninterrupted chaotic
         # run confirms — recovery never manufactures a verdict.
